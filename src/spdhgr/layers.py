@@ -7,9 +7,18 @@ eigendecompositions so forward and backward always agree. Loss gradients
 with respect to symmetric matrices use the Frobenius pairing and are
 symmetrized on entry to each backward.
 
-The branch pipelines batch their per-frame (or per-chunk) work over
-stacked matrices; the batched code paths share the same spectral cores
-(`symmat._eigh_stack`, `symmat._eig_grad_core`) as the public
+A branch pipeline call runs a whole branch family. Its rows are the
+Gaussians of windows (consecutive frames over a set of joints), and the
+windows of all branches form one table: each distinct window is embedded
+and eigendecomposed once, in one stacked spectral call, and branches
+index their rows from it. The sub-sequences are a temporal pyramid over
+the same frames, so at t0=1 the 30 spatial-temporal branches of a
+500-frame sequence need 506 windows per finger instead of 1,500.
+Branches with equally many rows share one stacked second-stage
+embedding, and the backward sums each window's row gradients before one
+spectral backward over the table. A single branch is the one-branch
+case of the same code. The stacked code shares its spectral cores
+(`symmat._eigh_stack`, `symmat._eig_grad_core`) with the public
 single-matrix layers.
 """
 
@@ -39,7 +48,6 @@ from .symmat import (
     eig_backprop,
     eigh,
     sym_vectorize,
-    spd_log,
     symmetrize,
     tri_length,
 )
@@ -144,11 +152,8 @@ def _gauss_grad_stack(x_aug: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussAggContext:
-    samples: np.ndarray  # (n, d)
-    mu: np.ndarray
-    sigma: np.ndarray  # ridge included
     output: np.ndarray
-    x_aug: np.ndarray
+    x_aug: np.ndarray  # samples with a column of ones appended
 
 
 def gauss_agg_forward(samples: np.ndarray, ridge: float = DEFAULT_RIDGE):
@@ -161,10 +166,7 @@ def gauss_agg_forward(samples: np.ndarray, ridge: float = DEFAULT_RIDGE):
     _require(samples.ndim == 2 and samples.shape[0] >= 1 and samples.shape[1] >= 1,
              f"samples must be a non-empty (n, d) matrix, got {samples.shape}")
     y, x_aug = _gauss_embed_stack(samples, ridge)
-    mu = samples.mean(axis=0)
-    centered = samples - mu
-    sigma = centered.T @ centered / samples.shape[0] + ridge * np.eye(samples.shape[1])
-    return y, GaussAggContext(samples=samples, mu=mu, sigma=sigma, output=y, x_aug=x_aug)
+    return y, GaussAggContext(output=y, x_aug=x_aug)
 
 
 def gauss_agg_backward(ctx: GaussAggContext, grad_out: np.ndarray) -> np.ndarray:
@@ -263,144 +265,193 @@ def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> n
 
 
 # ---------------------------------------------------------------------------
-# branch pipelines
+# branch pipelines (one call per family over a window table; see the
+# module docstring)
 
 
 @dataclass
-class _SampleGroup:
-    """A batch of equally-sized first-stage sample sets within a branch."""
+class _WindowGroup:
+    """Table windows of one length, embedded as one stack."""
 
-    rows: np.ndarray  # destination rows in the second-stage sample matrix
-    starts: np.ndarray  # first frame of each window/chunk
-    length: int  # frames per window/chunk
-    joints: np.ndarray | None  # per-row joint index (temporal-spatial only)
-    x_aug: np.ndarray  # (batch, n_samples, d+1)
+    ids: np.ndarray  # table entries
+    sets: np.ndarray  # joint set of each entry
+    starts: np.ndarray  # first frame of each entry
+    length: int  # frames per window
+    x_aug: np.ndarray  # (entries, length * set size, d + 1)
+
+
+@dataclass
+class _SecondStage:
+    """Branches with equally many rows, embedded as one stack."""
+
+    branches: np.ndarray  # positions in the call's branch order
+    rows: np.ndarray  # (branches, rows) table entry of each row
+    gauss: GaussAggContext
 
 
 @dataclass
 class BranchContext:
     kind: str  # "st" | "ts"
-    shape: tuple[int, int, int]  # (n_frames, n_joints, feat_dim)
+    shape: tuple[int, int, int]  # input (n_frames, n_joints, feat_dim)
+    out_shape: tuple[int, ...]  # (m, m) for one branch, else (branches, m, m)
     eps: float
-    groups: list[_SampleGroup]
-    spectral_cache: tuple
-    second: GaussAggContext
+    joint_sets: np.ndarray  # (sets, set size) joint indices of the table
+    windows: list[_WindowGroup]
+    spectral_cache: tuple  # of the window table, one entry per window
+    second: list[_SecondStage]
 
 
-def st_branch_forward(feats: np.ndarray, t0: int, eps: float, ridge: float = DEFAULT_RIDGE):
-    """Spatial-then-temporal branch.
+def _branch_family_forward(kind, feats, branches, rows_of, eps, ridge):
+    """Shared forward of both families.
 
-    Per frame, a Gaussian over all joints in a sliding window (clamped at
-    the branch boundary) is embedded, rectified, log-mapped and
-    vectorized; a second Gaussian over the per-frame vectors yields the
-    branch's SPD descriptor of side (d(d+3)/2 + 2).
+    ``rows_of(n_frames, joints)`` cuts one branch into rows and returns
+    (joint sets, per-row set, per-row start, per-row stop) with frames
+    relative to the branch start.
     """
     feats = np.asarray(feats, dtype=np.float64)
     _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
     n_frames, n_joints, d = feats.shape
+    single = branches is None
+    if single:
+        branches = [(0, n_frames, range(n_joints))]
+    _require(len(branches) >= 1, "no branches given")
+
+    set_index: dict[tuple, int] = {}
+    keys, n_rows = [], []
+    for start, stop, joints in branches:
+        _require(0 <= start < stop <= n_frames,
+                 f"branch frames [{start}, {stop}) outside [0, {n_frames})")
+        _require(len(set(joints)) == len(joints), f"branch joints {joints} repeat")
+        sets, row_set, lo, hi = rows_of(stop - start, joints)
+        ids = np.array([set_index.setdefault(tuple(int(j) for j in s), len(set_index))
+                        for s in sets])
+        # one integer key per window: (set, first frame, length)
+        keys.append((ids[row_set] * (n_frames + 1) + start + lo) * (n_frames + 1) + hi - lo)
+        n_rows.append(row_set.size)
+    _require(len({len(s) for s in set_index}) == 1,
+             "branches of one call must cover equally many joints")
+    joint_sets = np.array(list(set_index), dtype=np.intp)
+    _require(bool(np.all((joint_sets >= 0) & (joint_sets < n_joints))),
+             f"branch joints outside [0, {n_joints})")
+    table, row_entry = np.unique(np.concatenate(keys), return_inverse=True)
+    rest, lengths = np.divmod(table, n_frames + 1)
+    table_sets, table_starts = np.divmod(rest, n_frames + 1)
+
+    # first stage: embed every distinct window once, grouped by length
+    by_set = feats[:, joint_sets].swapaxes(0, 1)  # (sets, frames, set size, d)
+    mats = np.empty((table.size, d + 1, d + 1))
+    windows = []
+    for length in np.unique(lengths):
+        ids = np.flatnonzero(lengths == length)
+        sets, starts = table_sets[ids], table_starts[ids]
+        samples = by_set[sets[:, None], starts[:, None] + np.arange(length)]
+        y, x_aug = _gauss_embed_stack(samples.reshape(ids.size, -1, d), ridge)
+        mats[ids] = y
+        windows.append(_WindowGroup(ids=ids, sets=sets, starts=starts, length=int(length),
+                                    x_aug=x_aug))
+    vecs, cache = _rect_log_vec_stack(mats, eps)
+
+    # second stage: one Gaussian over each branch's rows
+    m = vecs.shape[1] + 1
+    out = np.empty((len(branches), m, m))
+    offsets = np.cumsum([0] + n_rows)
+    second = []
+    for count in sorted(set(n_rows)):
+        members = np.array([k for k, c in enumerate(n_rows) if c == count])
+        rows = row_entry[offsets[members][:, None] + np.arange(count)]
+        y, x_aug = _gauss_embed_stack(vecs[rows], ridge)
+        out[members] = y
+        second.append(_SecondStage(branches=members, rows=rows,
+                                   gauss=GaussAggContext(output=y, x_aug=x_aug)))
+    if single:
+        out = out[0]
+    ctx = BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
+                        joint_sets=joint_sets, windows=windows, spectral_cache=cache,
+                        second=second)
+    return out, ctx
+
+
+def st_branch_forward(feats: np.ndarray, t0: int, eps: float, ridge: float = DEFAULT_RIDGE,
+                      branches=None):
+    """Spatial-then-temporal branches.
+
+    Per frame, a Gaussian over all the branch's joints in a sliding
+    window (clamped at the branch boundary) is embedded, rectified,
+    log-mapped and vectorized; a second Gaussian over the per-frame
+    vectors yields the branch's SPD descriptor of side (d(d+3)/2 + 2).
+
+    ``feats`` is (frames, joints, dim). Without ``branches`` it is one
+    branch and the output is its descriptor; otherwise ``branches`` lists
+    (first frame, stop frame, joint indices) per branch and the output
+    stacks their descriptors in that order.
+    """
     _require(t0 >= 1, f"t0 must be >= 1, got {t0}")
-    _require(n_frames >= 2 * t0 + 1,
-             f"branch of {n_frames} frames is shorter than the window {2 * t0 + 1}")
 
-    width = 2 * t0 + 1
-    groups = []
-    mats = np.empty((n_frames, d + 1, d + 1))
-    interior = np.arange(t0, n_frames - t0)
-    if interior.size:
-        windows = np.lib.stride_tricks.sliding_window_view(feats, width, axis=0)
-        samples = windows.transpose(0, 3, 1, 2).reshape(interior.size, width * n_joints, d)
-        y, x_aug = _gauss_embed_stack(samples, ridge)
-        mats[interior] = y
-        groups.append(_SampleGroup(rows=interior, starts=interior - t0, length=width,
-                                   joints=None, x_aug=x_aug))
-    edge: dict[int, list[int]] = {}
-    for t in list(range(t0)) + list(range(n_frames - t0, n_frames)):
-        lo = max(0, t - t0)
-        hi = min(n_frames - 1, t + t0)
-        edge.setdefault(hi - lo + 1, []).append(t)
-    for length, ts in sorted(edge.items()):
-        rows = np.array(ts)
-        starts = np.maximum(rows - t0, 0)
-        idx = starts[:, None] + np.arange(length)[None, :]
-        samples = feats[idx].reshape(rows.size, length * n_joints, d)
-        y, x_aug = _gauss_embed_stack(samples, ridge)
-        mats[rows] = y
-        groups.append(_SampleGroup(rows=rows, starts=starts, length=length,
-                                   joints=None, x_aug=x_aug))
+    def rows_of(n_frames, joints):
+        _require(n_frames >= 2 * t0 + 1,
+                 f"branch of {n_frames} frames is shorter than the window {2 * t0 + 1}")
+        t = np.arange(n_frames)
+        return ([joints], np.zeros(n_frames, dtype=np.intp),
+                np.maximum(t - t0, 0), np.minimum(t + t0 + 1, n_frames))
 
-    vec_rows, cache = _rect_log_vec_stack(mats, eps)
-    out, second = gauss_agg_forward(vec_rows, ridge)
-    ctx = BranchContext(kind="st", shape=(n_frames, n_joints, d), eps=eps,
-                        groups=groups, spectral_cache=cache, second=second)
-    return out, ctx
+    return _branch_family_forward("st", feats, branches, rows_of, eps, ridge)
 
 
-def ts_branch_forward(feats: np.ndarray, n_chunks: int, eps: float, ridge: float = DEFAULT_RIDGE):
-    """Temporal-then-spatial branch.
+def ts_branch_forward(feats: np.ndarray, n_chunks: int, eps: float,
+                      ridge: float = DEFAULT_RIDGE, branches=None):
+    """Temporal-then-spatial branches.
 
-    The branch is cut into ``n_chunks`` equal-length chunks; per joint and
-    chunk a single-joint Gaussian is embedded, rectified, log-mapped and
-    vectorized; a second Gaussian over all joints x chunks vectors yields
-    the branch descriptor.
+    Each branch is cut into ``n_chunks`` equal-length chunks; per joint
+    and chunk a single-joint Gaussian is embedded, rectified, log-mapped
+    and vectorized; a second Gaussian over all joints x chunks vectors
+    (joint-major) yields the branch descriptor. ``branches`` is as for
+    `st_branch_forward`.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
-    n_frames, n_joints, d = feats.shape
     _require(n_chunks >= 1, f"n_chunks must be >= 1, got {n_chunks}")
-    _require(n_frames >= 2 * n_chunks,
-             f"branch of {n_frames} frames cannot give {n_chunks} chunks of >= 2 frames")
 
-    bounds = split_range(n_frames, n_chunks)
-    sizes = {}
-    for k, (start, stop) in enumerate(bounds):
-        sizes.setdefault(stop - start, []).append((k, start))
-    groups = []
-    mats = np.empty((n_joints * n_chunks, d + 1, d + 1))
-    for length, chunks in sorted(sizes.items()):
-        ks = np.array([k for k, _ in chunks])
-        starts = np.array([s for _, s in chunks])
-        # rows are joint-major: row = joint * n_chunks + chunk
-        joints = np.repeat(np.arange(n_joints), ks.size)
-        rows = joints * n_chunks + np.tile(ks, n_joints)
-        all_starts = np.tile(starts, n_joints)
-        idx = all_starts[:, None] + np.arange(length)[None, :]
-        samples = feats[idx, joints[:, None], :]
-        y, x_aug = _gauss_embed_stack(samples, ridge)
-        mats[rows] = y
-        groups.append(_SampleGroup(rows=rows, starts=all_starts, length=length,
-                                   joints=joints, x_aug=x_aug))
+    def rows_of(n_frames, joints):
+        _require(n_frames >= 2 * n_chunks,
+                 f"branch of {n_frames} frames cannot give {n_chunks} chunks of >= 2 frames")
+        bounds = np.array(split_range(n_frames, n_chunks))
+        n = len(joints)
+        return ([[j] for j in joints], np.repeat(np.arange(n), n_chunks),
+                np.tile(bounds[:, 0], n), np.tile(bounds[:, 1], n))
 
-    vec_rows, cache = _rect_log_vec_stack(mats, eps)
-    out, second = gauss_agg_forward(vec_rows, ridge)
-    ctx = BranchContext(kind="ts", shape=(n_frames, n_joints, d), eps=eps,
-                        groups=groups, spectral_cache=cache, second=second)
-    return out, ctx
+    return _branch_family_forward("ts", feats, branches, rows_of, eps, ridge)
 
 
 def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of either branch w.r.t. its (frames, joints, dim) features.
+    """Gradient of a family call w.r.t. its (frames, joints, dim) features.
 
-    Overlapping windows accumulate additively.
+    ``grad_out`` has the forward output's shape. The first stage is
+    linear in its upstream gradient, so the row gradients of each
+    distinct window are summed before one spectral backward over the
+    table; overlapping windows then accumulate additively.
     """
-    n_frames, n_joints, d = ctx.shape
-    m = ctx.second.output.shape[0]
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    _require(grad_out.shape == (m, m),
-             f"branch gradient must be {m}x{m}, got {grad_out.shape}")
-    grad_vecs = gauss_agg_backward(ctx.second, grad_out)
-    dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_vecs)
-    grad_feats = np.zeros((n_frames, n_joints, d))
-    for group in ctx.groups:
-        grad_samples = _gauss_grad_stack(group.x_aug, dmats[group.rows])
-        idx = group.starts[:, None] + np.arange(group.length)[None, :]
-        if group.joints is None:  # spatial-temporal: samples cover all joints
-            contrib = grad_samples.reshape(len(group.rows), group.length, n_joints, d)
-            np.add.at(grad_feats, idx.ravel(),
-                      contrib.reshape(-1, n_joints, d))
-        else:  # temporal-spatial: one joint per row
-            joints = np.broadcast_to(group.joints[:, None], idx.shape)
-            np.add.at(grad_feats, (idx.ravel(), joints.ravel()),
-                      grad_samples.reshape(-1, d))
+    _require(grad_out.shape == ctx.out_shape,
+             f"branch gradient must be {ctx.out_shape}, got {grad_out.shape}")
+    grads = grad_out.reshape((-1,) + grad_out.shape[-2:])
+    vals = ctx.spectral_cache[1]
+    grad_table = np.zeros((vals.shape[0], tri_length(vals.shape[1])))
+    for stage in ctx.second:
+        grad_rows = _gauss_grad_stack(stage.gauss.x_aug, grads[stage.branches])
+        for rows, grad in zip(stage.rows, grad_rows):  # one branch's rows never repeat
+            grad_table[rows] += grad
+    dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_table)
+
+    n_frames, _, d = ctx.shape
+    n_sets, set_size = ctx.joint_sets.shape
+    by_set = np.zeros((n_sets, n_frames, set_size, d))
+    for group in ctx.windows:
+        grad_samples = _gauss_grad_stack(group.x_aug, dmats[group.ids])
+        grad_samples = grad_samples.reshape(group.ids.size, group.length, set_size, d)
+        # within one offset every (set, frame) pair occurs at most once
+        for k in range(group.length):
+            by_set[group.sets, group.starts + k] += grad_samples[:, k]
+    grad_feats = np.zeros(ctx.shape)
+    for joints, grad in zip(ctx.joint_sets, by_set):
+        grad_feats[:, joints] += grad
     return grad_feats
 
 
@@ -527,9 +578,14 @@ def cross_entropy(probs: np.ndarray, true_label: int) -> float:
     return float(-np.log(max(float(probs[true_label]), 1e-300)))
 
 
-def extract_representation(y: np.ndarray) -> np.ndarray:
-    """Log-Euclidean feature vector of an SPD matrix, length d(d+1)/2."""
-    return sym_vectorize(spd_log(y))
+def extract_representation(y: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
+    """Log-Euclidean feature vector of an SPD matrix, length d(d+1)/2.
+
+    Accepts a precomputed eigendecomposition of ``y``, as
+    `logeig_forward` does.
+    """
+    log_mat, _ = logeig_forward(y, eig=eig)
+    return sym_vectorize(log_mat)
 
 
 def branch_output_dim(feat_dim: int) -> int:

@@ -6,6 +6,10 @@ Branch order is fixed (spatial-temporal branches first, each group
 sub-sequence-major then finger) and defines the column-block layout of
 the combined aggregation weight, so checkpoints are portable. Variants
 drop one branch group and shrink the weight accordingly.
+
+Each branch family runs as one call over the whole feature tensor with
+the list of branches (frame range and finger joints), so windows shared
+between sub-sequences are computed once per sequence; see `layers`.
 """
 
 from __future__ import annotations
@@ -285,8 +289,7 @@ def load_params(path, config: NetworkConfig) -> NetworkParams:
 class ForwardContext:
     config: NetworkConfig
     conv: ConvContext
-    branch_slices: list[tuple[slice, list[int]]]
-    branches: list[BranchContext]
+    branches: list[BranchContext]  # one per branch family, in weight-block order
     agg: SpdAggContext
     head: HeadContext
     feats_shape: tuple[int, int, int]
@@ -308,34 +311,27 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     grid = JointGrid(config.grid_mode)
     feats, conv_ctx = conv_forward(coords, params.conv, grid)
     plan = build_branch_plan(config.n_frames)
-
-    branch_slices = []
-    for spec in plan.entries:
-        t_begin, t_end = spec.frame_range
-        joints = [grid_node_index(j) for j in spec.joints]
-        branch_slices.append((slice(t_begin - 1, t_end), joints))
+    branches = [(spec.frame_range[0] - 1, spec.frame_range[1],
+                 [grid_node_index(j) for j in spec.joints]) for spec in plan.entries]
 
     inputs = []
     contexts = []
     if config.variant in ("st_ts", "st_only"):
-        for frame_slice, joints in branch_slices:
-            y, ctx = st_branch_forward(feats[frame_slice][:, joints], config.t0,
-                                       config.epsilon, config.ridge)
-            inputs.append(y)
-            contexts.append(ctx)
+        y, ctx = st_branch_forward(feats, config.t0, config.epsilon, config.ridge,
+                                   branches=branches)
+        inputs.append(y)
+        contexts.append(ctx)
     if config.variant in ("st_ts", "ts_only"):
-        for frame_slice, joints in branch_slices:
-            y, ctx = ts_branch_forward(feats[frame_slice][:, joints], config.n_chunks,
-                                       config.epsilon, config.ridge)
-            inputs.append(y)
-            contexts.append(ctx)
+        y, ctx = ts_branch_forward(feats, config.n_chunks, config.epsilon, config.ridge,
+                                   branches=branches)
+        inputs.append(y)
+        contexts.append(ctx)
 
-    y_final, agg_ctx = spd_agg_forward(np.stack(inputs), params.w_hat)
+    y_final, agg_ctx = spd_agg_forward(np.concatenate(inputs), params.w_hat)
     _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias,
                                       y_eig=agg_ctx.out_eig)
-    ctx = ForwardContext(config=config, conv=conv_ctx, branch_slices=branch_slices,
-                         branches=contexts, agg=agg_ctx, head=head_ctx,
-                         feats_shape=feats.shape)
+    ctx = ForwardContext(config=config, conv=conv_ctx, branches=contexts, agg=agg_ctx,
+                         head=head_ctx, feats_shape=feats.shape)
     return probs, ctx, y_final
 
 
@@ -349,11 +345,11 @@ def backward(ctx: ForwardContext, true_label: int) -> GradientSet:
     grad_y, grad_fc, grad_bias = head_backward(ctx.head, true_label)
     grad_xs, grad_w_hat = spd_agg_backward(ctx.agg, grad_y)
     grad_feats = np.zeros(ctx.feats_shape)
-    n_branches = len(ctx.branch_slices)
-    for k, (bctx, gx) in enumerate(zip(ctx.branches, grad_xs)):
-        frame_slice, joints = ctx.branch_slices[k % n_branches]
-        sub = grad_feats[frame_slice]
-        sub[:, joints] += branch_backward(bctx, gx)
+    first = 0
+    for bctx in ctx.branches:
+        n = bctx.out_shape[0]
+        grad_feats += branch_backward(bctx, grad_xs[first : first + n])
+        first += n
     _, grad_conv = conv_backward(ctx.conv, grad_feats)
     return GradientSet(conv=grad_conv, w_hat=grad_w_hat,
                        fc_weight=grad_fc, fc_bias=grad_bias)
@@ -366,5 +362,5 @@ def loss_for(seq, params: NetworkParams, config: NetworkConfig, label: int):
 
 def extract_features(seq, params: NetworkParams, config: NetworkConfig) -> np.ndarray:
     """Log-Euclidean feature vector of the final SPD matrix."""
-    _, _, y_final = forward(seq, params, config)
-    return extract_representation(y_final)
+    _, ctx, y_final = forward(seq, params, config)
+    return extract_representation(y_final, ctx.agg.out_eig)

@@ -140,19 +140,22 @@ def train_network(
                 batch = order[batch_lo : batch_lo + batch_size]
                 items = [sequences[i] for i in batch]
                 if pool is not None:
-                    results = list(pool.map(lambda s: _item_pass(s, params, config), items))
+                    results = pool.map(lambda s: _item_pass(s, params, config), items)
                 else:
-                    results = [_item_pass(s, params, config) for s in items]
-                losses = [r[0] for r in results]
+                    results = (_item_pass(s, params, config) for s in items)
+                # each item's gradients join the total as they arrive, in
+                # submission order, so at most the in-flight ones are held
+                losses = []
+                total = GradientSet.zeros_like(params)
+                for loss, correct, grads in results:
+                    losses.append(loss)
+                    epoch_correct += correct
+                    total.add_(grads)
                 if not np.all(np.isfinite(losses)):
                     raise NumericalFailure(
                         f"non-finite loss in epoch {epoch}, batch of sequences "
                         f"{sorted(int(i) for i in batch)}"
                     )
-                total = GradientSet.zeros_like(params)
-                for _, correct, grads in results:
-                    epoch_correct += correct
-                    total.add_(grads)
                 total.scale_(1.0 / len(items))
                 epoch_losses.extend(losses)
                 params = _apply_updates(params, total, lr)

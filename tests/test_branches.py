@@ -44,6 +44,12 @@ def rect_log_vec(mat, eps):
     return np.array(out)
 
 
+def second_samples(ctx):
+    """Per-row vectors of a one-branch call: its second-stage samples."""
+    (stage,) = ctx.second
+    return stage.gauss.x_aug[0, :, :-1]
+
+
 def st_branch_reference(feats, t0, eps, ridge):
     n_frames = feats.shape[0]
     vecs = []
@@ -97,17 +103,19 @@ class TestStBranch:
         feats = rng.standard_normal((8, 4, 9))
         out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
         assert out.shape == (56, 56)
-        assert ctx.second.samples.shape == (8, 55)  # one 55-vector per frame
+        assert second_samples(ctx).shape == (8, 55)  # one 55-vector per frame
         assert_spd(out)
 
     def test_constant_branch(self, rng):
         frame = rng.standard_normal((1, 4, 3))
         feats = np.repeat(frame, 6, axis=0)
         out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
-        y = ctx.second.samples[0]
-        np.testing.assert_allclose(ctx.second.samples, np.tile(y, (6, 1)), atol=1e-12)
-        np.testing.assert_allclose(ctx.second.sigma, RIDGE * np.eye(10), atol=1e-12)
+        samples = second_samples(ctx)
+        y = samples[0]
+        np.testing.assert_allclose(samples, np.tile(y, (6, 1)), atol=1e-12)
         q = y.shape[0]
+        sigma = out[:q, :q] - np.outer(out[:q, q], out[:q, q])
+        np.testing.assert_allclose(sigma, RIDGE * np.eye(10), atol=1e-12)
         np.testing.assert_allclose(out[:q, :q], np.outer(y, y) + RIDGE * np.eye(q),
                                    atol=1e-10)
         np.testing.assert_allclose(out[:q, q], y, atol=1e-12)
@@ -116,6 +124,26 @@ class TestStBranch:
     def test_too_short_rejected(self, rng):
         with pytest.raises(InvalidInput):
             st_branch_forward(rng.standard_normal((4, 4, 3)), 2, EPS)
+
+    def test_bad_branch_lists_rejected(self, rng):
+        feats = rng.standard_normal((9, 4, 2))
+        for branches in ([(0, 9, [0, 0])], [(4, 12, [0, 1])], [(0, 9, [0]), (0, 9, [1, 2])]):
+            with pytest.raises(InvalidInput):
+                st_branch_forward(feats, 1, EPS, branches=branches)
+
+    def test_branch_list_matches_single_calls(self, rng):
+        feats = rng.standard_normal((12, 4, 2))
+        branches = [(0, 12, [0, 1]), (0, 6, [0, 1]), (6, 12, [2, 3]), (3, 9, [1, 3])]
+        for forward, arg in ((st_branch_forward, 1), (ts_branch_forward, 2)):
+            out, ctx = forward(feats, arg, EPS, RIDGE, branches=branches)
+            g = rng.standard_normal(out.shape)
+            grads = branch_backward(ctx, g)
+            want = np.zeros_like(feats)
+            for k, (lo, hi, joints) in enumerate(branches):
+                single, sctx = forward(feats[lo:hi][:, joints], arg, EPS, RIDGE)
+                assert np.max(np.abs(out[k] - single)) <= 1e-12
+                want[lo:hi, joints] += branch_backward(sctx, g[k])
+            assert np.max(np.abs(grads - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_window_accumulation_in_backward(self, rng):
         feats = rng.standard_normal((6, 4, 2))
@@ -147,7 +175,7 @@ class TestTsBranch:
     def test_intermediate_vector_count(self, rng):
         feats = rng.standard_normal((31, 4, 9))
         out, ctx = ts_branch_forward(feats, 15, EPS, RIDGE)
-        assert ctx.second.samples.shape == (60, 55)  # joints x chunks vectors
+        assert second_samples(ctx).shape == (60, 55)  # joints x chunks vectors
         assert out.shape == (56, 56)
 
     def test_constant_trajectory(self, rng):
@@ -155,7 +183,7 @@ class TestTsBranch:
         feats = np.repeat(frame, 8, axis=0)
         _, ctx = ts_branch_forward(feats, 2, EPS, RIDGE)
         # per joint, both chunk Gaussians coincide
-        samples = ctx.second.samples
+        samples = second_samples(ctx)
         for j in range(4):
             np.testing.assert_allclose(samples[2 * j], samples[2 * j + 1], atol=1e-12)
 
@@ -192,5 +220,5 @@ class TestBranchSpd:
         # its cached per-frame vectors
         feats = rng.standard_normal((6, 4, 2))
         out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
-        ref, _ = gauss_agg_forward(ctx.second.samples, RIDGE)
+        ref, _ = gauss_agg_forward(second_samples(ctx), RIDGE)
         np.testing.assert_array_equal(out, ref)

@@ -1,0 +1,200 @@
+"""Batched branch families against the per-branch pipeline they replace.
+
+The reference below is the per-branch forward/backward loop of the
+network before windows were shared across branches: every branch embeds,
+rectifies and log-maps its own windows and back-propagates on its own.
+It shares only the stacked primitives (Gaussian embedding, the spectral
+stack and their gradients) with the batched code.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from spdhgr.layers import (
+    _gauss_embed_stack,
+    _gauss_grad_stack,
+    _rect_log_vec_grad_stack,
+    _rect_log_vec_stack,
+    conv_backward,
+    conv_forward,
+    gauss_agg_backward,
+    gauss_agg_forward,
+    head_backward,
+    head_forward,
+    spd_agg_backward,
+    spd_agg_forward,
+)
+from spdhgr.network import NetworkConfig, backward, forward, init_params
+from spdhgr.skeleton import (
+    N_GRID_NODES,
+    JointGrid,
+    build_branch_plan,
+    grid_node_index,
+    split_range,
+)
+
+
+@dataclass
+class _SampleGroup:
+    rows: np.ndarray
+    starts: np.ndarray
+    length: int
+    joints: np.ndarray | None
+    x_aug: np.ndarray
+
+
+@dataclass
+class _RefBranch:
+    shape: tuple
+    eps: float
+    groups: list
+    spectral_cache: tuple
+    second: object
+
+
+def ref_st_branch(feats, t0, eps, ridge):
+    n_frames, n_joints, d = feats.shape
+    width = 2 * t0 + 1
+    groups = []
+    mats = np.empty((n_frames, d + 1, d + 1))
+    interior = np.arange(t0, n_frames - t0)
+    if interior.size:
+        windows = np.lib.stride_tricks.sliding_window_view(feats, width, axis=0)
+        samples = windows.transpose(0, 3, 1, 2).reshape(interior.size, width * n_joints, d)
+        y, x_aug = _gauss_embed_stack(samples, ridge)
+        mats[interior] = y
+        groups.append(_SampleGroup(interior, interior - t0, width, None, x_aug))
+    edge = {}
+    for t in list(range(t0)) + list(range(n_frames - t0, n_frames)):
+        lo, hi = max(0, t - t0), min(n_frames - 1, t + t0)
+        edge.setdefault(hi - lo + 1, []).append(t)
+    for length, ts in sorted(edge.items()):
+        rows = np.array(ts)
+        starts = np.maximum(rows - t0, 0)
+        idx = starts[:, None] + np.arange(length)[None, :]
+        y, x_aug = _gauss_embed_stack(feats[idx].reshape(rows.size, length * n_joints, d), ridge)
+        mats[rows] = y
+        groups.append(_SampleGroup(rows, starts, length, None, x_aug))
+    vec_rows, cache = _rect_log_vec_stack(mats, eps)
+    out, second = gauss_agg_forward(vec_rows, ridge)
+    return out, _RefBranch(feats.shape, eps, groups, cache, second)
+
+
+def ref_ts_branch(feats, n_chunks, eps, ridge):
+    n_frames, n_joints, d = feats.shape
+    sizes = {}
+    for k, (start, stop) in enumerate(split_range(n_frames, n_chunks)):
+        sizes.setdefault(stop - start, []).append((k, start))
+    groups = []
+    mats = np.empty((n_joints * n_chunks, d + 1, d + 1))
+    for length, chunks in sorted(sizes.items()):
+        ks = np.array([k for k, _ in chunks])
+        starts = np.array([s for _, s in chunks])
+        joints = np.repeat(np.arange(n_joints), ks.size)
+        rows = joints * n_chunks + np.tile(ks, n_joints)
+        all_starts = np.tile(starts, n_joints)
+        idx = all_starts[:, None] + np.arange(length)[None, :]
+        y, x_aug = _gauss_embed_stack(feats[idx, joints[:, None], :], ridge)
+        mats[rows] = y
+        groups.append(_SampleGroup(rows, all_starts, length, joints, x_aug))
+    vec_rows, cache = _rect_log_vec_stack(mats, eps)
+    out, second = gauss_agg_forward(vec_rows, ridge)
+    return out, _RefBranch(feats.shape, eps, groups, cache, second)
+
+
+def ref_branch_backward(ctx, grad_out):
+    n_frames, n_joints, d = ctx.shape
+    grad_vecs = gauss_agg_backward(ctx.second, grad_out)
+    dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_vecs)
+    grad_feats = np.zeros((n_frames, n_joints, d))
+    for group in ctx.groups:
+        grad_samples = _gauss_grad_stack(group.x_aug, dmats[group.rows])
+        idx = group.starts[:, None] + np.arange(group.length)[None, :]
+        if group.joints is None:
+            contrib = grad_samples.reshape(len(group.rows), group.length, n_joints, d)
+            np.add.at(grad_feats, idx.ravel(), contrib.reshape(-1, n_joints, d))
+        else:
+            joints = np.broadcast_to(group.joints[:, None], idx.shape)
+            np.add.at(grad_feats, (idx.ravel(), joints.ravel()), grad_samples.reshape(-1, d))
+    return grad_feats
+
+
+def ref_forward_backward(coords, params, config, label):
+    """The per-branch network forward and backward loop."""
+    feats, conv_ctx = conv_forward(coords, params.conv, JointGrid(config.grid_mode))
+    branch_slices = []
+    for spec in build_branch_plan(config.n_frames).entries:
+        t_begin, t_end = spec.frame_range
+        branch_slices.append((slice(t_begin - 1, t_end),
+                              [grid_node_index(j) for j in spec.joints]))
+    inputs, contexts = [], []
+    if config.variant in ("st_ts", "st_only"):
+        for frame_slice, joints in branch_slices:
+            y, ctx = ref_st_branch(feats[frame_slice][:, joints], config.t0,
+                                   config.epsilon, config.ridge)
+            inputs.append(y)
+            contexts.append(ctx)
+    if config.variant in ("st_ts", "ts_only"):
+        for frame_slice, joints in branch_slices:
+            y, ctx = ref_ts_branch(feats[frame_slice][:, joints], config.n_chunks,
+                                   config.epsilon, config.ridge)
+            inputs.append(y)
+            contexts.append(ctx)
+    y_final, agg_ctx = spd_agg_forward(np.stack(inputs), params.w_hat)
+    _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias,
+                                      y_eig=agg_ctx.out_eig)
+
+    grad_y, grad_fc, grad_bias = head_backward(head_ctx, label)
+    grad_xs, grad_w_hat = spd_agg_backward(agg_ctx, grad_y)
+    grad_feats = np.zeros(feats.shape)
+    for k, (bctx, gx) in enumerate(zip(contexts, grad_xs)):
+        frame_slice, joints = branch_slices[k % len(branch_slices)]
+        sub = grad_feats[frame_slice]
+        sub[:, joints] += ref_branch_backward(bctx, gx)
+    _, grad_conv = conv_backward(conv_ctx, grad_feats)
+    grads = {"conv": grad_conv, "w_hat": grad_w_hat, "fc_weight": grad_fc,
+             "fc_bias": grad_bias}
+    return probs, agg_ctx.xs, contexts, grads
+
+
+def rel(a, b):
+    scale = np.max(np.abs(b))
+    return np.max(np.abs(a - b)) / scale if scale > 0 else np.max(np.abs(a))
+
+
+def st_rows_by_branch(bctx):
+    """Per st branch, in branch order, the table rows it took."""
+    rows = {}
+    for stage in bctx.second:
+        for x_aug, k in zip(stage.gauss.x_aug, stage.branches):
+            rows[int(k)] = x_aug[:, :-1]
+    return [rows[k] for k in range(len(rows))]
+
+
+@pytest.mark.parametrize("variant", ("st_ts", "st_only", "ts_only"))
+@pytest.mark.parametrize("grid_mode", ("full", "physical"))
+@pytest.mark.parametrize("t0", (1, 2, 3))
+@pytest.mark.parametrize("n_frames", (31, 47, 90))
+def test_batched_families_match_per_branch_loop(n_frames, t0, grid_mode, variant):
+    config = NetworkConfig(n_classes=3, d_out_c=3, d_out_s=8, n_frames=n_frames, t0=t0,
+                           n_chunks=4, variant=variant, grid_mode=grid_mode).validate()
+    rng = np.random.default_rng(n_frames * 100 + t0)
+    params = init_params(config, t0)
+    params.fc_weight = rng.standard_normal(params.fc_weight.shape)  # non-zero gradients
+    params.fc_bias = rng.standard_normal(params.fc_bias.shape)
+    coords = rng.standard_normal((n_frames, N_GRID_NODES, 3))
+    label = int(rng.integers(config.n_classes))
+
+    ref_probs, ref_xs, ref_ctxs, ref_grads = ref_forward_backward(coords, params, config, label)
+    probs, ctx, _ = forward(coords, params, config)
+    grads = backward(ctx, label)
+
+    assert rel(ctx.agg.xs, ref_xs) <= 1e-12
+    assert rel(probs, ref_probs) <= 1e-12
+    if variant != "ts_only":
+        for got, ref in zip(st_rows_by_branch(ctx.branches[0]), ref_ctxs[:30]):
+            np.testing.assert_array_equal(got, ref.second.x_aug[:, :-1])
+    for name, ref in ref_grads.items():
+        assert rel(getattr(grads, name), ref) <= 1e-12, name

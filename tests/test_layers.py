@@ -67,14 +67,15 @@ class TestGaussAgg:
         x = rng.standard_normal(4)
         samples = np.tile(x, (6, 1))
         ridge = 1e-6
-        y, ctx = gauss_agg_forward(samples, ridge)
+        y, _ = gauss_agg_forward(samples, ridge)
         expected = np.empty((5, 5))
         expected[:4, :4] = np.outer(x, x) + ridge * np.eye(4)
         expected[:4, 4] = x
         expected[4, :4] = x
         expected[4, 4] = 1.0
         np.testing.assert_allclose(y, expected, atol=1e-12)
-        np.testing.assert_allclose(ctx.sigma, ridge * np.eye(4), atol=1e-12)
+        sigma = y[:4, :4] - np.outer(y[:4, 4], y[:4, 4])
+        np.testing.assert_allclose(sigma, ridge * np.eye(4), atol=1e-12)
 
     def test_two_point_closed_form(self):
         samples = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -94,9 +95,11 @@ class TestGaussAgg:
         samples = rng.standard_normal((7, 3))
         y, ctx = gauss_agg_forward(samples, 1e-6)
         assert y[3, 3] == 1.0
-        np.testing.assert_allclose(
-            y[:3, :3], ctx.sigma + np.outer(ctx.mu, ctx.mu), atol=1e-12
-        )
+        np.testing.assert_array_equal(ctx.x_aug[:, :3], samples)
+        mu = ctx.x_aug[:, :3].mean(axis=0)
+        centered = ctx.x_aug[:, :3] - mu
+        sigma = centered.T @ centered / 7 + 1e-6 * np.eye(3)
+        np.testing.assert_allclose(y[:3, :3], sigma + np.outer(mu, mu), atol=1e-12)
         np.testing.assert_array_equal(y, y.T)
 
     def test_permutation_invariance(self, rng):

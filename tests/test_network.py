@@ -19,6 +19,7 @@ from spdhgr.network import (
 )
 from spdhgr.optim import stiefel_error
 from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence
+from spdhgr.symmat import spd_log, sym_vectorize
 
 TINY = TINY_CONFIG
 
@@ -143,7 +144,7 @@ class TestForward:
         assert probs.shape == (2,)
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert y_final.shape == (4, 4)
-        assert len(ctx.branches) == 60
+        assert ctx.agg.xs.shape[0] == 60
 
     def test_deterministic(self, rng):
         params = init_params(TINY, 0)
@@ -173,7 +174,7 @@ class TestForward:
             params = init_params(config, 0)
             assert params.w_hat.shape == (4, 210)
             _, ctx, _ = forward(coords, params, config)
-            assert len(ctx.branches) == n
+            assert ctx.agg.xs.shape[0] == n
 
     def test_variant_consistency(self, rng):
         """Zeroing the temporal-spatial weight blocks of the combined model
@@ -264,6 +265,15 @@ class TestFeaturesAndIo:
         f2 = extract_features(seq, params, TINY)
         assert f1.shape == (TINY.feature_dim,)
         assert np.array_equal(f1, f2)
+
+    def test_features_reuse_forward_eigendecomposition(self, rng):
+        """Features built from the forward's eigendecomposition of Y equal
+        a fresh log-map of Y bitwise."""
+        params = init_params(TINY, 2)
+        coords = tiny_coords(rng)
+        _, _, y_final = forward(coords, params, TINY)
+        features = extract_features(coords, params, TINY)
+        assert np.array_equal(features, sym_vectorize(spd_log(y_final)))
 
     def test_params_roundtrip(self, tmp_path):
         params = init_params(TINY, 9)
