@@ -56,7 +56,6 @@ def run(args) -> int:
         "--test-features", str(out / "test.features"),
         "-C", "1.0", "--tol", "0.1",
         "--out", str(out / "report.json"),
-        "--model-out", str(out / "svm.bin"),
     ])
 
 

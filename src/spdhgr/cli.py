@@ -25,13 +25,7 @@ from .network import (
     save_config,
 )
 from .skeleton import load_dhg, load_fpha, resample
-from .svm import (
-    load_features,
-    save_features,
-    save_svm_model,
-    svm_predict_batch,
-    svm_train,
-)
+from .svm import load_features, save_features, svm_predict_batch, svm_train
 from .training import train_network
 
 DATASETS = ("dhg14", "dhg28", "fpha")
@@ -111,15 +105,15 @@ def cmd_extract(args) -> int:
     feats = [extract_features(s, params, config) for s in sequences]
     save_features(args.out, labels,
                   np.stack(feats) if feats else np.zeros((0, config.feature_dim)))
-    print(f"wrote {len(feats)} feature lines to {args.out}")
+    print(f"wrote {len(feats)} feature rows to {args.out}")
     return 0
 
 
 def _classify(train_file, test_file, c: float, tol: float, seed: int,
-              report_path=None, model_path=None):
+              report_path=None):
     train_labels, train_x = load_features(train_file)
     test_labels, test_x = load_features(test_file)
-    if train_x.size and test_x.size and train_x.shape[1] != test_x.shape[1]:
+    if train_x.shape[1] != test_x.shape[1]:
         raise InvalidInput(
             f"feature dims differ: train {train_x.shape[1]} vs test {test_x.shape[1]}"
         )
@@ -151,14 +145,12 @@ def _classify(train_file, test_file, c: float, tol: float, seed: int,
     }
     if report_path:
         _write_json(report_path, report)
-    if model_path:
-        save_svm_model(model_path, model)
     return accuracy
 
 
 def cmd_classify(args) -> int:
     _classify(args.train_features, args.test_features, args.C, args.tol, args.seed,
-              report_path=args.out, model_path=args.model_out)
+              report_path=args.out)
     return 0
 
 
@@ -263,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("st_ts", "st_only", "ts_only"), default=None)
     p.add_argument("--grid-mode", choices=("full", "physical"), default=None)
     p.add_argument("--dataset", choices=DATASETS, default="dhg14")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("classify", help="train/evaluate the linear SVM on feature files")
@@ -273,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write a JSON report here")
-    p.add_argument("--model-out", default=None, help="write the SVM model here")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks for every layer")

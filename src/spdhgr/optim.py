@@ -12,6 +12,8 @@ tensors (layout in docs/formats.md).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -70,48 +72,77 @@ _VERSION = 1
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors to a little-endian binary container."""
+    """Write named float64 tensors to a little-endian binary container.
+
+    The file is written under a temporary name in the same directory and
+    moved into place, so an interrupted write leaves any previous file
+    at ``path`` as it was.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(tensors)))
-        for name, tensor in tensors.items():
-            arr = np.asarray(tensor, dtype=np.float64)
-            if arr.ndim:
-                arr = np.ascontiguousarray(arr)
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.astype("<f8", copy=False).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _VERSION, len(tensors)))
+            for name, tensor in tensors.items():
+                arr = np.asarray(tensor, dtype="<f8", order="C")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded),
+                                     encoded, arr.ndim, *arr.shape))
+                fh.write(arr.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ConfigError(f"truncated checkpoint {path}: while reading {what}")
-    return data
+def load_checkpoint(path, kind: str = "checkpoint") -> dict[str, np.ndarray]:
+    """Read a checkpoint container back into a name -> tensor dict.
 
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint container back into a name -> tensor dict."""
+    Any malformed file raises ConfigError naming it; ``kind`` says what
+    the file was expected to be in those messages.
+    """
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"checkpoint does not exist: {path}")
+        raise ConfigError(f"{kind} does not exist: {path}")
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+
+        def read(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ConfigError(f"truncated {kind} {path}: while reading {what}")
+            return data
+
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ConfigError(f"{path} is not a checkpoint file (bad magic)")
-        version, count = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+            raise ConfigError(f"{path} is not a {kind} (bad magic)")
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != _VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+            raise ConfigError(f"{path}: unsupported {kind} version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "name length"))
-            name = _read_exact(fh, name_len, path, "name").decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, path, "rank"))
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "dims"))
-            n_bytes = 8 * int(np.prod(dims, dtype=np.int64)) if rank else 8
-            payload = _read_exact(fh, n_bytes, path, f"tensor {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+            (name_len,) = struct.unpack("<H", read(2, "name length"))
+            try:
+                name = read(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: tensor name is not UTF-8 ({exc})") from None
+            if name in tensors:
+                raise ConfigError(f"{path}: tensor {name!r} appears twice")
+            (rank,) = struct.unpack("<B", read(1, "rank"))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank, "dims"))
+            n_bytes = 8 * math.prod(dims)  # Python ints: no overflow
+            left = size - fh.tell()
+            if n_bytes > left:
+                raise ConfigError(f"truncated {kind} {path}: tensor {name!r} of shape "
+                                  f"{dims} needs {n_bytes} bytes, {left} are left")
+            try:
+                tensor = np.empty(dims, dtype="<f8")
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}: tensor {name!r} has bad shape {dims} "
+                                  f"({exc})") from None
+            if fh.readinto(tensor.reshape(-1).view(np.uint8)) != n_bytes:
+                raise ConfigError(f"truncated {kind} {path}: while reading tensor {name!r}")
+            tensors[name] = tensor
+        if fh.tell() != size:
+            raise ConfigError(f"{path}: {size - fh.tell()} bytes follow the last tensor")
     return tensors

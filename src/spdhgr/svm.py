@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError
+from .errors import ConfigError, InvalidInput, ParseError
 from .optim import load_checkpoint, save_checkpoint
 
 MULTICLASS_SCHEMES = ("ovr",)
@@ -114,61 +114,34 @@ def svm_accuracy(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# feature files
+
+_MAX_EXACT_LABEL = 2.0**53  # float64 holds every integer up to here exactly
 
 
 def save_features(path, labels, feats) -> None:
-    """One sample per line: label then the feature values, space separated."""
+    """Write labels (n,) and features (n, dim) as a two-tensor container."""
+    labels = np.asarray(labels, dtype=np.int64)
     feats = np.asarray(feats, dtype=np.float64)
-    with open(path, "w") as fh:
-        for label, row in zip(labels, feats):
-            fh.write(str(int(label)))
-            for v in row:
-                fh.write(f" {v:.17g}")
-            fh.write("\n")
+    if feats.ndim != 2 or labels.shape != feats.shape[:1]:
+        raise InvalidInput(f"need labels (n,) and features (n, dim), got "
+                           f"{labels.shape} and {feats.shape}")
+    save_checkpoint(path, {"labels": labels, "features": feats})
 
 
 def load_features(path):
-    """Read a feature file back into (labels, features)."""
-    labels = []
-    rows = []
-    dim = None
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                labels.append(int(tokens[0]))
-                row = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad feature line ({exc})") from exc
-            if dim is None:
-                dim = row.shape[0]
-            elif row.shape[0] != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} features, got {row.shape[0]}"
-                )
-            rows.append(row)
-    if not rows:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-    return np.array(labels, dtype=np.int64), np.stack(rows)
-
-
-def save_svm_model(path, model: SvmModel) -> None:
-    save_checkpoint(path, {
-        "class_ids": model.class_ids.astype(np.float64),
-        "weights": model.weights,
-        "c": np.array(model.c),
-        "tol": np.array(model.tol),
-    })
-
-
-def load_svm_model(path) -> SvmModel:
-    tensors = load_checkpoint(path)
-    return SvmModel(
-        class_ids=tensors["class_ids"].astype(np.int64),
-        weights=tensors["weights"],
-        c=float(tensors["c"]),
-        tol=float(tensors["tol"]),
-    )
+    """Read a feature file back into (labels int64 (n,), features float64 (n, dim))."""
+    try:
+        tensors = load_checkpoint(path, kind="feature file")
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}; re-run `spdhgr extract` to write it") from None
+    if set(tensors) != {"labels", "features"}:
+        raise ParseError(f"{path} is not a feature file: it holds tensors "
+                         f"{sorted(tensors)}, expected 'labels' and 'features'")
+    labels, feats = tensors["labels"], tensors["features"]
+    if labels.ndim != 1 or feats.ndim != 2 or labels.shape[0] != feats.shape[0]:
+        raise ParseError(f"{path}: labels {labels.shape} and features {feats.shape} "
+                         "are not (n,) and (n, dim)")
+    if not np.all((np.abs(labels) <= _MAX_EXACT_LABEL) & (labels == np.trunc(labels))):
+        raise ParseError(f"{path}: labels are not all integers")
+    return labels.astype(np.int64), feats

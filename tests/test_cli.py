@@ -6,6 +6,7 @@ import pytest
 from spdhgr.cli import main
 from spdhgr.network import NetworkConfig, save_config
 from spdhgr.skeleton import write_synthetic_dataset
+from spdhgr.optim import load_checkpoint
 from spdhgr.svm import load_features, save_features
 
 TINY = NetworkConfig(n_classes=2, d_out_c=2, d_out_s=8, n_frames=12, t0=1, n_chunks=2)
@@ -77,17 +78,18 @@ def trained(workspace):
 
 class TestExtract:
 
-    def test_feature_file_shape(self, workspace, trained):
+    def test_feature_file_shape(self, workspace, trained, capsys):
         root, data, config = workspace
         out = root / "train.features"
         assert run("extract", "--checkpoint", trained, "--config", config,
                    "--data-root", data, "--split", "train", "--out", out) == 0
+        assert f"wrote 6 feature rows to {out}" in capsys.readouterr().out
         labels, feats = load_features(out)
         assert labels.shape == (6,)
         assert feats.shape == (6, TINY.feature_dim)
-        with open(out) as fh:
-            first = fh.readline().split()
-        assert len(first) == 1 + TINY.feature_dim
+        raw = load_checkpoint(out)
+        assert {name: t.shape for name, t in raw.items()} == {
+            "labels": (6,), "features": (6, TINY.feature_dim)}
 
     def test_rerun_bitwise_identical(self, workspace, trained):
         root, data, config = workspace
@@ -95,7 +97,7 @@ class TestExtract:
         for out in (out1, out2):
             assert run("extract", "--checkpoint", trained, "--config", config,
                        "--data-root", data, "--split", "test", "--out", out) == 0
-        assert out1.read_text() == out2.read_text()
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_empty_split(self, workspace, trained, tmp_path):
         root, data, config = workspace
@@ -106,8 +108,9 @@ class TestExtract:
         assert run("extract", "--checkpoint", trained, "--config", config,
                    "--data-root", empty_data, "--split", "test", "--out", out) == 0
         assert out.is_file()
-        labels, _ = load_features(out)
-        assert labels.size == 0
+        labels, feats = load_features(out)
+        assert labels.shape == (0,)
+        assert feats.shape == (0, TINY.feature_dim)
 
     def test_checkpoint_config_mismatch(self, workspace, trained, tmp_path):
         root, data, _ = workspace
@@ -123,7 +126,7 @@ class TestClassify:
     def test_separable_self_classification(self, tmp_path, capsys, rng):
         feats = np.vstack([np.ones((3, 4)), -np.ones((3, 4))])
         labels = np.array([0, 0, 0, 1, 1, 1])
-        path = tmp_path / "f.txt"
+        path = tmp_path / "f.features"
         save_features(path, labels, feats)
         report = tmp_path / "report.json"
         assert run("classify", "--train-features", path, "--test-features", path,
@@ -138,18 +141,38 @@ class TestClassify:
         centers = rng.standard_normal((3, 5)) * 10
         train = np.vstack([c + rng.standard_normal((10, 5)) for c in centers])
         test = np.vstack([c + rng.standard_normal((6, 5)) for c in centers])
-        save_features(tmp_path / "tr.txt", np.repeat(range(3), 10), train)
-        save_features(tmp_path / "te.txt", np.repeat(range(3), 6), test)
+        save_features(tmp_path / "tr.features", np.repeat(range(3), 10), train)
+        save_features(tmp_path / "te.features", np.repeat(range(3), 6), test)
         report = tmp_path / "r.json"
-        assert run("classify", "--train-features", tmp_path / "tr.txt",
-                   "--test-features", tmp_path / "te.txt", "--out", report) == 0
+        assert run("classify", "--train-features", tmp_path / "tr.features",
+                   "--test-features", tmp_path / "te.features", "--out", report) == 0
         assert json.loads(report.read_text())["accuracy"] >= 0.95
 
     def test_dim_mismatch(self, tmp_path, rng):
-        save_features(tmp_path / "a.txt", [0, 1], rng.standard_normal((2, 3)))
-        save_features(tmp_path / "b.txt", [0, 1], rng.standard_normal((2, 4)))
-        assert run("classify", "--train-features", tmp_path / "a.txt",
-                   "--test-features", tmp_path / "b.txt") == 2
+        save_features(tmp_path / "a.features", [0, 1], rng.standard_normal((2, 3)))
+        save_features(tmp_path / "b.features", [0, 1], rng.standard_normal((2, 4)))
+        assert run("classify", "--train-features", tmp_path / "a.features",
+                   "--test-features", tmp_path / "b.features") == 2
+
+    def _classify_error(self, tmp_path, capsys, bad_file):
+        save_features(tmp_path / "good.features", [0, 1], np.eye(2))
+        assert run("classify", "--train-features", tmp_path / "good.features",
+                   "--test-features", bad_file) == 2
+        return capsys.readouterr().err
+
+    def test_missing_feature_file(self, tmp_path, capsys):
+        err = self._classify_error(tmp_path, capsys, tmp_path / "absent.features")
+        assert str(tmp_path / "absent.features") in err
+
+    def test_text_feature_file(self, tmp_path, capsys):
+        old = tmp_path / "old.features"
+        old.write_text("0 1.0 0.0\n1 0.0 1.0\n")
+        err = self._classify_error(tmp_path, capsys, old)
+        assert f"{old} is not a feature file" in err and "extract" in err
+
+    def test_network_checkpoint_as_features(self, tmp_path, capsys, trained):
+        err = self._classify_error(tmp_path, capsys, trained)
+        assert f"{trained} is not a feature file" in err
 
 
 class TestGradcheck:
@@ -205,4 +228,14 @@ class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run("fit")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--train-features", "a", "--test-features", "b", "--model-out", "m"),
+        ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d",
+         "--out", "o", "--seed", "1"),
+    ])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
         assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,69 @@ class TestCheckpointIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_strided_and_integer_tensors_roundtrip(self, tmp_path, rng):
+        base = rng.standard_normal((4, 6))
+        tensors = {"fortran": np.asfortranarray(base), "transposed": base.T,
+                   "strided": base[:, ::2], "ints": np.arange(5), "empty": np.zeros((0, 3))}
+        save_checkpoint(tmp_path / "t.ckpt", tensors)
+        loaded = load_checkpoint(tmp_path / "t.ckpt")
+        for name, tensor in tensors.items():
+            assert loaded[name].dtype == np.float64
+            assert loaded[name].flags.c_contiguous
+            assert np.array_equal(loaded[name], tensor)
+
+    @staticmethod
+    def _container(*entries, count=None):
+        """Hand-built container bytes from (name bytes, dims, payload) entries."""
+        out = b"SPDHGRCK" + struct.pack("<II", 1, len(entries) if count is None else count)
+        for name, dims, payload in entries:
+            out += struct.pack(f"<H{len(name)}sB{len(dims)}Q", len(name), name,
+                               len(dims), *dims)
+            out += payload
+        return out
+
+    @pytest.mark.parametrize("entries, message", [
+        # element count overflows int64
+        ([(b"a", (2**40, 2**40), b"")], "needs"),
+        # a declared payload of 64 GiB in a tiny file
+        ([(b"a", (2**33,), b"\0" * 16)], "needs"),
+        # a zero-size tensor whose dims numpy cannot allocate
+        ([(b"a", (2**64 - 1, 0), b"")], "bad shape"),
+        ([(b"\xff\xfe", (1,), b"\0" * 8)], "UTF-8"),
+        ([(b"a", (1,), b"\0" * 8), (b"a", (1,), b"\0" * 8)], "twice"),
+        ([(b"a", (1,), b"\0" * 16)], "follow the last tensor"),
+    ])
+    def test_malformed_header(self, tmp_path, entries, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self._container(*entries))
+        with pytest.raises(ConfigError, match=message) as exc:
+            load_checkpoint(path)
+        assert "bad.ckpt" in str(exc.value)
+
+    def test_count_beyond_tensors(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(self._container((b"a", (1,), b"\0" * 8), count=2**32 - 1))
+        with pytest.raises(ConfigError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, rng):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"a": rng.standard_normal((3, 3))})
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_checkpoint(path, {"a": rng.standard_normal((50, 50)), "b": Unwritable()})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
+    def test_write_replaces_previous_file(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"a": np.ones(100)})
+        save_checkpoint(path, {"b": np.zeros(2)})
+        assert list(load_checkpoint(path)) == ["b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]

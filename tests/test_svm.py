@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from spdhgr.errors import InvalidInput, ParseError
+from spdhgr.optim import save_checkpoint
 from spdhgr.svm import (
     SvmModel,
     _dual_cd,
     load_features,
-    load_svm_model,
     save_features,
-    save_svm_model,
     svm_accuracy,
     svm_predict,
     svm_predict_batch,
@@ -139,32 +138,54 @@ class TestFeatureFiles:
     def test_roundtrip_bitwise(self, tmp_path, rng):
         labels = np.array([2, 0, 1])
         feats = rng.standard_normal((3, 6))
-        path = tmp_path / "f.txt"
+        path = tmp_path / "f.features"
         save_features(path, labels, feats)
         l2, f2 = load_features(path)
+        assert l2.dtype == np.int64 and f2.dtype == np.float64
         assert np.array_equal(l2, labels)
         assert np.array_equal(f2, feats)
-        save_features(tmp_path / "again.txt", l2, f2)
-        assert (tmp_path / "again.txt").read_text() == path.read_text()
+        save_features(tmp_path / "again.features", l2, f2)
+        assert (tmp_path / "again.features").read_bytes() == path.read_bytes()
+
+    def test_row_list_and_views_write_the_same_bytes(self, tmp_path, rng):
+        feats = rng.standard_normal((4, 5))
+        save_features(tmp_path / "a.features", [3, 1, 4, 1], feats)
+        save_features(tmp_path / "b.features", (3, 1, 4, 1), list(feats))
+        save_features(tmp_path / "c.features", np.array([3, 1, 4, 1]),
+                      np.asfortranarray(feats))
+        data = (tmp_path / "a.features").read_bytes()
+        assert (tmp_path / "b.features").read_bytes() == data
+        assert (tmp_path / "c.features").read_bytes() == data
 
     def test_empty_file(self, tmp_path):
-        (tmp_path / "e.txt").write_text("")
-        labels, feats = load_features(tmp_path / "e.txt")
-        assert labels.size == 0 and feats.size == 0
+        save_features(tmp_path / "e.features", [], np.zeros((0, 7)))
+        labels, feats = load_features(tmp_path / "e.features")
+        assert labels.shape == (0,) and labels.dtype == np.int64
+        assert feats.shape == (0, 7)
 
     def test_malformed(self, tmp_path):
-        (tmp_path / "bad.txt").write_text("0 1.0 2.0\n1 3.0\n")
-        with pytest.raises(ParseError, match="bad.txt:2"):
-            load_features(tmp_path / "bad.txt")
-        (tmp_path / "bad2.txt").write_text("zero 1.0\n")
-        with pytest.raises(ParseError):
-            load_features(tmp_path / "bad2.txt")
+        cases = {
+            "extra.features": {"labels": np.zeros(2), "features": np.zeros((2, 3)),
+                               "c": np.array(1.0)},
+            "missing.features": {"labels": np.zeros(2)},
+            "rank.features": {"labels": np.zeros((2, 1)), "features": np.zeros((2, 3))},
+            "flat.features": {"labels": np.zeros(2), "features": np.zeros(6)},
+            "length.features": {"labels": np.zeros(3), "features": np.zeros((2, 3))},
+            "fraction.features": {"labels": np.array([0.0, 1.5]),
+                                  "features": np.zeros((2, 3))},
+            "nan.features": {"labels": np.array([0.0, np.nan]),
+                             "features": np.zeros((2, 3))},
+            "huge.features": {"labels": np.array([0.0, 2.0**64]),
+                              "features": np.zeros((2, 3))},
+        }
+        for name, tensors in cases.items():
+            save_checkpoint(tmp_path / name, tensors)
+            with pytest.raises(ParseError, match=name):
+                load_features(tmp_path / name)
 
-    def test_model_roundtrip(self, tmp_path, rng):
-        x, y = make_blobs(rng)
-        model = svm_train(x, y, c=0.5, tol=0.05, seed=1)
-        save_svm_model(tmp_path / "m.bin", model)
-        loaded = load_svm_model(tmp_path / "m.bin")
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.class_ids, model.class_ids)
-        assert (loaded.c, loaded.tol) == (0.5, 0.05)
+    def test_save_rejects_mismatched_shapes(self, tmp_path):
+        with pytest.raises(InvalidInput):
+            save_features(tmp_path / "x.features", [0, 1, 2], np.zeros((2, 3)))
+        with pytest.raises(InvalidInput):
+            save_features(tmp_path / "x.features", [0, 1], np.zeros(2))
+        assert not (tmp_path / "x.features").exists()
