@@ -24,6 +24,7 @@ from .network import (
     load_params,
     save_config,
 )
+from .optim import write_atomic
 from .skeleton import load_dhg, load_fpha, resample
 from .svm import load_features, save_features, svm_predict_batch, svm_train
 from .training import train_network
@@ -60,9 +61,8 @@ def _config_overrides(args) -> dict:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 def cmd_train(args) -> int:
@@ -142,6 +142,7 @@ def _classify(train_file, test_file, c: float, tol: float, seed: int,
         "confusion": confusion.tolist(),
         "c": c,
         "tol": tol,
+        "svm": {"passes": list(model.passes), "violation": list(model.violation)},
     }
     if report_path:
         _write_json(report_path, report)

@@ -40,7 +40,7 @@ from .layers import (
     st_branch_forward,
     ts_branch_forward,
 )
-from .optim import load_checkpoint, save_checkpoint, stiefel_init
+from .optim import load_checkpoint, save_checkpoint, stiefel_init, write_atomic
 from .skeleton import (
     GRID_MODES,
     JointGrid,
@@ -182,9 +182,9 @@ def load_config(path, overrides: dict[str, str] | None = None, env=None) -> Netw
 
 
 def save_config(path, config: NetworkConfig) -> None:
-    with open(path, "w") as fh:
-        for field in dataclasses.fields(config):
-            fh.write(f"{field.name}={getattr(config, field.name)}\n")
+    text = "".join(f"{field.name}={getattr(config, field.name)}\n"
+                   for field in dataclasses.fields(config))
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 # ---------------------------------------------------------------------------

@@ -71,29 +71,39 @@ _MAGIC = b"SPDHGRCK"
 _VERSION = 1
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors to a little-endian binary container.
-
-    The file is written under a temporary name in the same directory and
-    moved into place, so an interrupted write leaves any previous file
-    at ``path`` as it was.
+def write_atomic(path, write, mode: str = "w") -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then move it
+    into place, so an interrupted or failed write leaves any previous file
+    at ``path`` as it was and no temporary file behind. A path that cannot
+    be written (missing directory, no permission) raises ConfigError.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, len(tensors)))
-            for name, tensor in tensors.items():
-                arr = np.asarray(tensor, dtype="<f8", order="C")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded),
-                                     encoded, arr.ndim, *arr.shape))
-                fh.write(arr.data)
+        with open(tmp, mode) as fh:
+            write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
+
+
+def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write named float64 tensors to a little-endian binary container,
+    atomically (``write_atomic``)."""
+
+    def write(fh) -> None:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _VERSION, len(tensors)))
+        for name, tensor in tensors.items():
+            arr = np.asarray(tensor, dtype="<f8", order="C")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}Q", len(encoded),
+                                 encoded, arr.ndim, *arr.shape))
+            fh.write(arr.data)
+
+    write_atomic(path, write, "wb")
 
 
 def load_checkpoint(path, kind: str = "checkpoint") -> dict[str, np.ndarray]:

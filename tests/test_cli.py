@@ -121,6 +121,14 @@ class TestExtract:
                    "--data-root", data, "--split", "train",
                    "--out", tmp_path / "x.features") == 2
 
+    def test_output_in_missing_directory(self, workspace, trained, tmp_path, capsys):
+        root, data, config = workspace
+        out = tmp_path / "nodir" / "x.features"
+        assert run("extract", "--checkpoint", trained, "--config", config,
+                   "--data-root", data, "--split", "test", "--out", out) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == []
+
 
 class TestClassify:
     def test_separable_self_classification(self, tmp_path, capsys, rng):
@@ -132,10 +140,25 @@ class TestClassify:
         assert run("classify", "--train-features", path, "--test-features", path,
                    "--out", report) == 0
         out = capsys.readouterr().out
-        assert "ACCURACY 1.0000" in out
+        assert out == ("ACCURACY 1.0000\n"
+                       "CONFUSION rows=truth cols=predicted classes=0,1\n"
+                       "3 0\n0 3\n")
         payload = json.loads(report.read_text())
         assert payload["accuracy"] == 1.0
         assert np.trace(np.array(payload["confusion"])) == 6
+        assert len(payload["svm"]["passes"]) == 2
+        assert all(p >= 1 for p in payload["svm"]["passes"])
+        assert all(0.0 <= v <= 0.1 for v in payload["svm"]["violation"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.features", "report.json"]
+
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "f.features"
+        save_features(path, [0, 1], np.eye(2))
+        report = tmp_path / "nodir" / "r.json"
+        assert run("classify", "--train-features", path, "--test-features", path,
+                   "--out", report) == 2
+        assert f"cannot write {report}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["f.features"]
 
     def test_blobs_heldout(self, tmp_path, rng):
         centers = rng.standard_normal((3, 5)) * 10

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -204,6 +205,13 @@ class TestCheckpointIo:
             save_checkpoint(path, {"a": rng.standard_normal((50, 50)), "b": Unwritable()})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]
+
+    def test_rename_failure_is_config_error(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # the rename onto a directory fails
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {target}")):
+            save_checkpoint(target, {"a": np.ones(3)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_write_replaces_previous_file(self, tmp_path):
         path = tmp_path / "t.ckpt"

@@ -87,7 +87,9 @@ class TestSolver:
     def test_dual_objective_non_increasing(self, rng):
         x, y = make_blobs(rng, n_per_class=10, n_classes=2, sep=2.0)
         y_bin = np.where(y == 0, 1.0, -1.0)
-        _, _, objectives = _dual_cd(x, y_bin, 1.0, 1e-8, np.random.default_rng(0), 50)
+        _, _, objectives = _dual_cd(x @ x.T, y_bin, 1.0, 1e-8,
+                                    np.random.default_rng(0), 50)
+        assert len(objectives) > 1
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
 
     def test_deterministic(self, rng):
@@ -108,10 +110,92 @@ class TestSolver:
         with pytest.raises(InvalidInput):
             svm_train(np.eye(3), np.zeros(3, dtype=int))
 
-    def test_unknown_scheme(self, rng):
-        x, y = make_blobs(rng)
-        with pytest.raises(InvalidInput):
-            svm_train(x, y, scheme="crammer_singer")
+    def test_health_numbers(self, rng):
+        x, y = make_blobs(rng, n_per_class=10, n_classes=3, sep=2.0)
+        model = svm_train(x, y, c=1.0, tol=1e-3, seed=0)
+        assert len(model.passes) == len(model.violation) == 3
+        assert all(p > 1 for p in model.passes)
+        assert all(0.0 <= v <= 1e-3 for v in model.violation)
+        capped = svm_train(x, y, c=1.0, tol=1e-3, seed=0, max_passes=1)
+        assert capped.passes == (1, 1, 1)
+        assert max(capped.violation) > 1e-3
+
+
+def row_update_dual_cd(x, y_bin, c, tol, rng, max_passes):
+    """Reference: the solver as it was before it moved onto the Gram
+    matrix, one dim-length dot and axpy per coordinate step. Returns
+    (w, alpha, per-pass objectives, last pass's largest violation)."""
+    n, dim = x.shape
+    shift = 1.0 / (2.0 * c)
+    q_diag = np.einsum("ij,ij->i", x, x) + shift
+    alpha = np.zeros(n)
+    w = np.zeros(dim)
+    objectives = []
+    for _ in range(max_passes):
+        worst = 0.0
+        for i in rng.permutation(n):
+            grad = y_bin[i] * (w @ x[i]) - 1.0 + shift * alpha[i]
+            projected = grad if alpha[i] > 0.0 else min(grad, 0.0)
+            worst = max(worst, abs(projected))
+            if projected != 0.0:
+                new_alpha = max(alpha[i] - grad / q_diag[i], 0.0)
+                if new_alpha != alpha[i]:
+                    w += (new_alpha - alpha[i]) * y_bin[i] * x[i]
+                    alpha[i] = new_alpha
+        objectives.append(0.5 * (w @ w) + 0.5 * shift * (alpha @ alpha) - alpha.sum())
+        if worst <= tol:
+            break
+    return w, alpha, objectives, worst
+
+
+def row_update_train(x, y, c, tol, seed, max_passes=1000):
+    """One-vs-rest training with the reference solver, seeded like svm_train."""
+    class_ids = np.unique(y)
+    seeds = np.random.SeedSequence(seed).generate_state(class_ids.shape[0])
+    weights, passes, violation = [], [], []
+    for k, cls in enumerate(class_ids):
+        y_bin = np.where(y == cls, 1.0, -1.0)
+        w, _, objectives, worst = row_update_dual_cd(
+            x, y_bin, c, tol, np.random.default_rng(seeds[k]), max_passes)
+        weights.append(w)
+        passes.append(len(objectives))
+        violation.append(worst)
+    return np.array(weights), tuple(passes), violation
+
+
+def _solver_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x, y = make_blobs(rng, n_per_class=8, n_classes=3, dim=6, sep=1.5)
+    if name == "duplicated_rows":
+        x, y = np.vstack([x, x[::3]]), np.concatenate([y, y[::3]])
+    elif name == "contradictory_duplicates":
+        x, y = np.vstack([x, x[::4]]), np.concatenate([y, (y[::4] + 1) % 3])
+    elif name == "zero_row":
+        x[5] = 0.0  # q_diag == shift there
+    elif name == "n_gt_d":
+        x, y = make_blobs(rng, n_per_class=30, n_classes=3, dim=3, sep=1.5)
+    elif name == "n_lt_d":
+        x, y = make_blobs(rng, n_per_class=4, n_classes=3, dim=400, sep=0.3)
+    return x, y
+
+
+@pytest.mark.parametrize("name,c", [
+    ("blobs", 0.1), ("blobs", 1.0), ("blobs", 10.0),
+    ("duplicated_rows", 1.0), ("contradictory_duplicates", 1.0), ("zero_row", 1.0),
+    ("n_gt_d", 1.0), ("n_lt_d", 1.0),
+])
+def test_gram_solver_matches_row_update_solver(name, c):
+    x, y = _solver_case(name)
+    model = svm_train(x, y, c=c, tol=1e-3, seed=7)
+    weights, passes, violation = row_update_train(x, y, c, 1e-3, seed=7)
+    assert model.passes == passes
+    assert max(passes) > 1
+    np.testing.assert_allclose(model.violation, violation, rtol=1e-9, atol=1e-12)
+    assert np.abs(model.weights - weights).max() <= 1e-12 * np.abs(weights).max()
+    probe = np.vstack([x, x + np.random.default_rng(1).standard_normal(x.shape)])
+    np.testing.assert_array_equal(
+        svm_predict_batch(model, probe),
+        np.unique(y)[np.argmax(probe @ weights.T, axis=1)])
 
 
 class TestPredict:
