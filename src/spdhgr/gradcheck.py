@@ -19,7 +19,16 @@ from .layers import cross_entropy
 from .network import NetworkConfig, NetworkParams, backward, forward, init_params
 from .optim import stiefel_init
 from .skeleton import JointGrid, N_FILTERS, N_GRID_NODES
-from .symmat import sym_unvectorize_grad, sym_vectorize, symmetrize, tri_length
+from .symmat import (
+    eigh,
+    rectify_eigs,
+    spd_log,
+    spectral_grad,
+    sym_unvectorize_grad,
+    sym_vectorize,
+    symmetrize,
+    tri_length,
+)
 
 PER_LAYER_TOL = 1e-5
 END_TO_END_TOL = 1e-4
@@ -111,28 +120,42 @@ def _check_gauss_agg(rng) -> float:
     return rel_error(analytic, fd)
 
 
+def _draw_spectrum(rng, n: int, lo: float, hi: float, eps: float | None = None):
+    """Eigenvalues in [lo, hi], drawn distinct, with one exactly repeated,
+    or (given ``eps``) with two or more, but not all, below eps. Every
+    eigenvalue stays 1e-2 clear of eps, so no finite-difference step
+    crosses the clamp."""
+    kind = int(rng.integers(2 if eps is None else 3))
+    if kind == 2:
+        k = int(rng.integers(2, n))
+        return np.concatenate([_spread_eigs(rng, k, lo, eps - 1e-2),
+                               _spread_eigs(rng, n - k, eps + 1e-2, hi)])
+    vals = _spread_eigs(rng, n, lo, hi, avoid=eps)
+    if kind == 1:
+        i = int(rng.integers(n - 1))
+        vals[i] = vals[i + 1]
+    return vals
+
+
 def _check_reeig(rng) -> float:
     n = int(rng.integers(3, 7))
     eps = 0.5
-    vals = _spread_eigs(rng, n, 0.05, 3.0, avoid=eps)
-    a = _sym_with_eigs(rng, vals)
+    a = _sym_with_eigs(rng, _draw_spectrum(rng, n, 0.05, 3.0, eps))
     probe = symmetrize(rng.standard_normal((n, n)))
-    _, ctx = layers.reeig_forward(a, eps)
-    analytic = layers.reeig_backward(ctx, probe)
-    fd = fd_gradient(lambda m: float(np.sum(layers.reeig_forward(m, eps)[0] * probe)),
-                     a, symmetric=True)
+    eig = eigh(a)
+    analytic = spectral_grad(eig.vecs, eig.vals, np.maximum(eig.vals, eps),
+                             np.where(eig.vals > eps, 1.0, 0.0), probe)
+    fd = fd_gradient(lambda m: float(np.sum(rectify_eigs(m, eps) * probe)), a, symmetric=True)
     return rel_error(analytic, fd)
 
 
 def _check_logeig(rng) -> float:
     n = int(rng.integers(3, 7))
-    vals = _spread_eigs(rng, n, 0.1, 5.0)
-    a = _sym_with_eigs(rng, vals)
+    a = _sym_with_eigs(rng, _draw_spectrum(rng, n, 0.1, 5.0))
     probe = symmetrize(rng.standard_normal((n, n)))
-    _, ctx = layers.logeig_forward(a)
-    analytic = layers.logeig_backward(ctx, probe)
-    fd = fd_gradient(lambda m: float(np.sum(layers.logeig_forward(m)[0] * probe)),
-                     a, symmetric=True)
+    eig = eigh(a)
+    analytic = spectral_grad(eig.vecs, eig.vals, np.log(eig.vals), 1.0 / eig.vals, probe)
+    fd = fd_gradient(lambda m: float(np.sum(spd_log(m) * probe)), a, symmetric=True)
     return rel_error(analytic, fd)
 
 

@@ -17,9 +17,12 @@ the same frames, so at t0=1 the 30 spatial-temporal branches of a
 Branches with equally many rows share one stacked second-stage
 embedding, and the backward sums each window's row gradients before one
 spectral backward over the table. A single branch is the one-branch
-case of the same code. The stacked code shares its spectral cores
-(`symmat._eigh_stack`, `symmat._eig_grad_core`) with the public
-single-matrix layers.
+case of the same code.
+
+Rectification followed by the logarithm (ReEig then LogEig) is one
+spectral function, f = log(max(v, eps)), and the head's LogEig is
+f = log; both run through `symmat.spectral_apply` and
+`symmat.spectral_grad`, the one spectral map of the package.
 """
 
 from __future__ import annotations
@@ -39,14 +42,14 @@ from .skeleton import (
 )
 from .symmat import (
     EigPair,
-    _check_spd_vals,
-    _eig_grad_core,
     _eigh_stack,
     _sym_unvectorize_grad_stack,
     _sym_vectorize_stack,
     assert_spd,
-    eig_backprop,
     eigh,
+    spd_log,
+    spectral_apply,
+    spectral_grad,
     sym_vectorize,
     symmetrize,
     tri_length,
@@ -178,90 +181,27 @@ def gauss_agg_backward(ctx: GaussAggContext, grad_out: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# spectral layers
-
-
-@dataclass
-class ReEigContext:
-    eig: EigPair
-    eps: float
-    rect_vals: np.ndarray
-
-    @property
-    def rect_eig(self) -> EigPair:
-        """Eigendecomposition of the rectified output (same eigenvectors)."""
-        return EigPair(vecs=self.eig.vecs, vals=self.rect_vals)
-
-
-def reeig_forward(x: np.ndarray, eps: float):
-    """Eigenvalue rectification U max(eps I, V) U^T."""
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise InvalidInput(f"eps must be a positive real, got {eps}")
-    eig = eigh(x)
-    rect = np.maximum(eig.vals, eps)
-    y = symmetrize((eig.vecs * rect) @ eig.vecs.T)
-    return y, ReEigContext(eig=eig, eps=eps, rect_vals=rect)
-
-
-def reeig_backward(ctx: ReEigContext, grad_out: np.ndarray) -> np.ndarray:
-    g = symmetrize(grad_out)
-    u, vals = ctx.eig.vecs, ctx.eig.vals
-    grad_vecs = 2.0 * g @ (u * ctx.rect_vals)
-    inner = u.T @ g @ u
-    grad_vals = np.where(vals > ctx.eps, np.diagonal(inner), 0.0)
-    return eig_backprop(ctx.eig, grad_vecs, grad_vals)
-
-
-@dataclass
-class LogEigContext:
-    eig: EigPair
-
-
-def logeig_forward(x: np.ndarray, eig: EigPair | None = None):
-    """Principal matrix logarithm U log(V) U^T of an SPD matrix.
-
-    Accepts a precomputed eigendecomposition so pipelines never decompose
-    the same matrix twice.
-    """
-    if eig is None:
-        eig = eigh(x)
-    _check_spd_vals(eig.vals, "logeig_forward")
-    y = symmetrize((eig.vecs * np.log(eig.vals)) @ eig.vecs.T)
-    return y, LogEigContext(eig=eig)
-
-
-def logeig_backward(ctx: LogEigContext, grad_out: np.ndarray) -> np.ndarray:
-    g = symmetrize(grad_out)
-    u, vals = ctx.eig.vecs, ctx.eig.vals
-    grad_vecs = 2.0 * g @ (u * np.log(vals))
-    grad_vals = np.diagonal(u.T @ g @ u) / vals
-    return eig_backprop(ctx.eig, grad_vecs, grad_vals)
+# rectified log map of the window tables
 
 
 def _rect_log_vec_stack(mats: np.ndarray, eps: float):
-    """Batched ReEig -> LogEig -> half-vectorization over (..., m, m)."""
+    """Batched ReEig -> LogEig -> half-vectorization over (..., m, m).
+
+    The cache is (eigenvectors, eigenvalues, rectified eigenvalues).
+    """
     vals, vecs = _eigh_stack(mats)
     rect = np.maximum(vals, eps)
-    logs = symmetrize((vecs * np.log(rect)[..., None, :]) @ np.swapaxes(vecs, -1, -2))
-    return _sym_vectorize_stack(logs), (vecs, vals, rect)
+    return _sym_vectorize_stack(spectral_apply(vecs, np.log(rect))), (vecs, vals, rect)
 
 
 def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> np.ndarray:
-    """Backward of `_rect_log_vec_stack` from per-row vector gradients."""
+    """Backward of `_rect_log_vec_stack` from per-row vector gradients.
+
+    f' of log(max(v, eps)) is zero at and below eps.
+    """
     vecs, vals, rect = cache
-    m = vals.shape[-1]
-    g = _sym_unvectorize_grad_stack(grad_vecs_flat, m)
-    # log step; the rectified matrix shares the input's eigenvectors.
-    grad_u = 2.0 * g @ (vecs * np.log(rect)[..., None, :])
-    inner = np.swapaxes(vecs, -1, -2) @ g @ vecs
-    grad_v = np.diagonal(inner, axis1=-2, axis2=-1) / rect
-    dx, _ = _eig_grad_core(vecs, rect, grad_u, grad_v)
-    # rectification step
-    grad_u = 2.0 * dx @ (vecs * rect[..., None, :])
-    inner = np.swapaxes(vecs, -1, -2) @ dx @ vecs
-    grad_v = np.where(vals > eps, np.diagonal(inner, axis1=-2, axis2=-1), 0.0)
-    dx, _ = _eig_grad_core(vecs, vals, grad_u, grad_v)
-    return dx
+    g = _sym_unvectorize_grad_stack(grad_vecs_flat, vals.shape[-1])
+    return spectral_grad(vecs, vals, np.log(rect), np.where(vals > eps, 1.0 / rect, 0.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +473,7 @@ def block_diagonal(xs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HeadContext:
-    logeig: LogEigContext
+    eig: EigPair  # of the input
     log_flat: np.ndarray
     probs: np.ndarray
     fc_weight: np.ndarray
@@ -549,12 +489,13 @@ def head_forward(y: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray,
              f"fc weight must be (n_classes, {d * d}), got {fc_weight.shape}")
     _require(fc_bias.shape == (fc_weight.shape[0],),
              f"fc bias must be ({fc_weight.shape[0]},), got {fc_bias.shape}")
-    log_mat, lctx = logeig_forward(y, eig=y_eig)
-    log_flat = log_mat.ravel()
+    if y_eig is None:
+        y_eig = eigh(y)
+    log_flat = spd_log(y, y_eig).ravel()
     logits = fc_weight @ log_flat + fc_bias
     shifted = np.exp(logits - np.max(logits))
     probs = shifted / shifted.sum()
-    return logits, probs, HeadContext(logeig=lctx, log_flat=log_flat, probs=probs,
+    return logits, probs, HeadContext(eig=y_eig, log_flat=log_flat, probs=probs,
                                       fc_weight=fc_weight)
 
 
@@ -566,9 +507,10 @@ def head_backward(ctx: HeadContext, true_label: int):
     dz = ctx.probs.copy()
     dz[true_label] -= 1.0
     grad_fc = np.outer(dz, ctx.log_flat)
-    d = ctx.logeig.eig.dim
+    d = ctx.eig.dim
     grad_log = (ctx.fc_weight.T @ dz).reshape(d, d)
-    grad_y = logeig_backward(ctx.logeig, grad_log)
+    vals = ctx.eig.vals
+    grad_y = spectral_grad(ctx.eig.vecs, vals, np.log(vals), 1.0 / vals, grad_log)
     return grad_y, grad_fc, dz
 
 
@@ -581,11 +523,9 @@ def cross_entropy(probs: np.ndarray, true_label: int) -> float:
 def extract_representation(y: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
     """Log-Euclidean feature vector of an SPD matrix, length d(d+1)/2.
 
-    Accepts a precomputed eigendecomposition of ``y``, as
-    `logeig_forward` does.
+    Accepts a precomputed eigendecomposition of ``y``, as `spd_log` does.
     """
-    log_mat, _ = logeig_forward(y, eig=eig)
-    return sym_vectorize(log_mat)
+    return sym_vectorize(spd_log(y, eig))
 
 
 def branch_output_dim(feat_dim: int) -> int:

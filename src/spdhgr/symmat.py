@@ -3,9 +3,15 @@
 Everything downstream (Gaussian aggregation, eigenvalue rectification,
 log-Euclidean maps, Stiefel retractions) reduces to a handful of
 operations on real symmetric matrices collected here: a deterministic
-eigendecomposition, spectral function maps, half-vectorization, the
-eigendecomposition backprop shared by the rectification and log layers,
-and QR row-orthonormalization.
+eigendecomposition, one spectral map U f(V) U^T with its backward,
+half-vectorization, and QR row-orthonormalization.
+
+Every spectral function of the package (rectification, the matrix
+logarithm and exponential, and rectification followed by the logarithm
+in the branch layers) goes through `spectral_apply` and
+`spectral_grad`. The backward is the Loewner (divided-difference) form
+U (L o U^T G U) U^T (Ionescu et al., ICCV 2015; Brooks et al., NeurIPS
+2019), which stays exact at repeated eigenvalues.
 
 Conventions:
   * matrices are dense row-major float64 ndarrays, symmetrized on entry;
@@ -15,14 +21,13 @@ Conventions:
   * gradients of scalar losses with respect to symmetric matrices use
     the Frobenius pairing dL = <G, dX>_F with G symmetric.
 
-The private ``_stack`` helpers operate on stacks of matrices
-(leading batch axes) and are the single implementation the public
-single-matrix wrappers and the batched layer code both call.
+The spectral pair and the private ``_stack`` helpers operate on stacks
+of matrices (leading batch axes) and are the single implementation the
+public single-matrix wrappers and the batched layer code both call.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,24 +38,11 @@ from .errors import InvalidInput, NotSPD, NumericalFailure, RankDeficient
 # SPD_FLOOR_SCALE * max(1, max eig).
 SPD_FLOOR_SCALE = 1e-12
 
-# Entries of the eigen-gap reciprocal with |gap| below
-# DEGENERACY_SCALE * (eig range + 1) are zeroed instead of divided.
-DEGENERACY_SCALE = 1e-10
-
-_tls = threading.local()
-
-
-def degeneracy_count() -> int:
-    """Number of near-degenerate eigenvalue pairs zeroed on this thread."""
-    return getattr(_tls, "count", 0)
-
-
-def reset_degeneracy_count() -> None:
-    _tls.count = 0
-
-
-def _bump_degeneracy(n: int) -> None:
-    _tls.count = getattr(_tls, "count", 0) + int(n)
+# Eigenvalue pairs with |gap| <= TIE_RTOL * max(|v_i|, |v_j|) take the
+# mean of the two derivatives as their divided difference. That mean is
+# off by O(gap^2), the division by O(machine epsilon / gap); at 1e-6
+# both stay below 3e-10 relative for log and exp.
+TIE_RTOL = 1e-6
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -132,22 +124,44 @@ def assert_spd(a: np.ndarray, context: str = "matrix") -> EigPair:
     return eig
 
 
-def _spectral_apply(eig: EigPair, fvals: np.ndarray) -> np.ndarray:
-    out = (eig.vecs * fvals) @ eig.vecs.T
-    return 0.5 * (out + out.T)
+def spectral_apply(vecs: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """U f(V) U^T over (..., m, m), from the eigenvectors and f at the eigenvalues."""
+    return symmetrize((vecs * fvals[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
-def spd_log(a: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm of an SPD matrix."""
-    eig = eigh(a)
+def spectral_grad(vecs, vals, fvals, dvals, grad) -> np.ndarray:
+    """Backward of `spectral_apply`: U (L o U^T G U) U^T over (..., m, m).
+
+    ``fvals`` and ``dvals`` hold f and f' at the eigenvalues ``vals``. L
+    is the Loewner matrix L_ij = (f_i - f_j) / (v_i - v_j), L_ii = f'_i;
+    near-ties take the mean of f'_i and f'_j, so repeated eigenvalues get
+    their exact derivative. L is symmetric, so symmetrizing the result
+    gives the gradient for the symmetrized ``grad``.
+    """
+    vi, vj = vals[..., :, None], vals[..., None, :]
+    gap = vi - vj
+    tie = np.abs(gap) <= TIE_RTOL * np.maximum(np.abs(vi), np.abs(vj))
+    loewner = np.where(tie, 0.5 * (dvals[..., :, None] + dvals[..., None, :]),
+                       (fvals[..., :, None] - fvals[..., None, :]) / np.where(tie, 1.0, gap))
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    return symmetrize(vecs @ (loewner * (vecs_t @ grad @ vecs)) @ vecs_t)
+
+
+def spd_log(a: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
+    """Principal matrix logarithm of an SPD matrix.
+
+    Accepts a precomputed eigendecomposition of ``a``, so pipelines never
+    decompose the same matrix twice.
+    """
+    eig = eigh(a) if eig is None else eig
     _check_spd_vals(eig.vals, "spd_log")
-    return _spectral_apply(eig, np.log(eig.vals))
+    return spectral_apply(eig.vecs, np.log(eig.vals))
 
 
 def spd_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix (always SPD)."""
     eig = eigh(a)
-    return _spectral_apply(eig, np.exp(eig.vals))
+    return spectral_apply(eig.vecs, np.exp(eig.vals))
 
 
 def rectify_eigs(a: np.ndarray, eps: float) -> np.ndarray:
@@ -155,7 +169,7 @@ def rectify_eigs(a: np.ndarray, eps: float) -> np.ndarray:
     if not np.isfinite(eps) or eps <= 0.0:
         raise InvalidInput(f"eps must be a positive real, got {eps}")
     eig = eigh(a)
-    return _spectral_apply(eig, np.maximum(eig.vals, eps))
+    return spectral_apply(eig.vecs, np.maximum(eig.vals, eps))
 
 
 def tri_length(dim: int) -> int:
@@ -219,51 +233,6 @@ def _sym_unvectorize_grad_stack(g: np.ndarray, n: int) -> np.ndarray:
     half = np.zeros(g.shape[:-1] + (n, n), dtype=np.float64)
     half[..., rows, cols] = g * scale
     return half + np.swapaxes(half, -1, -2)
-
-
-def _eig_grad_core(vecs, vals, g_vecs, g_vals):
-    """Gradient w.r.t. a symmetric matrix from gradients w.r.t. (vecs, vals).
-
-    Batched over leading axes. Returns (grad, n_degenerate) where
-    n_degenerate counts eigenvalue pairs whose gap fell below the guard
-    and whose cross-term was therefore zeroed.
-    """
-    gaps = vals[..., :, None] - vals[..., None, :]
-    span = np.max(vals, axis=-1) - np.min(vals, axis=-1)
-    guard = DEGENERACY_SCALE * (span + 1.0)
-    off = ~np.eye(vals.shape[-1], dtype=bool)
-    usable = (np.abs(gaps) >= guard[..., None, None]) & off
-    # K~^T has entries 1/(vals_j - vals_i) off the diagonal.
-    kt = np.where(usable, -1.0, 0.0) / np.where(usable, gaps, 1.0)
-    inner = kt * (np.swapaxes(vecs, -1, -2) @ g_vecs)
-    inner = 0.5 * (inner + np.swapaxes(inner, -1, -2))
-    inner[..., np.arange(vals.shape[-1]), np.arange(vals.shape[-1])] = g_vals
-    grad = vecs @ inner @ np.swapaxes(vecs, -1, -2)
-    n_degenerate = int(np.count_nonzero(off & ~usable)) // 2
-    return 0.5 * (grad + np.swapaxes(grad, -1, -2)), n_degenerate
-
-
-def eig_backprop(eig: EigPair, dl_dvecs: np.ndarray, dl_dvals: np.ndarray) -> np.ndarray:
-    """Backprop through the eigendecomposition A = U diag(V) U^T.
-
-    ``dl_dvecs`` is the loss gradient w.r.t. the eigenvector matrix,
-    ``dl_dvals`` w.r.t. the eigenvalues (vector, or a matrix whose
-    diagonal is used). Near-degenerate eigenvalue pairs contribute
-    nothing and are tallied in ``degeneracy_count``.
-    """
-    n = eig.dim
-    dl_dvecs = np.asarray(dl_dvecs, dtype=np.float64)
-    dl_dvals = np.asarray(dl_dvals, dtype=np.float64)
-    if dl_dvals.ndim == 2:
-        dl_dvals = np.diagonal(dl_dvals).copy()
-    if dl_dvecs.shape != (n, n) or dl_dvals.shape != (n,):
-        raise InvalidInput(
-            f"gradient shapes {dl_dvecs.shape}/{dl_dvals.shape} do not match dim {n}"
-        )
-    grad, n_deg = _eig_grad_core(eig.vecs, eig.vals, dl_dvecs, dl_dvals)
-    if n_deg:
-        _bump_degeneracy(n_deg)
-    return grad
 
 
 def qr_orthonormalize(m: np.ndarray) -> np.ndarray:

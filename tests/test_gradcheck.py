@@ -37,7 +37,8 @@ def test_all_layers_pass_across_seeds(seed):
 
 def test_spectral_composites_many_instances():
     """Rectification and log-map backprop at finite-difference accuracy
-    over 100 random well-separated SPD inputs."""
+    over 100 random SPD inputs, some with an exactly repeated eigenvalue
+    or several clamped ones."""
     for name in ("reeig", "logeig"):
         res = check_layer(name, seed=42, trials=50)
         assert res.passed and res.tol == PER_LAYER_TOL, (

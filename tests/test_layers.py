@@ -4,7 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdhgr.errors import InvalidInput, NotSPD, NumericalFailure
+from spdhgr.gradcheck import fd_gradient
 from spdhgr.layers import (
+    _rect_log_vec_grad_stack,
+    _rect_log_vec_stack,
     block_diagonal,
     branch_output_dim,
     conv_backward,
@@ -15,16 +18,19 @@ from spdhgr.layers import (
     gauss_agg_forward,
     head_backward,
     head_forward,
-    logeig_backward,
-    logeig_forward,
-    reeig_backward,
-    reeig_forward,
     spd_agg_backward,
     spd_agg_forward,
 )
 from spdhgr.optim import stiefel_init
 from spdhgr.skeleton import JointGrid, grid_neighbors
-from spdhgr.symmat import assert_spd, eigh, rectify_eigs, spd_log
+from spdhgr.symmat import (
+    assert_spd,
+    eigh,
+    rectify_eigs,
+    spd_log,
+    sym_vectorize,
+    tri_length,
+)
 
 from test_symmat import random_spd, random_sym
 
@@ -135,41 +141,56 @@ class TestGaussAgg:
 
 
 class TestSpectralLayers:
+    """The branch tables' ReEig -> LogEig pair and the head's LogEig."""
+
     def test_reeig_matches_rectify(self, rng):
-        a = random_sym(rng, 5)
-        y, ctx = reeig_forward(a, 1e-2)
-        np.testing.assert_allclose(y, rectify_eigs(a, 1e-2), atol=1e-12)
-        assert ctx.rect_eig.vals.min() >= 1e-2
+        mats = np.stack([random_sym(rng, 5) for _ in range(4)])
+        rows, (_, _, rect) = _rect_log_vec_stack(mats, 1e-2)
+        for a, row in zip(mats, rows):
+            expected = sym_vectorize(spd_log(rectify_eigs(a, 1e-2)))
+            np.testing.assert_allclose(row, expected, atol=1e-12)
+        assert rect.min() >= 1e-2
 
     def test_logeig_matches_spd_log(self, rng):
-        a = random_spd(rng, 5)
-        y, _ = logeig_forward(a)
-        np.testing.assert_allclose(y, spd_log(a), atol=1e-12)
+        y = random_spd(rng, 5)
+        _, _, ctx = head_forward(y, np.zeros((2, 25)), np.zeros(2))
+        np.testing.assert_array_equal(ctx.log_flat, spd_log(y).ravel())
 
     def test_logeig_accepts_precomputed_eig(self, rng):
-        a = random_spd(rng, 4)
-        eig = eigh(a)
-        y1, _ = logeig_forward(a, eig=eig)
-        y2, _ = logeig_forward(a)
-        np.testing.assert_array_equal(y1, y2)
+        y = random_spd(rng, 4)
+        np.testing.assert_array_equal(extract_representation(y, eigh(y)),
+                                      extract_representation(y))
 
     def test_logeig_rejects_indefinite(self):
         with pytest.raises(NotSPD):
-            logeig_forward(np.diag([1.0, -1.0]))
+            extract_representation(np.diag([1.0, -1.0]))
 
     def test_backward_zero(self, rng):
-        a = random_spd(rng, 4)
-        _, rctx = reeig_forward(a, 1e-3)
-        _, lctx = logeig_forward(a)
-        np.testing.assert_array_equal(reeig_backward(rctx, np.zeros((4, 4))), 0.0)
-        np.testing.assert_array_equal(logeig_backward(lctx, np.zeros((4, 4))), 0.0)
+        mats = np.stack([random_spd(rng, 4) for _ in range(3)])
+        _, cache = _rect_log_vec_stack(mats, 1e-3)
+        grad = _rect_log_vec_grad_stack(cache, 1e-3, np.zeros((3, tri_length(4))))
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_backward_matches_fd(self, rng):
+        # eigenvalues both sides of eps, none within reach of the stencil
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = (q * np.array([2.0, 0.9, 0.2, 0.1])) @ q.T
+        probe = rng.standard_normal(tri_length(4))
+
+        def loss(m):
+            return float(_rect_log_vec_stack(m[None], 0.5)[0][0] @ probe)
+
+        _, cache = _rect_log_vec_stack(a[None], 0.5)
+        analytic = _rect_log_vec_grad_stack(cache, 0.5, probe[None])[0]
+        fd = fd_gradient(loss, a, symmetric=True)
+        assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_reeig_chain_through_clamped_directions_is_zero(self, rng):
-        # all eigenvalues below eps: output constant, gradient vanishes
-        a = random_spd(rng, 4, lo=0.01, hi=0.05)
-        _, ctx = reeig_forward(a, 1.0)
-        g = random_sym(rng, 4)
-        np.testing.assert_allclose(reeig_backward(ctx, g), 0.0, atol=1e-12)
+        # every eigenvalue below eps: the output is constant
+        mats = np.stack([random_spd(rng, 4, lo=0.01, hi=0.05) for _ in range(3)])
+        _, cache = _rect_log_vec_stack(mats, 1.0)
+        grad = _rect_log_vec_grad_stack(cache, 1.0, rng.standard_normal((3, tri_length(4))))
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestConv:

@@ -19,7 +19,7 @@ from spdhgr.network import (
 )
 from spdhgr.optim import stiefel_error
 from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence
-from spdhgr.symmat import spd_log, sym_vectorize
+from spdhgr.symmat import spd_log, spectral_grad, sym_vectorize
 
 TINY = TINY_CONFIG
 
@@ -214,9 +214,8 @@ class TestBackward:
         g = ctx.head.probs.copy()
         g[1] -= 1.0
         grad_log = (params.fc_weight.T @ g).reshape(4, 4)
-        from spdhgr.layers import logeig_backward
-
-        grad_y = logeig_backward(ctx.head.logeig, grad_log)
+        vals = ctx.head.eig.vals
+        grad_y = spectral_grad(ctx.head.eig.vecs, vals, np.log(vals), 1.0 / vals, grad_log)
         for i in range(60):
             w_i = params.w_hat[:, i * d_in : (i + 1) * d_in]
             expected = 2.0 * grad_y @ w_i @ ctx.agg.xs[i]

@@ -5,17 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdhgr.errors import InvalidInput, NotSPD, RankDeficient
+from spdhgr.gradcheck import fd_gradient
 from spdhgr.symmat import (
-    EigPair,
     assert_spd,
-    degeneracy_count,
-    eig_backprop,
     eigh,
     qr_orthonormalize,
     rectify_eigs,
-    reset_degeneracy_count,
     spd_exp,
     spd_log,
+    spectral_grad,
     sym_unvectorize_grad,
     sym_vectorize,
     symmetrize,
@@ -202,50 +200,100 @@ class TestSymUnvectorizeGrad:
             sym_unvectorize_grad(np.ones(4))
 
 
+def random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
 class TestEigBackprop:
-    def test_eigenvalue_only_gradient_gives_identity(self, rng):
+    """`spectral_grad`, the one backward of every spectral map."""
+
+    def test_identity_function_gives_symmetrized_gradient(self, rng):
+        for n in (1, 4, 9):
+            eig = eigh(random_sym(rng, n))
+            g = rng.standard_normal((n, n))
+            out = spectral_grad(eig.vecs, eig.vals, eig.vals, np.ones(n), g)
+            np.testing.assert_allclose(out, symmetrize(g), atol=1e-12)
+
+    def test_zero_upstream_gradient(self, rng):
         eig = eigh(random_spd(rng, 4))
-        out = eig_backprop(eig, np.zeros((4, 4)), np.ones(4))
-        np.testing.assert_allclose(out, np.eye(4), atol=1e-12)
+        out = spectral_grad(eig.vecs, eig.vals, np.log(eig.vals), 1.0 / eig.vals,
+                            np.zeros((4, 4)))
+        np.testing.assert_array_equal(out, 0.0)
 
-    def test_matrix_dl_dvals_uses_diagonal(self, rng):
-        eig = eigh(random_spd(rng, 3))
-        full = eig_backprop(eig, np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0]))
-        vec = eig_backprop(eig, np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(full, vec)
-
-    def test_shape_mismatch(self, rng):
-        eig = eigh(random_spd(rng, 3))
-        with pytest.raises(InvalidInput):
-            eig_backprop(eig, np.zeros((2, 2)), np.ones(3))
+    def test_stack_matches_single_matrices(self, rng):
+        mats = np.stack([random_spd(rng, 5) for _ in range(6)]).reshape(2, 3, 5, 5)
+        grads = rng.standard_normal((2, 3, 5, 5))
+        eigs = [[eigh(m) for m in row] for row in mats]
+        vecs = np.array([[e.vecs for e in row] for row in eigs])
+        vals = np.array([[e.vals for e in row] for row in eigs])
+        out = spectral_grad(vecs, vals, np.log(vals), 1.0 / vals, grads)
+        for i in range(2):
+            for j in range(3):
+                e = eigs[i][j]
+                single = spectral_grad(e.vecs, e.vals, np.log(e.vals), 1.0 / e.vals, grads[i, j])
+                np.testing.assert_allclose(out[i, j], single, rtol=1e-13, atol=1e-15)
 
     def test_log_composite_matches_fd(self, rng):
-        # gradient of <R, log A> assembled through the two-step backprop
         n = 4
         a = random_spd(rng, n, lo=0.3, hi=4.0)
         r = random_sym(rng, n)
-
         eig = eigh(a)
-        grad_vecs = 2.0 * r @ (eig.vecs * np.log(eig.vals))
-        grad_vals = np.diagonal(eig.vecs.T @ r @ eig.vecs) / eig.vals
-        analytic = eig_backprop(eig, grad_vecs, grad_vals)
+        analytic = spectral_grad(eig.vecs, eig.vals, np.log(eig.vals), 1.0 / eig.vals, r)
+        fd = fd_gradient(lambda m: np.sum(r * spd_log(m)), a, symmetric=True)
+        assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
-        fd = np.zeros((n, n))
-        h = 1e-6
-        for i in range(n):
-            for j in range(i, n):
-                e = np.zeros((n, n))
-                e[i, j] = e[j, i] = 1.0
-                diff = (np.sum(r * spd_log(a + h * e)) - np.sum(r * spd_log(a - h * e))) / (2 * h)
-                fd[i, j] = fd[j, i] = diff if i == j else diff / 2.0
+    def test_repeated_eigenvalue_matches_fd(self, rng):
+        # the cross term inside a repeated eigenspace is f'(v), not zero
+        q = random_orthogonal(rng, 4)
+        a = symmetrize((q * np.array([3.0, 2.0, 2.0, 0.5])) @ q.T)
+        r = random_sym(rng, 4)
+        eig = eigh(a)
+        analytic = spectral_grad(eig.vecs, eig.vals, np.log(eig.vals), 1.0 / eig.vals, r)
+        fd = fd_gradient(lambda m: np.sum(r * spd_log(m)), a, symmetric=True)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_degenerate_pair_guarded(self):
-        reset_degeneracy_count()
-        eig = EigPair(vecs=np.eye(3), vals=np.array([2.0, 1.0, 1.0]))
-        out = eig_backprop(eig, np.ones((3, 3)), np.zeros(3))
+        # no division across the repeated pair, and its entry is exact:
+        # f(v) = v^2 gives L_ij = v_i + v_j
+        vals = np.array([2.0, 1.0, 1.0])
+        out = spectral_grad(np.eye(3), vals, vals**2, 2.0 * vals, np.ones((3, 3)))
+        np.testing.assert_array_equal(out, [[4.0, 3.0, 3.0], [3.0, 2.0, 2.0], [3.0, 2.0, 2.0]])
+
+    @pytest.mark.parametrize("fn", ["log", "exp"])
+    @pytest.mark.parametrize("rel_gap", [0.0, 1e-14, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-4])
+    def test_near_tie_divided_difference(self, fn, rel_gap):
+        lam = 3.0
+        vals = np.array([lam * (1.0 + rel_gap), lam])
+        gap = vals[0] - vals[1]
+        if fn == "log":
+            f, df = np.log(vals), 1.0 / vals
+            exact = np.log1p(gap / lam) / gap if gap else 1.0 / lam
+        else:
+            f, df = np.exp(vals), np.exp(vals)
+            exact = np.exp(lam) * np.expm1(gap) / gap if gap else np.exp(lam)
+        out = spectral_grad(np.eye(2), vals, f, df, np.ones((2, 2)))
         assert np.all(np.isfinite(out))
-        assert degeneracy_count() == 1
+        assert abs(out[0, 1] - exact) <= 1e-8 * exact
+        np.testing.assert_array_equal(np.diagonal(out), df)
+
+    def test_all_clamped_gives_exact_zero(self, rng):
+        # rectification with every eigenvalue below eps: f is constant
+        eps = 1.0
+        eig = eigh(random_spd(rng, 4, lo=0.01, hi=0.05))
+        out = spectral_grad(eig.vecs, eig.vals, np.maximum(eig.vals, eps),
+                            np.where(eig.vals > eps, 1.0, 0.0), random_sym(rng, 4))
+        np.testing.assert_array_equal(out, 0.0)
+
+    def test_rotation_within_repeated_eigenspace(self, rng):
+        vals = np.array([4.0, 2.0, 2.0, 2.0, 0.5])
+        q = random_orthogonal(rng, 5)
+        rotated = q.copy()
+        rotated[:, 1:4] = q[:, 1:4] @ random_orthogonal(rng, 3)
+        g = random_sym(rng, 5)
+        out = spectral_grad(q, vals, np.log(vals), 1.0 / vals, g)
+        out_rotated = spectral_grad(rotated, vals, np.log(vals), 1.0 / vals, g)
+        np.testing.assert_allclose(out_rotated, out, atol=1e-13)
 
 
 class TestQrOrthonormalize:
