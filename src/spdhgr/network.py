@@ -31,7 +31,6 @@ from .layers import (
     branch_output_dim,
     conv_backward,
     conv_forward,
-    cross_entropy,
     extract_representation,
     head_backward,
     head_forward,
@@ -353,11 +352,6 @@ def backward(ctx: ForwardContext, true_label: int) -> GradientSet:
     _, grad_conv = conv_backward(ctx.conv, grad_feats)
     return GradientSet(conv=grad_conv, w_hat=grad_w_hat,
                        fc_weight=grad_fc, fc_bias=grad_bias)
-
-
-def loss_for(seq, params: NetworkParams, config: NetworkConfig, label: int):
-    probs, ctx, _ = forward(seq, params, config)
-    return cross_entropy(probs, label), probs, ctx
 
 
 def extract_features(seq, params: NetworkParams, config: NetworkConfig) -> np.ndarray:

@@ -15,6 +15,7 @@ skeleton files with one frame per line.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,37 +237,54 @@ def _parse_floats(path: Path, lineno: int, tokens: list[str], expected: int) -> 
     return row
 
 
+def _read_text_lines(path: Path, what: str):
+    """The lines of a UTF-8 text file, LF, CRLF or CR terminated.
+
+    A missing or unreadable file is a ConfigError naming it as ``what``;
+    bytes that are not UTF-8 are a ParseError naming the file and line.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"missing {what}: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text "
+                         f"(byte 0x{data[exc.start]:02x})") from None
+    return io.StringIO(text, newline=None)
+
+
 def _read_skeleton_file(path: Path, n_joints: int, leading_index: bool) -> np.ndarray:
     expected = n_joints * 3 + (1 if leading_index else 0)
     rows = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            row = _parse_floats(path, lineno, tokens, expected)
-            rows.append(row[1:] if leading_index else row)
+    for lineno, line in enumerate(_read_text_lines(path, "sequence file"), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        row = _parse_floats(path, lineno, tokens, expected)
+        rows.append(row[1:] if leading_index else row)
     if not rows:
         raise ParseError(f"{path}:1: empty skeleton file")
     return np.stack(rows).reshape(len(rows), n_joints, 3)
 
 
 def _read_index(path: Path, n_fields: int) -> list[tuple[str, list[int]]]:
-    if not path.is_file():
-        raise ConfigError(f"missing split index file: {path}")
     entries = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != n_fields:
-                raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(tokens)}")
-            try:
-                fields = [int(t) for t in tokens[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer field ({exc})") from exc
-            entries.append((tokens[0], fields))
+    for lineno, line in enumerate(_read_text_lines(path, "split index file"), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != n_fields:
+            raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, got {len(tokens)}")
+        try:
+            fields = [int(t) for t in tokens[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer field ({exc})") from exc
+        entries.append((tokens[0], fields))
     entries.sort(key=lambda e: e[0])
     return entries
 

@@ -8,9 +8,12 @@ coordinate order is a seeded permutation per pass.
 
 Features have far more dimensions than there are samples (20,100 vs a
 few hundred), so the dual runs on the n x n Gram matrix, computed once
-and shared by every class: one O(n^2 d) product, then O(n^2) per pass
-whatever the feature dimension. All weight vectors come from one
-product of the dual coefficients with the features at the end.
+and shared by every class: one O(n^2 d) product, then O(k n^2) per pass
+for k classes whatever the feature dimension. The k binary problems run
+in one coordinate loop, each class on its own seeded row order, as
+element-wise steps over the classes; each class's result is bitwise
+that of solving it alone. All weight vectors come from one product of
+the dual coefficients with the features at the end.
 """
 
 from __future__ import annotations
@@ -37,40 +40,84 @@ class SvmModel:
         return self.class_ids.shape[0]
 
 
-def _dual_cd(gram: np.ndarray, y_bin: np.ndarray, c: float, tol: float, rng,
-             max_passes: int):
-    """Dual coordinate descent for one binary L2-loss sub-problem.
-
-    ``gram`` is ``x @ x.T``. The decision values f = gram @ (alpha * y_bin)
-    (= x @ w) are kept up to date, so a step costs O(n); the weights are
-    w = (alpha * y_bin) @ x. Returns (alpha, the last pass's largest
-    projected-gradient violation, per-pass dual objectives). The dual
-    objective is 0.5 ||w||^2 + (1/(4C)) sum alpha^2 - sum alpha and never
-    increases.
-    """
+def _dual_pass(gram, q_diag, shift, y_run, alpha_run, f_run, rngs):
+    """One lockstep pass over the running classes, one row of ``y_run``,
+    ``alpha_run`` and ``f_run`` (updated in place) and one generator each.
+    Returns each class's largest projected-gradient violation."""
     n = gram.shape[0]
+    # Row t of `rows` holds each class's t-th coordinate, `cells` its place
+    # in the flattened y_run, alpha_run and f_run.
+    rows = np.stack([rng.permutation(n) for rng in rngs], axis=1)
+    cells = rows + n * np.arange(len(rngs))
+    flat_alpha, flat_f = alpha_run.reshape(-1), f_run.reshape(-1)
+    y_steps = y_run.reshape(-1)[cells]
+    grads, alphas = np.empty((2, n, len(rngs)))
+    for t in range(n):
+        i, y_i, cell = rows[t], y_steps[t], cells[t]
+        alpha_i = alphas[t] = flat_alpha[cell]
+        grad = grads[t] = y_i * flat_f[cell] - 1.0 + shift * alpha_i
+        new_alpha = np.maximum(alpha_i - grad / q_diag[i], 0.0)
+        # A zero projected gradient leaves new_alpha == alpha_i. A class
+        # that does not move then adds (+0.0 * y) * gram[i] to f, which
+        # leaves every bit of f as it is, so no class is masked out.
+        step = gram[i]
+        step *= ((new_alpha - alpha_i) * y_i)[:, None]
+        f_run += step
+        flat_alpha[cell] = new_alpha
+    # projected gradients: a coordinate at alpha = 0 cannot go below 0
+    np.minimum(grads, 0.0, out=grads, where=alphas <= 0.0)
+    return np.abs(grads, out=grads).max(axis=0)
+
+
+def _dual_cd(gram: np.ndarray, y_bins: np.ndarray, c: float, tol: float, rngs,
+             max_passes: int):
+    """Dual coordinate descent for all k one-vs-rest L2-loss sub-problems at once.
+
+    ``gram`` is ``x @ x.T``, ``y_bins`` (k, n) holds each class's +-1
+    labels and ``rngs`` one generator per class, which draws one
+    permutation of the n rows per pass. The classes run in lockstep: at
+    step t of a pass every class still running updates its own row
+    perm_k[t], with a one-class step done element-wise over the classes
+    (the same float operations in the same order), so each class gets
+    bitwise the result it would get alone. A class stops once its pass's
+    largest projected-gradient violation is at most ``tol``; its
+    generator then draws nothing more.
+
+    The decision values f_k = gram @ (alpha_k * y_k) (= x @ w_k) are kept
+    up to date, so a step costs O(k n); the weights are
+    w_k = (alpha_k * y_k) @ x. Returns (alpha (k, n), each class's last
+    largest violation (k,), one (k,) array of dual objectives per pass,
+    NaN for the classes that had stopped, and passes per class (k,)).
+    A class's dual objective 0.5 ||w||^2 + (1/(4C)) sum alpha^2 - sum alpha
+    never increases.
+    """
+    k, n = y_bins.shape
     shift = 1.0 / (2.0 * c)
     q_diag = np.diag(gram) + shift
-    alpha = np.zeros(n)
-    f = np.zeros(n)
-    worst = np.inf
+    alpha = np.zeros((k, n))
+    worst = np.full(k, np.inf)
+    passes = np.zeros(k, dtype=np.int64)
     objectives = []
+    # the running classes' labels, alpha and f, compacted as classes stop
+    active = np.arange(k)
+    y_run, alpha_run, f_run = y_bins, np.zeros((k, n)), np.zeros((k, n))
     for _ in range(max_passes):
-        worst = 0.0
-        for i in rng.permutation(n):
-            grad = y_bin[i] * f[i] - 1.0 + shift * alpha[i]
-            projected = grad if alpha[i] > 0.0 else min(grad, 0.0)
-            worst = max(worst, abs(projected))
-            if projected != 0.0:
-                new_alpha = max(alpha[i] - grad / q_diag[i], 0.0)
-                if new_alpha != alpha[i]:
-                    f += (new_alpha - alpha[i]) * y_bin[i] * gram[i]
-                    alpha[i] = new_alpha
-        objectives.append(0.5 * ((alpha * y_bin) @ f) + 0.5 * shift * (alpha @ alpha)
-                          - alpha.sum())
-        if worst <= tol:
+        worst[active] = _dual_pass(gram, q_diag, shift, y_run, alpha_run, f_run,
+                                   [rngs[j] for j in active])
+        passes[active] += 1
+        alpha[active] = alpha_run
+        pass_objectives = np.full(k, np.nan)
+        for r, j in enumerate(active):
+            a = alpha_run[r]
+            pass_objectives[j] = (0.5 * ((a * y_run[r]) @ f_run[r]) + 0.5 * shift * (a @ a)
+                                  - a.sum())
+        objectives.append(pass_objectives)
+        running = ~(worst[active] <= tol)
+        if not running.any():
             break
-    return alpha, worst, objectives
+        active = active[running]
+        y_run, alpha_run, f_run = y_run[running], alpha_run[running], f_run[running]
+    return alpha, worst, objectives, passes
 
 
 def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
@@ -88,18 +135,13 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
     if class_ids.shape[0] < 2:
         raise InvalidInput("need at least 2 distinct classes")
     gram = x @ x.T
-    coef = np.zeros((class_ids.shape[0], x.shape[0]))
-    passes, violation = [], []
+    y_bins = np.where(y == class_ids[:, None], 1.0, -1.0)
     seeds = np.random.SeedSequence(seed).generate_state(class_ids.shape[0])
-    for k, cls in enumerate(class_ids):
-        y_bin = np.where(y == cls, 1.0, -1.0)
-        rng = np.random.default_rng(seeds[k])
-        alpha, worst, objectives = _dual_cd(gram, y_bin, c, tol, rng, max_passes)
-        coef[k] = alpha * y_bin
-        passes.append(len(objectives))
-        violation.append(float(worst))
-    return SvmModel(class_ids=class_ids.astype(np.int64), weights=coef @ x, c=c, tol=tol,
-                    passes=tuple(passes), violation=tuple(violation))
+    alpha, worst, _, passes = _dual_cd(gram, y_bins, c, tol,
+                                       [np.random.default_rng(s) for s in seeds], max_passes)
+    return SvmModel(class_ids=class_ids.astype(np.int64), weights=(alpha * y_bins) @ x,
+                    c=c, tol=tol, passes=tuple(int(p) for p in passes),
+                    violation=tuple(float(v) for v in worst))
 
 
 def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ eigendecomposition, one spectral map U f(V) U^T with its backward,
 half-vectorization, and QR row-orthonormalization.
 
 Every spectral function of the package (rectification, the matrix
-logarithm and exponential, and rectification followed by the logarithm
+logarithm, and rectification followed by the logarithm
 in the branch layers) goes through `spectral_apply` and
 `spectral_grad`. The backward is the Loewner (divided-difference) form
 U (L o U^T G U) U^T (Ionescu et al., ICCV 2015; Brooks et al., NeurIPS
@@ -156,12 +156,6 @@ def spd_log(a: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
     eig = eigh(a) if eig is None else eig
     _check_spd_vals(eig.vals, "spd_log")
     return spectral_apply(eig.vecs, np.log(eig.vals))
-
-
-def spd_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (always SPD)."""
-    eig = eigh(a)
-    return spectral_apply(eig.vecs, np.exp(eig.vals))
 
 
 def rectify_eigs(a: np.ndarray, eps: float) -> np.ndarray:

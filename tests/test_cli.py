@@ -66,6 +66,28 @@ class TestTrain:
         assert run("train", "--config", bad, "--data-root", data,
                    "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("fault", ["missing_sequence", "index_not_utf8",
+                                       "sequence_not_utf8"])
+    def test_malformed_dataset_exits_2(self, workspace, tmp_path, capsys, fault):
+        _, _, config = workspace
+        data = tmp_path / "data"
+        write_synthetic_dataset(data, n_classes=2, train_per_class=2, n_frames=15, seed=5)
+        index, seq = data / "train.txt", data / "sequences" / "train_c1_00.txt"
+        if fault == "missing_sequence":
+            seq.unlink()
+            want = f"missing sequence file: {seq}"
+        else:
+            path = index if fault == "index_not_utf8" else seq
+            lines = path.read_bytes().splitlines(keepends=True)
+            lines[2] = lines[2][:5] + b"\xff" + lines[2][5:]
+            path.write_bytes(b"".join(lines))
+            want = f"{path}:3: not UTF-8 text (byte 0xff)"
+        code = run("train", "--config", config, "--data-root", data,
+                   "--out", tmp_path / "run", "--epochs", 1)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert want in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):

@@ -85,12 +85,14 @@ class TestSolver:
         assert svm_accuracy(model, x2, y2) >= 0.95
 
     def test_dual_objective_non_increasing(self, rng):
-        x, y = make_blobs(rng, n_per_class=10, n_classes=2, sep=2.0)
-        y_bin = np.where(y == 0, 1.0, -1.0)
-        _, _, objectives = _dual_cd(x @ x.T, y_bin, 1.0, 1e-8,
-                                    np.random.default_rng(0), 50)
-        assert len(objectives) > 1
-        assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
+        x, y = make_blobs(rng, n_per_class=10, n_classes=3, sep=2.0)
+        y_bins = np.where(y == np.arange(3)[:, None], 1.0, -1.0)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        _, _, objectives, passes = _dual_cd(x @ x.T, y_bins, 1.0, 1e-8, rngs, 50)
+        for k in range(3):
+            per_class = [o[k] for o in objectives[:passes[k]]]
+            assert len(per_class) > 1
+            assert all(b <= a + 1e-12 for a, b in zip(per_class, per_class[1:]))
 
     def test_deterministic(self, rng):
         x, y = make_blobs(rng)
@@ -119,6 +121,16 @@ class TestSolver:
         capped = svm_train(x, y, c=1.0, tol=1e-3, seed=0, max_passes=1)
         assert capped.passes == (1, 1, 1)
         assert max(capped.violation) > 1e-3
+        # one objective row per lockstep pass, NaN once a class has stopped
+        _, worst, objectives, passes = _dual_cd(
+            x @ x.T, np.where(y == np.arange(3)[:, None], 1.0, -1.0), 1.0, 1e-3,
+            [np.random.default_rng(k) for k in range(3)], 1000)
+        assert len(objectives) == max(passes)
+        for k in range(3):
+            column = np.array([o[k] for o in objectives])
+            assert np.all(np.isfinite(column[:passes[k]]))
+            assert np.all(np.isnan(column[passes[k]:]))
+            assert worst[k] <= 1e-3
 
 
 def row_update_dual_cd(x, y_bin, c, tol, rng, max_passes):
@@ -196,6 +208,102 @@ def test_gram_solver_matches_row_update_solver(name, c):
     np.testing.assert_array_equal(
         svm_predict_batch(model, probe),
         np.unique(y)[np.argmax(probe @ weights.T, axis=1)])
+
+
+def per_class_dual_cd(gram, y_bin, c, tol, rng, max_passes):
+    """Reference: the solver as it was before the classes ran in lockstep,
+    one Python coordinate loop per class. Returns (alpha, the last pass's
+    largest violation, per-pass dual objectives)."""
+    n = gram.shape[0]
+    shift = 1.0 / (2.0 * c)
+    q_diag = np.diag(gram) + shift
+    alpha = np.zeros(n)
+    f = np.zeros(n)
+    worst = np.inf
+    objectives = []
+    for _ in range(max_passes):
+        worst = 0.0
+        for i in rng.permutation(n):
+            grad = y_bin[i] * f[i] - 1.0 + shift * alpha[i]
+            projected = grad if alpha[i] > 0.0 else min(grad, 0.0)
+            worst = max(worst, abs(projected))
+            if projected != 0.0:
+                new_alpha = max(alpha[i] - grad / q_diag[i], 0.0)
+                if new_alpha != alpha[i]:
+                    f += (new_alpha - alpha[i]) * y_bin[i] * gram[i]
+                    alpha[i] = new_alpha
+        objectives.append(0.5 * ((alpha * y_bin) @ f) + 0.5 * shift * (alpha @ alpha)
+                          - alpha.sum())
+        if worst <= tol:
+            break
+    return alpha, worst, objectives
+
+
+def per_class_train(x, y, c, tol, seed, max_passes):
+    """One-vs-rest training with the reference solver, seeded like svm_train.
+    Returns (weights, passes, violations, per-class objective lists)."""
+    class_ids = np.unique(y)
+    gram = x @ x.T
+    seeds = np.random.SeedSequence(seed).generate_state(class_ids.shape[0])
+    coef = np.zeros((class_ids.shape[0], x.shape[0]))
+    passes, violation, objectives = [], [], []
+    for k, cls in enumerate(class_ids):
+        y_bin = np.where(y == cls, 1.0, -1.0)
+        alpha, worst, objs = per_class_dual_cd(
+            gram, y_bin, c, tol, np.random.default_rng(seeds[k]), max_passes)
+        coef[k] = alpha * y_bin
+        passes.append(len(objs))
+        violation.append(float(worst))
+        objectives.append(objs)
+    return coef @ x, tuple(passes), tuple(violation), objectives
+
+
+def _lockstep_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "blobs_45x3":
+        return make_blobs(rng, n_per_class=3, n_classes=45, dim=300, sep=0.3)
+    if name == "uneven":
+        sizes = (2, 3, 6, 12, 25)
+        centers = rng.standard_normal((len(sizes), 60)) * 0.5
+        x = np.vstack([centers[k] + rng.standard_normal((m, 60))
+                       for k, m in enumerate(sizes)])
+        return x, np.repeat(np.arange(len(sizes)), sizes)
+    x, y = make_blobs(rng, n_per_class=8, n_classes=4, dim=40, sep=0.5)
+    if name == "duplicated_rows":
+        x, y = np.vstack([x, x[::3], x[1::5]]), np.concatenate([y, y[::3], (y[1::5] + 1) % 4])
+    elif name == "zero_row":
+        x[5] = 0.0  # q_diag == shift there
+    return x, y
+
+
+@pytest.mark.parametrize("name,c,max_passes", [
+    ("blobs_45x3", 1.0, 1000),
+    ("uneven", 0.1, 1000), ("uneven", 1.0, 1000), ("uneven", 10.0, 1000),
+    ("blobs", 0.1, 1000), ("blobs", 1.0, 1000), ("blobs", 10.0, 1000),
+    ("blobs", 1.0, 0), ("blobs", 1.0, 1), ("uneven", 1.0, 1),
+    ("duplicated_rows", 1.0, 1000), ("zero_row", 1.0, 1000),
+])
+def test_lockstep_solver_matches_per_class_solver(name, c, max_passes):
+    x, y = _lockstep_case(name)
+    tol, seed = 1e-2, 11
+    weights, passes, violation, objectives = per_class_train(x, y, c, tol, seed, max_passes)
+    model = svm_train(x, y, c=c, tol=tol, seed=seed, max_passes=max_passes)
+    assert np.array_equal(model.weights, weights)
+    assert model.passes == passes
+    assert model.violation == violation
+    class_ids = np.unique(y)
+    y_bins = np.where(y == class_ids[:, None], 1.0, -1.0)
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).generate_state(class_ids.shape[0])]
+    _, _, lockstep, _ = _dual_cd(x @ x.T, y_bins, c, tol, rngs, max_passes)
+    assert len(lockstep) == max(passes)
+    for k, objs in enumerate(objectives):
+        assert [o[k] for o in lockstep[:passes[k]]] == objs
+        assert all(np.isnan(o[k]) for o in lockstep[passes[k]:])
+    if name == "uneven" and max_passes > 1:
+        assert len(set(passes)) > 1  # classes stop on different passes
+    if max_passes > 1:
+        assert max(passes) > 1
 
 
 class TestPredict:

@@ -11,8 +11,8 @@ from spdhgr.symmat import (
     eigh,
     qr_orthonormalize,
     rectify_eigs,
-    spd_exp,
     spd_log,
+    spectral_apply,
     spectral_grad,
     sym_unvectorize_grad,
     sym_vectorize,
@@ -21,6 +21,12 @@ from spdhgr.symmat import (
 )
 
 SQRT2 = np.sqrt(2.0)
+
+
+def spd_exp(a):
+    """Matrix exponential of a symmetric matrix, for the exp/log round trip."""
+    eig = eigh(a)
+    return spectral_apply(eig.vecs, np.exp(eig.vals))
 
 
 def random_sym(rng, n, scale=1.0):
