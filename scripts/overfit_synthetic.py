@@ -31,7 +31,6 @@ def run(workdir: Path, seed: int) -> int:
         "--batch-size", "30",
         "--lr", "0.01",
         "--seed", str(seed),
-        "--deterministic",
     ])
 
 

@@ -1,8 +1,8 @@
 """Command-line harness: train, extract, classify, gradcheck, ablate.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 usage/config/data
-error. All commands are deterministic for a given seed; ``--deterministic``
-additionally forces serial gradient reduction.
+error. All commands are deterministic for a given seed, at any
+``--workers`` count: gradients are reduced in submission order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError
-from .gradcheck import LAYER_CHECKS, run_all
+from .gradcheck import run_all
 from .network import (
     extract_features,
     init_params,
@@ -79,13 +79,11 @@ def cmd_train(args) -> int:
     result = train_network(
         sequences, params, config,
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, workers=args.workers, deterministic=args.deterministic,
-        out_dir=out_dir, log=print,
+        seed=args.seed, workers=args.workers, out_dir=out_dir, log=print,
     )
     manifest = result.manifest(
-        config=config, seed=args.seed, deterministic=args.deterministic,
-        dataset_id=f"{args.dataset}:{args.split}", n_sequences=len(sequences),
-        batch_size=args.batch_size, lr=args.lr,
+        config=config, seed=args.seed, dataset_id=f"{args.dataset}:{args.split}",
+        n_sequences=len(sequences), batch_size=args.batch_size, lr=args.lr,
         total_wall_time_s=time.perf_counter() - t_start,
     )
     _write_json(out_dir / "manifest.json", manifest)
@@ -95,17 +93,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_features(path, sequences, params, config) -> None:
+    """Extract every sequence's features and write them as one feature file."""
+    feats = [extract_features(s, params, config) for s in sequences]
+    save_features(path, [s.label for s in sequences],
+                  np.stack(feats) if feats else np.zeros((0, config.feature_dim)))
+
+
 def cmd_extract(args) -> int:
     config = load_config(args.config, overrides=_config_overrides(args))
     params = load_params(args.checkpoint, config)
     sequences = _resample_all(
         _load_dataset(args.data_root, args.dataset, args.split), config.n_frames
     )
-    labels = [s.label for s in sequences]
-    feats = [extract_features(s, params, config) for s in sequences]
-    save_features(args.out, labels,
-                  np.stack(feats) if feats else np.zeros((0, config.feature_dim)))
-    print(f"wrote {len(feats)} feature rows to {args.out}")
+    _write_features(args.out, sequences, params, config)
+    print(f"wrote {len(sequences)} feature rows to {args.out}")
     return 0
 
 
@@ -156,7 +158,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all(seed=args.seed, trials=args.trials, corrupt=args.corrupt,
+    results = run_all(seed=args.seed, trials=args.trials,
                       include_end_to_end=args.end_to_end)
     failed = False
     for res in results:
@@ -182,24 +184,20 @@ def cmd_ablate(args) -> int:
         run_dir = out_root / f"{args.knob}_{value}"
         run_dir.mkdir(parents=True, exist_ok=True)
 
-        sequences = _resample_all(
-            _load_dataset(args.data_root, args.dataset, "train"), config.n_frames
-        )
+        splits = {
+            split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
+                                 config.n_frames)
+            for split in ("train", "test")
+        }
         params = init_params(config, args.seed)
         result = train_network(
-            sequences, params, config,
+            splits["train"], params, config,
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-            seed=args.seed, workers=args.workers, deterministic=args.deterministic,
-            out_dir=run_dir, log=None,
+            seed=args.seed, workers=args.workers, out_dir=run_dir, log=None,
         )
-        for split in ("train", "test"):
-            split_seqs = _resample_all(
-                _load_dataset(args.data_root, args.dataset, split), config.n_frames
-            )
-            feats = [extract_features(s, result.params, config) for s in split_seqs]
-            save_features(run_dir / f"{split}.features",
-                          [s.label for s in split_seqs],
-                          np.stack(feats) if feats else np.zeros((0, config.feature_dim)))
+        for split, sequences in splits.items():
+            _write_features(run_dir / f"{split}.features", sequences, result.params,
+                            config)
         accuracy = _classify(run_dir / "train.features", run_dir / "test.features",
                              args.C, args.tol, args.seed,
                              report_path=run_dir / "report.json")
@@ -216,20 +214,17 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, training: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force serial reduction (runs are seeded either way)")
     parser.add_argument("--workers", type=int, default=1)
-    if training:
-        parser.add_argument("--epochs", type=int, default=15)
-        parser.add_argument("--batch-size", type=int, default=30)
-        parser.add_argument("--lr", type=float, default=0.01)
-        parser.add_argument("--variant", choices=("st_ts", "st_only", "ts_only"),
-                            default=None, help="override the config variant")
-        parser.add_argument("--grid-mode", choices=("full", "physical"), default=None,
-                            help="override the config grid mode")
-        parser.add_argument("--dataset", choices=DATASETS, default="dhg14")
+    parser.add_argument("--epochs", type=int, default=15)
+    parser.add_argument("--batch-size", type=int, default=30)
+    parser.add_argument("--lr", type=float, default=0.01)
+    parser.add_argument("--variant", choices=("st_ts", "st_only", "ts_only"),
+                        default=None, help="override the config variant")
+    parser.add_argument("--grid-mode", choices=("full", "physical"), default=None,
+                        help="override the config grid mode")
+    parser.add_argument("--dataset", choices=DATASETS, default="dhg14")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="train")
-    _add_common(p, training=True)
+    _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("extract", help="write log-Euclidean features for a split")
@@ -270,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference checks for every layer")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--corrupt", choices=sorted(LAYER_CHECKS), default=None,
-                   help="testing aid: corrupt one layer's analytic gradient")
     p.add_argument("--no-end-to-end", dest="end_to_end", action="store_false",
                    help="skip the (slow) whole-network finite-difference sweep")
     p.set_defaults(func=cmd_gradcheck)
@@ -284,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", nargs="+", required=True)
     p.add_argument("-C", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=0.1)
-    _add_common(p, training=True)
+    _add_common(p)
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -123,6 +123,10 @@ def _dual_cd(gram: np.ndarray, y_bins: np.ndarray, c: float, tol: float, rngs,
 def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
               seed: int = 0, max_passes: int = 1000) -> SvmModel:
     """Train one-vs-rest weight vectors over the observed classes."""
+    if not (np.isfinite(c) and c > 0.0):
+        raise InvalidInput(f"C must be finite and > 0, got {c}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] < 2:

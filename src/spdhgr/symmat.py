@@ -2,7 +2,7 @@
 
 Everything downstream (Gaussian aggregation, eigenvalue rectification,
 log-Euclidean maps, Stiefel retractions) reduces to a handful of
-operations on real symmetric matrices collected here: a deterministic
+operations on real symmetric matrices collected here: an
 eigendecomposition, one spectral map U f(V) U^T with its backward,
 half-vectorization, and QR row-orthonormalization.
 
@@ -15,9 +15,11 @@ U (L o U^T G U) U^T (Ionescu et al., ICCV 2015; Brooks et al., NeurIPS
 
 Conventions:
   * matrices are dense row-major float64 ndarrays, symmetrized on entry;
-  * eigenvalues are sorted descending with a deterministic eigenvector
-    sign (first non-negligible component positive), so repeated runs and
-    checkpoints reproduce bitwise;
+  * eigenvalues are sorted descending. Eigenvector signs are LAPACK's:
+    it returns the same vectors for the same input, so repeated runs and
+    checkpoints reproduce bitwise, and every spectral function here is
+    exactly invariant to column signs, since (-a)(-b) = ab in IEEE
+    arithmetic;
   * gradients of scalar losses with respect to symmetric matrices use
     the Frobenius pairing dL = <G, dX>_F with G symmetric.
 
@@ -65,8 +67,8 @@ class EigPair:
     """Eigendecomposition A = vecs @ diag(vals) @ vecs.T.
 
     ``vecs`` columns are orthonormal eigenvectors; ``vals`` is sorted
-    descending and each eigenvector's first non-negligible component is
-    positive.
+    descending. Column signs are LAPACK's, the same for the same input;
+    nothing here depends on them.
     """
 
     vecs: np.ndarray
@@ -77,31 +79,21 @@ class EigPair:
         return self.vals.shape[0]
 
 
-def _order_and_sign(vals: np.ndarray, vecs: np.ndarray):
-    """Sort descending and fix eigenvector signs; batched over leading axes."""
-    vals = vals[..., ::-1]
-    vecs = vecs[..., ::-1]
-    # First component with magnitude above a per-column threshold decides
-    # the sign; orthonormal columns always have one.
-    absv = np.abs(vecs)
-    thresh = 1e-12 * np.max(absv, axis=-2, keepdims=True)
-    lead = np.argmax(absv > thresh, axis=-2)
-    lead_vals = np.take_along_axis(vecs, lead[..., None, :], axis=-2)
-    signs = np.where(lead_vals < 0.0, -1.0, 1.0)
-    return np.ascontiguousarray(vals), np.ascontiguousarray(vecs * signs)
-
-
 def _eigh_stack(a: np.ndarray):
-    """Batched symmetric eigendecomposition with the package conventions."""
+    """Batched symmetric eigendecomposition, eigenvalues descending.
+
+    Both outputs are copied out of their reversed views into contiguous
+    arrays, so the products downstream run on numpy's contiguous BLAS path.
+    """
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    return _order_and_sign(vals, vecs)
+    return np.ascontiguousarray(vals[..., ::-1]), np.ascontiguousarray(vecs[..., ::-1])
 
 
 def eigh(a: np.ndarray) -> EigPair:
-    """Eigendecomposition of a symmetric matrix, deterministic ordering."""
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
     a = _as_square_sym(a)
     vals, vecs = _eigh_stack(a)
     return EigPair(vecs=vecs, vals=vals)

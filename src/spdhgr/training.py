@@ -1,8 +1,7 @@
 """Mini-batch SGD training loop with per-epoch checkpoints and a manifest.
 
 Gradient reduction over a batch always sums in submission order, so runs
-are bitwise reproducible for a given seed even with a thread pool; the
-deterministic flag additionally forces serial execution.
+are bitwise reproducible for a given seed at any worker count.
 """
 
 from __future__ import annotations
@@ -44,14 +43,13 @@ class TrainResult:
     final_accuracy: float
     checkpoints: list[str] = field(default_factory=list)
 
-    def manifest(self, *, config: NetworkConfig, seed: int, deterministic: bool,
-                 dataset_id: str, n_sequences: int, batch_size: int, lr: float,
+    def manifest(self, *, config: NetworkConfig, seed: int, dataset_id: str,
+                 n_sequences: int, batch_size: int, lr: float,
                  total_wall_time_s: float) -> dict:
         return {
             "run": "train",
             "config": asdict(config),
             "seed": seed,
-            "deterministic": deterministic,
             "dataset": {"id": dataset_id, "n_sequences": n_sequences},
             "batch_size": batch_size,
             "learning_rate": lr,
@@ -108,7 +106,6 @@ def train_network(
     lr: float = 0.01,
     seed: int = 0,
     workers: int = 1,
-    deterministic: bool = False,
     out_dir=None,
     log=None,
 ) -> TrainResult:
@@ -120,8 +117,14 @@ def train_network(
     if not sequences:
         raise ConfigError("training set is empty")
     _check_labels(sequences, config)
-    if deterministic:
-        workers = 1
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not np.isfinite(lr):
+        raise ConfigError(f"lr must be finite, got {lr}")
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spdhgr import gradcheck
 from spdhgr.cli import main
 from spdhgr.network import NetworkConfig, save_config
 from spdhgr.skeleton import write_synthetic_dataset
@@ -32,7 +33,7 @@ class TestTrain:
         root, data, config = workspace
         out = root / "run1"
         code = run("train", "--config", config, "--data-root", data, "--out", out,
-                   "--epochs", 2, "--seed", 0, "--deterministic")
+                   "--epochs", 2, "--seed", 0, "--workers", 1)
         assert code == 0
         captured = capsys.readouterr().out
         assert "EPOCH 1 loss=" in captured and "FINAL" in captured
@@ -54,10 +55,26 @@ class TestTrain:
         for name in ("detA", "detB"):
             out = root / name
             assert run("train", "--config", config, "--data-root", data, "--out", out,
-                       "--epochs", 2, "--seed", 3, "--deterministic") == 0
+                       "--epochs", 2, "--seed", 3, "--workers", 1) == 0
             manifests.append(json.loads((out / "manifest.json").read_text()))
         losses = [[e["mean_loss"] for e in m["epochs"]] for m in manifests]
         assert losses[0] == losses[1]
+
+    def test_two_workers_match_serial_run(self, workspace):
+        root, data, config = workspace
+        manifests = {}
+        for workers in (1, 2):
+            out = root / f"workers{workers}"
+            assert run("train", "--config", config, "--data-root", data, "--out", out,
+                       "--epochs", 2, "--seed", 3, "--batch-size", 4,
+                       "--workers", workers) == 0
+            manifests[workers] = json.loads((out / "manifest.json").read_text())
+        for manifest in manifests.values():
+            assert "deterministic" not in manifest
+            for epoch in manifest["epochs"]:
+                del epoch["wall_time_s"]
+        assert manifests[2]["epochs"] == manifests[1]["epochs"]
+        assert manifests[2]["final"] == manifests[1]["final"]
 
     def test_bad_config_value(self, workspace, tmp_path):
         root, data, _ = workspace
@@ -226,9 +243,9 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 9
 
-    def test_corrupt_hook_fails_and_names_layer(self, capsys):
-        assert run("gradcheck", "--seed", 1, "--trials", 1, "--no-end-to-end",
-                   "--corrupt", "gauss_agg") == 1
+    def test_failing_layer_exits_1_and_is_named(self, capsys, monkeypatch):
+        monkeypatch.setitem(gradcheck.LAYER_CHECKS, "gauss_agg", lambda rng: 1.0)
+        assert run("gradcheck", "--seed", 1, "--trials", 1, "--no-end-to-end") == 1
         out = capsys.readouterr().out
         assert any("gauss_agg" in line and "FAIL" in line
                    for line in out.splitlines())
@@ -269,6 +286,36 @@ class TestAblate:
                    "--out", root / "x", "--knob", "epsilon", "--values", 1) == 2
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("classify", "-C", "0", "C must be finite and > 0, got 0.0"),
+    ("classify", "-C", "-1", "C must be finite and > 0, got -1.0"),
+    ("classify", "-C", "nan", "C must be finite and > 0, got nan"),
+    ("classify", "--tol", "nan", "tol must be finite and >= 0, got nan"),
+    ("train", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+    ("train", "--batch-size", "-3", "batch_size must be >= 1, got -3"),
+    ("train", "--epochs", "-2", "epochs must be >= 0, got -2"),
+    ("train", "--workers", "0", "workers must be >= 1, got 0"),
+    ("train", "--lr", "nan", "lr must be finite, got nan"),
+    ("gradcheck", "--trials", "0", "trials must be >= 1, got 0"),
+])
+def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
+                                            command, flag, value, message):
+    _, data, config = workspace
+    if command == "classify":
+        features = tmp_path / "f.features"
+        save_features(features, [0, 1], np.eye(2))
+        argv = ["--train-features", features, "--test-features", features]
+    elif command == "train":
+        argv = ["--config", config, "--data-root", data, "--out", tmp_path / "run"]
+    else:
+        argv = ["--no-end-to-end"]
+    assert run(command, *argv, flag, value) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +324,8 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [
         ("classify", "--train-features", "a", "--test-features", "b", "--model-out", "m"),
+        ("train", "--config", "c", "--data-root", "d", "--out", "o", "--deterministic"),
+        ("gradcheck", "--corrupt", "gauss_agg"),
         ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d",
          "--out", "o", "--seed", "1"),
     ])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from spdhgr import gradcheck
+from spdhgr.errors import InvalidInput
 from spdhgr.gradcheck import (
     LAYER_CHECKS,
     PER_LAYER_TOL,
     check_layer,
     fd_gradient,
     rel_error,
+    run_all,
 )
 from spdhgr.symmat import symmetrize
 
@@ -46,6 +49,13 @@ def test_spectral_composites_many_instances():
         )
 
 
-def test_corrupt_hook_targets_named_layer():
-    res = check_layer("gauss_agg", seed=0, trials=1, corrupt=True)
-    assert not res.passed and res.name == "gauss_agg"
+def test_failing_layer_reported_by_name(monkeypatch):
+    monkeypatch.setitem(gradcheck.LAYER_CHECKS, "gauss_agg", lambda rng: 1.0)
+    results = {res.name: res for res in run_all(trials=1, include_end_to_end=False)}
+    assert not results["gauss_agg"].passed
+    assert all(res.passed for name, res in results.items() if name != "gauss_agg")
+
+
+def test_zero_trials_rejected():
+    with pytest.raises(InvalidInput, match="trials must be >= 1, got 0"):
+        check_layer("gauss_agg", seed=0, trials=0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdhgr import layers, symmat
 from spdhgr.errors import ConfigError, InvalidInput
 from spdhgr.gradcheck import TINY_CONFIG, rel_error
 from spdhgr.layers import cross_entropy
@@ -290,3 +291,36 @@ class TestFeaturesAndIo:
                               n_chunks=2)
         with pytest.raises(ConfigError, match="shape"):
             load_params(path, other)
+
+
+def test_eigenvector_signs_do_not_change_outputs(rng, monkeypatch):
+    """Flipping random eigenvector columns of every eigendecomposition
+    (the window tables, the SPD checks and the head) leaves the forward,
+    the backward and the features bitwise equal: no sign convention is
+    needed."""
+    params = init_params(TINY, 4)
+    params.fc_weight = rng.standard_normal(params.fc_weight.shape)  # non-zero gradients
+    coords = tiny_coords(rng)
+
+    def run():
+        probs, ctx, y_final = forward(coords, params, TINY)
+        grads = backward(ctx, 1)
+        return [probs, y_final, grads.conv, grads.w_hat, grads.fc_weight,
+                grads.fc_bias, extract_features(coords, params, TINY)]
+
+    reference = run()
+    eigh_stack = symmat._eigh_stack
+    flip_rng = np.random.default_rng(0)
+    stacked = []  # per call: was it a stack of matrices (the window tables)?
+
+    def flipping_eigh_stack(a):
+        vals, vecs = eigh_stack(a)
+        stacked.append(a.ndim > 2)
+        return vals, vecs * flip_rng.choice([-1.0, 1.0], size=vals.shape)[..., None, :]
+
+    monkeypatch.setattr(symmat, "_eigh_stack", flipping_eigh_stack)
+    monkeypatch.setattr(layers, "_eigh_stack", flipping_eigh_stack)
+    flipped = run()
+    assert any(stacked) and not all(stacked)
+    for want, got in zip(reference, flipped):
+        assert np.array_equal(want, got)

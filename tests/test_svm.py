@@ -112,6 +112,18 @@ class TestSolver:
         with pytest.raises(InvalidInput):
             svm_train(np.eye(3), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(c=0.0), "C must be finite and > 0, got 0.0"),
+        (dict(c=-1.0), "C must be finite and > 0, got -1.0"),
+        (dict(c=float("nan")), "C must be finite and > 0, got nan"),
+        (dict(c=float("inf")), "C must be finite and > 0, got inf"),
+        (dict(tol=-0.5), "tol must be finite and >= 0, got -0.5"),
+        (dict(tol=float("nan")), "tol must be finite and >= 0, got nan"),
+    ])
+    def test_bad_c_or_tol_rejected(self, kwargs, message):
+        with pytest.raises(InvalidInput, match=message):
+            svm_train(np.eye(2), np.array([0, 1]), **kwargs)
+
     def test_health_numbers(self, rng):
         x, y = make_blobs(rng, n_per_class=10, n_classes=3, sep=2.0)
         model = svm_train(x, y, c=1.0, tol=1e-3, seed=0)

@@ -46,7 +46,10 @@ class TestTrainLoop:
         pooled = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=2,
                                batch_size=4, lr=0.01, seed=7, workers=3)
         assert [r.mean_loss for r in serial.epochs] == [r.mean_loss for r in pooled.epochs]
-        assert np.array_equal(serial.params.conv, pooled.params.conv)
+        assert serial.final_loss == pooled.final_loss
+        assert serial.final_accuracy == pooled.final_accuracy
+        for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
+            assert np.array_equal(getattr(serial.params, name), getattr(pooled.params, name))
 
     def test_nan_loss_aborts_with_batch_ids(self, dataset):
         params = init_params(CONFIG, 0)
@@ -61,6 +64,18 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="labels"):
             train_network(bad, init_params(CONFIG, 0), CONFIG, epochs=1)
         bad[0].label = 0  # module-scoped fixture: restore
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(batch_size=-3), "batch_size must be >= 1, got -3"),
+        (dict(epochs=-2), "epochs must be >= 0, got -2"),
+        (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(lr=float("nan")), "lr must be finite, got nan"),
+        (dict(lr=float("inf")), "lr must be finite, got inf"),
+    ])
+    def test_bad_arguments_rejected(self, dataset, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            train_network(dataset, init_params(CONFIG, 0), CONFIG, **kwargs)
 
     def test_empty_dataset(self):
         with pytest.raises(ConfigError):
@@ -84,13 +99,14 @@ class TestTrainLoop:
     def test_manifest_contents(self, dataset, tmp_path):
         result = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=2,
                                batch_size=30, lr=0.01, seed=0, out_dir=tmp_path)
-        manifest = result.manifest(config=CONFIG, seed=0, deterministic=True,
-                                   dataset_id="dhg14:train", n_sequences=len(dataset),
+        manifest = result.manifest(config=CONFIG, seed=0, dataset_id="dhg14:train",
+                                   n_sequences=len(dataset),
                                    batch_size=30, lr=0.01, total_wall_time_s=1.0)
         assert manifest["config"]["d_out_s"] == CONFIG.d_out_s
         assert len(manifest["epochs"]) == 2
         assert {"epoch", "mean_loss", "accuracy", "wall_time_s"} <= set(manifest["epochs"][0])
         assert manifest["dataset"]["id"] == "dhg14:train"
+        assert "deterministic" not in manifest
 
 
 class TestEvaluate:
