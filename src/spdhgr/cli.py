@@ -73,7 +73,6 @@ def cmd_train(args) -> int:
     if not sequences:
         raise ConfigError(f"split {args.split!r} of {args.data_root} is empty")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(config, args.seed)
     t_start = time.perf_counter()
     result = train_network(

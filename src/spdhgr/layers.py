@@ -23,12 +23,22 @@ Rectification followed by the logarithm (ReEig then LogEig) is one
 spectral function, f = log(max(v, eps)), and the head's LogEig is
 f = log; both run through `symmat.spectral_apply` and
 `symmat.spectral_grad`, the one spectral map of the package.
+
+The window tables' spectral maps and the per-block products of the
+aggregation backward treat each matrix of a stack alone. On two or more
+usable cores `_split_stack` shares such a stack between the caller and
+one worker thread and joins the pieces in order, so results are
+bitwise those of one call. The split stays inside the calling layer,
+so timing a layer from outside still covers its work.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -181,17 +191,105 @@ def gauss_agg_backward(ctx: GaussAggContext, grad_out: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# stacks split over two threads
+
+
+def _new_table_pool() -> None:
+    """One worker thread; it starts on the first submit, not at import.
+
+    A forked child inherits the pool but not its thread, so it gets a new one.
+    """
+    global _table_pool
+    _table_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spdhgr-table")
+
+
+_new_table_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_table_pool)
+
+
+def table_threads() -> int:
+    """Threads `_split_stack` shares a stack between: 2 on two or more
+    usable cores, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return 2 if cores >= 2 else 1
+
+
+STACK_PIECES = 4  # a split stack is cut into this many pieces
+
+
+def _split_stack(fn, *stacks):
+    """``fn`` over the leading axis of ``stacks``; outputs joined along it.
+
+    ``fn`` works on each matrix of a stack alone and returns a stack or a
+    tuple of stacks. With two table threads the stack is cut into
+    `STACK_PIECES` pieces, and the caller and the worker each take the
+    next piece nobody has taken until none is left. Pieces join in order,
+    so the result is bitwise that of one call. The caller waits only for
+    a piece the worker has in hand, never for a worker that took none, so
+    a worker that starts late (its core busy) costs no more than a serial
+    call. A failure is raised once the worker's piece in hand is done; one
+    of the worker reaches the caller unchanged. ``fn`` must not call back
+    into this function, since the worker never waits on itself.
+    """
+    n = stacks[0].shape[0]
+    if n < 2 or table_threads() == 1:
+        return fn(*stacks)
+    count = min(n, STACK_PIECES)
+    bounds = [n * k // count for k in range(count + 1)]
+    pieces = [None] * count
+    lock = threading.Lock()
+    taken = 0
+
+    def take_pieces():
+        nonlocal taken
+        while True:
+            with lock:
+                i, taken = taken, taken + 1
+            if i >= count:
+                return
+            pieces[i] = fn(*(s[bounds[i] : bounds[i + 1]] for s in stacks))
+
+    future = _table_pool.submit(take_pieces)
+    try:
+        take_pieces()
+    except BaseException:
+        with lock:
+            taken = count  # the worker takes no further piece
+        future.exception()  # wait for the piece it has in hand
+        raise
+    if any(piece is None for piece in pieces):
+        future.result()  # the worker's piece in hand; raises its failure
+    if isinstance(pieces[0], np.ndarray):
+        return np.concatenate(pieces)
+    return tuple(np.concatenate(parts) for parts in zip(*pieces))
+
+
+# ---------------------------------------------------------------------------
 # rectified log map of the window tables
 
 
+def _rect_log_vec_rows(mats: np.ndarray, eps: float):
+    vals, vecs = _eigh_stack(mats)
+    rect = np.maximum(vals, eps)
+    return _sym_vectorize_stack(spectral_apply(vecs, np.log(rect))), vecs, vals, rect
+
+
 def _rect_log_vec_stack(mats: np.ndarray, eps: float):
-    """Batched ReEig -> LogEig -> half-vectorization over (..., m, m).
+    """Batched ReEig -> LogEig -> half-vectorization over (n, m, m).
 
     The cache is (eigenvectors, eigenvalues, rectified eigenvalues).
     """
-    vals, vecs = _eigh_stack(mats)
-    rect = np.maximum(vals, eps)
-    return _sym_vectorize_stack(spectral_apply(vecs, np.log(rect))), (vecs, vals, rect)
+    rows, vecs, vals, rect = _split_stack(partial(_rect_log_vec_rows, eps=eps), mats)
+    return rows, (vecs, vals, rect)
+
+
+def _rect_log_vec_grad_rows(vecs, vals, rect, grad_vecs_flat, eps: float):
+    g = _sym_unvectorize_grad_stack(grad_vecs_flat, vals.shape[-1])
+    return spectral_grad(vecs, vals, np.log(rect), np.where(vals > eps, 1.0 / rect, 0.0), g)
 
 
 def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> np.ndarray:
@@ -199,9 +297,7 @@ def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> n
 
     f' of log(max(v, eps)) is zero at and below eps.
     """
-    vecs, vals, rect = cache
-    g = _sym_unvectorize_grad_stack(grad_vecs_flat, vals.shape[-1])
-    return spectral_grad(vecs, vals, np.log(rect), np.where(vals > eps, 1.0 / rect, 0.0), g)
+    return _split_stack(partial(_rect_log_vec_grad_rows, eps=eps), *cache, grad_vecs_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +533,10 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
     return y, SpdAggContext(xs=xs, w_hat=w_hat, wx=wx, output=y, out_eig=eig)
 
 
+def _agg_grad_blocks(blocks, wx, g):
+    return (np.swapaxes(blocks, 1, 2) @ g) @ blocks, 2.0 * g @ wx
+
+
 def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray):
     """Per-input gradients and the Euclidean gradient of the combined weight.
 
@@ -450,9 +550,8 @@ def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray):
              f"gradient must be {d_out}x{d_out}, got {grad_out.shape}")
     g = symmetrize(grad_out)
     n, d_in = ctx.xs.shape[0], ctx.xs.shape[1]
-    blocks = _w_blocks(ctx.w_hat, n, d_in)
-    grad_xs = (np.swapaxes(blocks, 1, 2) @ g) @ blocks
-    grad_blocks = 2.0 * g @ ctx.wx
+    grad_xs, grad_blocks = _split_stack(partial(_agg_grad_blocks, g=g),
+                                        _w_blocks(ctx.w_hat, n, d_in), ctx.wx)
     grad_w_hat = grad_blocks.swapaxes(0, 1).reshape(d_out, n * d_in)
     return grad_xs, grad_w_hat
 

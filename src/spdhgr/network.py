@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, InvalidInput
 from .layers import (
     BranchContext,
@@ -306,6 +307,7 @@ def _as_grid_coords(seq, config: NetworkConfig) -> np.ndarray:
 
 def forward(seq, params: NetworkParams, config: NetworkConfig):
     """Run the full pipeline; returns (probs, context, final SPD matrix)."""
+    blas.hold_one_thread()
     coords = _as_grid_coords(seq, config)
     grid = JointGrid(config.grid_mode)
     feats, conv_ctx = conv_forward(coords, params.conv, grid)

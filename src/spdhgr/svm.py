@@ -125,6 +125,8 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
     """Train one-vs-rest weight vectors over the observed classes."""
     if not (np.isfinite(c) and c > 0.0):
         raise InvalidInput(f"C must be finite and > 0, got {c}")
+    if not np.isfinite(1.0 / (2.0 * float(c))):  # the dual's diagonal shift
+        raise InvalidInput(f"C must be large enough for a finite 1/(2C), got {c}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
     x = np.asarray(x, dtype=np.float64)

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, NumericalFailure
-from .layers import cross_entropy
+from .layers import cross_entropy, table_threads
 from .network import (
     GradientSet,
     NetworkConfig,
@@ -57,6 +58,7 @@ class TrainResult:
             "final": {"mean_loss": self.final_loss, "accuracy": self.final_accuracy},
             "checkpoints": self.checkpoints,
             "total_wall_time_s": total_wall_time_s,
+            "threads": {"window_tables": table_threads(), "blas_held": blas.held()},
         }
 
 

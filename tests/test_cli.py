@@ -290,6 +290,7 @@ class TestAblate:
     ("classify", "-C", "0", "C must be finite and > 0, got 0.0"),
     ("classify", "-C", "-1", "C must be finite and > 0, got -1.0"),
     ("classify", "-C", "nan", "C must be finite and > 0, got nan"),
+    ("classify", "-C", "1e-320", "C must be large enough for a finite 1/(2C), got 1e-320"),
     ("classify", "--tol", "nan", "tol must be finite and >= 0, got nan"),
     ("train", "--batch-size", "0", "batch_size must be >= 1, got 0"),
     ("train", "--batch-size", "-3", "batch_size must be >= 1, got -3"),
@@ -313,7 +314,7 @@ def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert "PASS" not in captured.out
-    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert not (tmp_path / "run").exists()
 
 
 class TestUsage:

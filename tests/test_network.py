@@ -1,8 +1,13 @@
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from spdhgr import layers, symmat
-from spdhgr.errors import ConfigError, InvalidInput
+from spdhgr import blas, layers, network, symmat
+from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
 from spdhgr.gradcheck import TINY_CONFIG, rel_error
 from spdhgr.layers import cross_entropy
 from spdhgr.network import (
@@ -291,6 +296,160 @@ class TestFeaturesAndIo:
                               n_chunks=2)
         with pytest.raises(ConfigError, match="shape"):
             load_params(path, other)
+
+
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestTableThreads:
+    """Window tables and aggregation blocks shared by the caller and one worker."""
+
+    @staticmethod
+    def _outputs(coords, params, config=TINY):
+        probs, ctx, y_final = forward(coords, params, config)
+        grads = backward(ctx, 1)
+        return [probs, y_final, extract_features(coords, params, config),
+                grads.conv, grads.w_hat, grads.fc_weight, grads.fc_bias]
+
+    @pytest.mark.parametrize("variant", ["st_ts", "st_only", "ts_only"])
+    def test_two_threads_and_one_bitwise_equal(self, rng, monkeypatch, variant):
+        config = NetworkConfig(n_classes=3, d_out_c=2, d_out_s=4, n_frames=12,
+                               n_chunks=2, variant=variant)
+        params = init_params(config, 4)
+        params.fc_weight = 0.1 * rng.standard_normal(params.fc_weight.shape)
+        coords = tiny_coords(rng, config)
+        ran_on = []
+        rows = layers._rect_log_vec_rows
+
+        def recording(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.01)  # leave the worker pieces to take
+            return rows(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "_rect_log_vec_rows", recording)
+        _usable_cores(monkeypatch, 2)
+        assert layers.table_threads() == 2
+        two = self._outputs(coords, params, config)
+        assert threading.main_thread() in ran_on
+        assert any(t is not threading.main_thread() for t in ran_on)
+        _usable_cores(monkeypatch, 1)
+        assert layers.table_threads() == 1
+        ran_on.clear()
+        one = self._outputs(coords, params, config)
+        assert ran_on and set(ran_on) == {threading.main_thread()}
+        for a, b in zip(two, one):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_core_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(layers.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(layers.os, "cpu_count", lambda: 4)
+        assert layers.table_threads() == 2
+        monkeypatch.setattr(layers.os, "cpu_count", lambda: None)
+        assert layers.table_threads() == 1
+
+    def test_busy_worker_is_not_waited_for(self, rng, monkeypatch):
+        """With the worker blocked, the caller takes every piece itself."""
+        params, coords = init_params(TINY, 0), tiny_coords(rng)
+        _usable_cores(monkeypatch, 1)
+        serial = self._outputs(coords, params)
+        _usable_cores(monkeypatch, 2)
+        release = threading.Event()
+        blocker = layers._table_pool.submit(release.wait, 30)
+        try:
+            start = time.perf_counter()
+            split = self._outputs(coords, params)
+            assert time.perf_counter() - start < 10 and not release.is_set()
+        finally:
+            release.set()
+        blocker.result(timeout=30)
+        for a, b in zip(split, serial):
+            assert a.tobytes() == b.tobytes()
+
+    def test_worker_failure_reaches_caller(self, rng, monkeypatch):
+        _usable_cores(monkeypatch, 2)
+        raised_on = []
+        eigh_stack = layers._eigh_stack
+
+        def failing_off_main(a):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)  # leave the worker a piece to take
+                return eigh_stack(a)
+            raised_on.append(threading.current_thread())
+            raise NumericalFailure("eigendecomposition did not converge: window 7")
+
+        monkeypatch.setattr(layers, "_eigh_stack", failing_off_main)
+        with pytest.raises(NumericalFailure, match="did not converge: window 7"):
+            forward(tiny_coords(rng), init_params(TINY, 0), TINY)
+        assert raised_on
+
+    def test_caller_failure_waits_for_worker(self, rng, monkeypatch):
+        _usable_cores(monkeypatch, 2)
+        started, finished = [], []
+        eigh_stack = layers._eigh_stack
+
+        def failing_on_main(a):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)  # leave the worker a piece to take
+                raise NumericalFailure("caller piece failed")
+            started.append(a.shape)
+            time.sleep(0.2)
+            result = eigh_stack(a)
+            finished.append(a.shape)
+            return result
+
+        monkeypatch.setattr(layers, "_eigh_stack", failing_on_main)
+        with pytest.raises(NumericalFailure, match="caller piece failed"):
+            forward(tiny_coords(rng), init_params(TINY, 0), TINY)
+        assert started and finished == started
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+    def test_forked_child_gets_its_own_worker(self, rng, monkeypatch):
+        """A child forked after a pass started the worker still finishes a pass."""
+        _usable_cores(monkeypatch, 2)
+        params, coords = init_params(TINY, 0), tiny_coords(rng)
+        probs = forward(coords, params, TINY)[0]
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(
+            target=lambda: queue.put(forward(coords, params, TINY)[0].tobytes()))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        assert queue.get(timeout=5) == probs.tobytes()
+
+    def test_first_forward_sets_openblas_to_one_thread(self, rng, monkeypatch):
+        controls = blas._find_controls()
+        if controls is None:
+            pytest.skip("numpy's OpenBLAS exports no thread controls")
+        get, set_ = controls
+        original = get()
+        monkeypatch.setattr(blas, "_held", None)
+        set_(2)
+        try:
+            inside = []
+            head_forward = network.head_forward
+
+            def recording(*args, **kwargs):
+                inside.append(get())
+                return head_forward(*args, **kwargs)
+
+            monkeypatch.setattr(network, "head_forward", recording)
+            assert not blas.held()
+            extract_features(tiny_coords(rng), init_params(TINY, 0), TINY)
+            assert inside == [1] and get() == 1 and blas.held()
+        finally:
+            set_(original)
+
+    def test_blas_left_alone_without_controls(self, rng, monkeypatch):
+        monkeypatch.setattr(blas, "_held", None)
+        monkeypatch.setattr(blas, "_find_controls", lambda: None)
+        forward(tiny_coords(rng), init_params(TINY, 0), TINY)
+        assert not blas.held()
 
 
 def test_eigenvector_signs_do_not_change_outputs(rng, monkeypatch):

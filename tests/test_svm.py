@@ -119,6 +119,7 @@ class TestSolver:
         (dict(c=float("inf")), "C must be finite and > 0, got inf"),
         (dict(tol=-0.5), "tol must be finite and >= 0, got -0.5"),
         (dict(tol=float("nan")), "tol must be finite and >= 0, got nan"),
+        (dict(c=1e-320), "C must be large enough for a finite 1/\\(2C\\), got 1e-320"),
     ])
     def test_bad_c_or_tol_rejected(self, kwargs, message):
         with pytest.raises(InvalidInput, match=message):

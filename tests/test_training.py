@@ -107,6 +107,9 @@ class TestTrainLoop:
         assert {"epoch", "mean_loss", "accuracy", "wall_time_s"} <= set(manifest["epochs"][0])
         assert manifest["dataset"]["id"] == "dhg14:train"
         assert "deterministic" not in manifest
+        threads = manifest["threads"]
+        assert threads["window_tables"] in (1, 2)
+        assert isinstance(threads["blas_held"], bool)
 
 
 class TestEvaluate:
