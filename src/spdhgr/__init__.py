@@ -17,7 +17,6 @@ from .errors import (
     SpdHgrError,
 )
 from .network import (
-    GradientSet,
     NetworkConfig,
     NetworkParams,
     backward,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchPlan",
     "ConfigError",
-    "GradientSet",
     "InvalidInput",
     "JointGrid",
     "NetworkConfig",

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError
 from .gradcheck import run_all
 from .network import (
+    VARIANTS,
     extract_features,
     init_params,
     load_config,
@@ -25,7 +26,7 @@ from .network import (
     save_config,
 )
 from .optim import write_atomic
-from .skeleton import load_dhg, load_fpha, resample
+from .skeleton import GRID_MODES, load_dhg, load_fpha, resample
 from .svm import load_features, save_features, svm_predict_batch, svm_train
 from .training import train_network
 
@@ -53,9 +54,9 @@ def _resample_all(sequences, n_frames: int):
 
 def _config_overrides(args) -> dict:
     overrides = {}
-    if getattr(args, "variant", None):
+    if args.variant:
         overrides["variant"] = args.variant
-    if getattr(args, "grid_mode", None):
+    if args.grid_mode:
         overrides["grid_mode"] = args.grid_mode
     return overrides
 
@@ -175,14 +176,11 @@ def cmd_ablate(args) -> int:
             f"unknown ablation knob {args.knob!r}; choices: {sorted(ABLATION_KNOBS)}"
         )
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     for value in args.values:
         config = load_config(args.config, overrides={**_config_overrides(args),
                                                      field: value})
         run_dir = out_root / f"{args.knob}_{value}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-
         splits = {
             split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
                                  config.n_frames)
@@ -219,9 +217,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=15)
     parser.add_argument("--batch-size", type=int, default=30)
     parser.add_argument("--lr", type=float, default=0.01)
-    parser.add_argument("--variant", choices=("st_ts", "st_only", "ts_only"),
-                        default=None, help="override the config variant")
-    parser.add_argument("--grid-mode", choices=("full", "physical"), default=None,
+    _add_model_and_data(parser)
+
+
+def _add_model_and_data(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--variant", choices=VARIANTS, default=None,
+                        help="override the config variant")
+    parser.add_argument("--grid-mode", choices=GRID_MODES, default=None,
                         help="override the config grid mode")
     parser.add_argument("--dataset", choices=DATASETS, default="dhg14")
 
@@ -247,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-root", required=True)
     p.add_argument("--split", default="train")
     p.add_argument("--out", required=True)
-    p.add_argument("--variant", choices=("st_ts", "st_only", "ts_only"), default=None)
-    p.add_argument("--grid-mode", choices=("full", "physical"), default=None)
-    p.add_argument("--dataset", choices=DATASETS, default="dhg14")
+    _add_model_and_data(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("classify", help="train/evaluate the linear SVM on feature files")

@@ -10,6 +10,7 @@ trainable parameter entry.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import layers
 from .errors import InvalidInput
 from .layers import cross_entropy
-from .network import NetworkConfig, NetworkParams, backward, forward, init_params
+from .network import NetworkConfig, backward, forward, init_params
 from .optim import stiefel_init
 from .skeleton import JointGrid, N_FILTERS, N_GRID_NODES
 from .symmat import (
@@ -268,16 +269,12 @@ def check_end_to_end(seed: int, config: NetworkConfig = TINY_CONFIG) -> CheckRes
     grads = backward(ctx, label)
 
     def loss_with(**replacement):
-        attrs = {
-            "conv": params.conv, "w_hat": params.w_hat,
-            "fc_weight": params.fc_weight, "fc_bias": params.fc_bias,
-        }
-        attrs.update(replacement)
-        p, _, _ = forward(coords, NetworkParams(**attrs), config)
+        p, _, _ = forward(coords, dataclasses.replace(params, **replacement), config)
         return cross_entropy(p, label)
 
     worst = 0.0
-    for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
+    for field in dataclasses.fields(params):
+        name = field.name
         fd = fd_gradient(lambda v, name=name: loss_with(**{name: v}), getattr(params, name))
         worst = max(worst, rel_error(getattr(grads, name), fd))
     return CheckResult(name="end_to_end", max_rel_err=worst, tol=END_TO_END_TOL, trials=1)

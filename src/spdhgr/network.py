@@ -15,6 +15,7 @@ between sub-sequences are computed once per sequence; see `layers`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +53,9 @@ from .skeleton import (
 )
 from .symmat import tri_length
 
-VARIANTS = ("st_ts", "st_only", "ts_only")
+# variant -> the branch families it runs, in weight-block order
+FAMILIES = {"st_ts": ("st", "ts"), "st_only": ("st",), "ts_only": ("ts",)}
+VARIANTS = tuple(FAMILIES)
 ENV_PREFIX = "SPDHGR_"
 
 
@@ -78,7 +81,7 @@ class NetworkConfig:
 
     @property
     def n_inputs(self) -> int:
-        return 60 if self.variant == "st_ts" else 30
+        return 30 * len(FAMILIES[self.variant])
 
     @property
     def feature_dim(self) -> int:
@@ -100,19 +103,20 @@ class NetworkConfig:
             problems.append(f"t0 must be >= 1, got {self.t0}")
         if self.n_chunks < 2:
             problems.append(f"n_chunks must be >= 2, got {self.n_chunks}")
-        if self.epsilon <= 0:
-            problems.append(f"epsilon must be > 0, got {self.epsilon}")
-        if self.ridge < 0:
-            problems.append(f"ridge must be >= 0, got {self.ridge}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            problems.append(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            problems.append(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.n_frames < 6:
             problems.append(f"n_frames must be >= 6, got {self.n_frames}")
         else:
             shortest = self.n_frames // 3  # shortest branch: first third
-            if self.variant != "ts_only" and shortest < 2 * self.t0 + 1:
+            families = FAMILIES.get(self.variant, ())
+            if "st" in families and shortest < 2 * self.t0 + 1:
                 problems.append(
                     f"shortest branch ({shortest} frames) cannot hold a window of {2 * self.t0 + 1}"
                 )
-            if self.variant != "st_only" and shortest < 2 * self.n_chunks:
+            if "ts" in families and shortest < 2 * self.n_chunks:
                 problems.append(
                     f"shortest branch ({shortest} frames) cannot hold {self.n_chunks} chunks"
                 )
@@ -126,22 +130,16 @@ class NetworkConfig:
         return self
 
 
-_INT_FIELDS = {"n_classes", "d_out_c", "d_out_s", "n_frames", "t0", "n_chunks"}
-_FLOAT_FIELDS = {"epsilon", "ridge"}
-_STR_FIELDS = {"variant", "grid_mode"}
+_PARSERS = {"int": int, "float": float, "str": str}  # by annotation
 
 
 def config_from_mapping(mapping: dict[str, str]) -> NetworkConfig:
+    parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(NetworkConfig)}
     kwargs = {}
     for key, value in mapping.items():
-        if key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(value)
-        elif key in _STR_FIELDS:
-            kwargs[key] = value
-        else:
+        if key not in parsers:
             raise ConfigError(f"unknown config key {key!r}")
+        kwargs[key] = parsers[key](value)
     if "n_classes" not in kwargs:
         raise ConfigError("config must set n_classes")
     return NetworkConfig(**kwargs).validate()
@@ -167,10 +165,10 @@ def load_config(path, overrides: dict[str, str] | None = None, env=None) -> Netw
             key, _, value = stripped.partition("=")
             mapping[key.strip()] = value.strip()
     env = os.environ if env is None else env
-    for field in _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS:
-        env_val = env.get(ENV_PREFIX + field.upper())
+    for field in dataclasses.fields(NetworkConfig):
+        env_val = env.get(ENV_PREFIX + field.name.upper())
         if env_val is not None:
-            mapping[field] = env_val
+            mapping[field.name] = env_val
     for key, value in (overrides or {}).items():
         mapping[key] = str(value)
     try:
@@ -193,41 +191,38 @@ def save_config(path, config: NetworkConfig) -> None:
 
 @dataclass
 class NetworkParams:
+    """The trainable tensors, or their gradients (same fields, same shapes)."""
+
     conv: np.ndarray  # (9, d_out_c, 3)
     w_hat: np.ndarray  # (d_out_s, n_inputs * d_in_s), row-orthonormal
     fc_weight: np.ndarray  # (n_classes, d_out_s^2)
     fc_bias: np.ndarray  # (n_classes,)
 
-
-@dataclass
-class GradientSet:
-    conv: np.ndarray
-    w_hat: np.ndarray
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
-
-    def add_(self, other: "GradientSet") -> "GradientSet":
-        self.conv += other.conv
-        self.w_hat += other.w_hat
-        self.fc_weight += other.fc_weight
-        self.fc_bias += other.fc_bias
+    def add_(self, other: NetworkParams) -> NetworkParams:
+        for field in dataclasses.fields(self):
+            tensor = getattr(self, field.name)
+            tensor += getattr(other, field.name)
         return self
 
-    def scale_(self, factor: float) -> "GradientSet":
-        self.conv *= factor
-        self.w_hat *= factor
-        self.fc_weight *= factor
-        self.fc_bias *= factor
+    def scale_(self, factor: float) -> NetworkParams:
+        for field in dataclasses.fields(self):
+            tensor = getattr(self, field.name)
+            tensor *= factor
         return self
 
-    @staticmethod
-    def zeros_like(params: NetworkParams) -> "GradientSet":
-        return GradientSet(
-            conv=np.zeros_like(params.conv),
-            w_hat=np.zeros_like(params.w_hat),
-            fc_weight=np.zeros_like(params.fc_weight),
-            fc_bias=np.zeros_like(params.fc_bias),
-        )
+    def zeros_like(self) -> NetworkParams:
+        return NetworkParams(**{field.name: np.zeros_like(getattr(self, field.name))
+                                for field in dataclasses.fields(self)})
+
+
+# NetworkParams field -> (checkpoint tensor name, its shape under a config),
+# in checkpoint file order
+PARAM_TENSORS = {
+    "conv": ("conv_weights", lambda c: (N_FILTERS, c.d_out_c, 3)),
+    "w_hat": ("spdagg_w_hat", lambda c: (c.d_out_s, c.n_inputs * c.d_in_s)),
+    "fc_weight": ("fc_weight", lambda c: (c.n_classes, c.d_out_s * c.d_out_s)),
+    "fc_bias": ("fc_bias", lambda c: (c.n_classes,)),
+}
 
 
 def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
@@ -236,49 +231,33 @@ def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
     ss = np.random.SeedSequence(seed)
     conv_seed, stiefel_seed = ss.generate_state(2)
     rng = np.random.default_rng(conv_seed)
+    shapes = {field: shape(config) for field, (_, shape) in PARAM_TENSORS.items()}
     bound = np.sqrt(3.0 / (3.0 * config.d_out_c))
-    conv = rng.uniform(-bound, bound, size=(N_FILTERS, config.d_out_c, 3))
-    w_hat = stiefel_init(config.d_out_s, config.n_inputs * config.d_in_s, int(stiefel_seed))
-    fc_weight = np.zeros((config.n_classes, config.d_out_s * config.d_out_s))
-    fc_bias = np.zeros(config.n_classes)
-    return NetworkParams(conv=conv, w_hat=w_hat, fc_weight=fc_weight, fc_bias=fc_bias)
-
-
-def expected_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    return {
-        "conv_weights": (N_FILTERS, config.d_out_c, 3),
-        "spdagg_w_hat": (config.d_out_s, config.n_inputs * config.d_in_s),
-        "fc_weight": (config.n_classes, config.d_out_s * config.d_out_s),
-        "fc_bias": (config.n_classes,),
-    }
+    conv = rng.uniform(-bound, bound, size=shapes["conv"])
+    w_hat = stiefel_init(*shapes["w_hat"], int(stiefel_seed))
+    return NetworkParams(conv=conv, w_hat=w_hat, fc_weight=np.zeros(shapes["fc_weight"]),
+                         fc_bias=np.zeros(shapes["fc_bias"]))
 
 
 def save_params(path, params: NetworkParams) -> None:
-    save_checkpoint(path, {
-        "conv_weights": params.conv,
-        "spdagg_w_hat": params.w_hat,
-        "fc_weight": params.fc_weight,
-        "fc_bias": params.fc_bias,
-    })
+    save_checkpoint(path, {name: getattr(params, field)
+                           for field, (name, _) in PARAM_TENSORS.items()})
 
 
 def load_params(path, config: NetworkConfig) -> NetworkParams:
     tensors = load_checkpoint(path)
-    expected = expected_shapes(config)
-    for name, shape in expected.items():
+    params = {}
+    for field, (name, shape) in PARAM_TENSORS.items():
         if name not in tensors:
             raise ConfigError(f"checkpoint {path} is missing tensor {name!r}")
-        if tensors[name].shape != shape:
+        want = shape(config)
+        if tensors[name].shape != want:
             raise ConfigError(
                 f"checkpoint {path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"config expects {shape}"
+                f"config expects {want}"
             )
-    return NetworkParams(
-        conv=tensors["conv_weights"],
-        w_hat=tensors["spdagg_w_hat"],
-        fc_weight=tensors["fc_weight"],
-        fc_bias=tensors["fc_bias"],
-    )
+        params[field] = tensors[name]
+    return NetworkParams(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +294,14 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     branches = [(spec.frame_range[0] - 1, spec.frame_range[1],
                  [grid_node_index(j) for j in spec.joints]) for spec in plan.entries]
 
+    # each family's layer and window size (t0 or chunk count)
+    family_layers = {"st": (st_branch_forward, config.t0),
+                     "ts": (ts_branch_forward, config.n_chunks)}
     inputs = []
     contexts = []
-    if config.variant in ("st_ts", "st_only"):
-        y, ctx = st_branch_forward(feats, config.t0, config.epsilon, config.ridge,
-                                   branches=branches)
-        inputs.append(y)
-        contexts.append(ctx)
-    if config.variant in ("st_ts", "ts_only"):
-        y, ctx = ts_branch_forward(feats, config.n_chunks, config.epsilon, config.ridge,
-                                   branches=branches)
+    for family in FAMILIES[config.variant]:
+        layer, size = family_layers[family]
+        y, ctx = layer(feats, size, config.epsilon, config.ridge, branches=branches)
         inputs.append(y)
         contexts.append(ctx)
 
@@ -336,7 +313,7 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     return probs, ctx, y_final
 
 
-def backward(ctx: ForwardContext, true_label: int) -> GradientSet:
+def backward(ctx: ForwardContext, true_label: int) -> NetworkParams:
     """Full-chain gradients for all trainable tensors.
 
     The aggregation-weight gradient is Euclidean (pre tangent
@@ -352,8 +329,8 @@ def backward(ctx: ForwardContext, true_label: int) -> GradientSet:
         grad_feats += branch_backward(bctx, grad_xs[first : first + n])
         first += n
     _, grad_conv = conv_backward(ctx.conv, grad_feats)
-    return GradientSet(conv=grad_conv, w_hat=grad_w_hat,
-                       fc_weight=grad_fc, fc_bias=grad_bias)
+    return NetworkParams(conv=grad_conv, w_hat=grad_w_hat,
+                         fc_weight=grad_fc, fc_bias=grad_bias)
 
 
 def extract_features(seq, params: NetworkParams, config: NetworkConfig) -> np.ndarray:

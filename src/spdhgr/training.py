@@ -16,14 +16,7 @@ import numpy as np
 from . import blas
 from .errors import ConfigError, NumericalFailure
 from .layers import cross_entropy, table_threads
-from .network import (
-    GradientSet,
-    NetworkConfig,
-    NetworkParams,
-    backward,
-    forward,
-    save_params,
-)
+from .network import NetworkConfig, NetworkParams, backward, forward, save_params
 from .optim import euclid_sgd_step, stiefel_step
 from .skeleton import SkeletonSequence
 
@@ -77,7 +70,7 @@ def _item_pass(seq: SkeletonSequence, params: NetworkParams, config: NetworkConf
     return loss, int(np.argmax(probs)) == seq.label, grads
 
 
-def _apply_updates(params: NetworkParams, grads: GradientSet, lr: float) -> NetworkParams:
+def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
     return NetworkParams(
         conv=euclid_sgd_step(params.conv, grads.conv, lr),
         w_hat=stiefel_step(params.w_hat, grads.w_hat, lr),
@@ -151,7 +144,7 @@ def train_network(
                 # each item's gradients join the total as they arrive, in
                 # submission order, so at most the in-flight ones are held
                 losses = []
-                total = GradientSet.zeros_like(params)
+                total = params.zeros_like()
                 for loss, correct, grads in results:
                     losses.append(loss)
                     epoch_correct += correct

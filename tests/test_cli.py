@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestTrain:
         assert code == 2
         assert want in err and "Traceback" not in err
 
+    def test_non_finite_ridge_exits_2(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.cfg"
+        save_config(bad, dataclasses.replace(TINY, ridge=float("nan")))
+        assert run("train", "--config", bad, "--data-root", data,
+                   "--out", tmp_path / "o", "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert "ridge must be finite and >= 0, got nan" in err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -159,6 +170,30 @@ class TestExtract:
         assert run("extract", "--checkpoint", trained, "--config", other,
                    "--data-root", data, "--split", "train",
                    "--out", tmp_path / "x.features") == 2
+
+    def test_variant_and_grid_mode_flags_reach_the_config(self, workspace, tmp_path,
+                                                          capsys):
+        root, data, config = workspace
+        flags = ("--variant", "ts_only", "--grid-mode", "physical")
+        run_dir = tmp_path / "ts_physical"
+        assert run("train", "--config", config, "--data-root", data, "--out", run_dir,
+                   "--epochs", 1, *flags) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"]["variant"] == "ts_only"
+        assert manifest["config"]["grid_mode"] == "physical"
+        ckpt = run_dir / "epoch_01.ckpt"
+        out = tmp_path / "ts.features"
+        assert run("extract", "--checkpoint", ckpt, "--config", config,
+                   "--data-root", data, "--split", "test", "--out", out, *flags) == 0
+        assert load_features(out)[1].shape == (4, TINY.feature_dim)
+        capsys.readouterr()
+        # the config file's st_ts weight is twice as wide as the checkpoint's
+        assert run("extract", "--checkpoint", ckpt, "--config", config,
+                   "--data-root", data, "--split", "test",
+                   "--out", tmp_path / "st_ts.features") == 2
+        err = capsys.readouterr().err
+        assert "tensor 'spdagg_w_hat' has shape (8, 210), config expects (8, 420)" in err
+        assert not (tmp_path / "st_ts.features").exists()
 
     def test_output_in_missing_directory(self, workspace, trained, tmp_path, capsys):
         root, data, config = workspace
@@ -297,6 +332,10 @@ class TestAblate:
     ("train", "--epochs", "-2", "epochs must be >= 0, got -2"),
     ("train", "--workers", "0", "workers must be >= 1, got 0"),
     ("train", "--lr", "nan", "lr must be finite, got nan"),
+    ("ablate", "--batch-size", "0", "batch_size must be >= 1, got 0"),
+    ("ablate", "--lr", "nan", "lr must be finite, got nan"),
+    ("ablate", "--data-root", "absent", "data root does not exist"),
+    ("ablate", "--values", "0", "t0 must be >= 1, got 0"),
     ("gradcheck", "--trials", "0", "trials must be >= 1, got 0"),
 ])
 def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
@@ -306,8 +345,12 @@ def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
         features = tmp_path / "f.features"
         save_features(features, [0, 1], np.eye(2))
         argv = ["--train-features", features, "--test-features", features]
-    elif command == "train":
+    elif command in ("train", "ablate"):
         argv = ["--config", config, "--data-root", data, "--out", tmp_path / "run"]
+        if command == "ablate":
+            argv += ["--knob", "t0", "--values", "1", "--epochs", "1"]
+        if flag == "--data-root":
+            value = tmp_path / value
     else:
         argv = ["--no-end-to-end"]
     assert run(command, *argv, flag, value) == 2

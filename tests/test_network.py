@@ -23,7 +23,7 @@ from spdhgr.network import (
     save_config,
     save_params,
 )
-from spdhgr.optim import stiefel_error
+from spdhgr.optim import load_checkpoint, save_checkpoint, stiefel_error
 from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence
 from spdhgr.symmat import spd_log, spectral_grad, sym_vectorize
 
@@ -73,6 +73,12 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError):
                 NetworkConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("key", ["epsilon", "ridge"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_and_ridge(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            NetworkConfig(n_classes=2, **{key: value}).validate()
 
     def test_branch_feasibility(self):
         # shortest branch (a third) must hold the window and the chunks
@@ -287,6 +293,22 @@ class TestFeaturesAndIo:
         loaded = load_params(path, TINY)
         for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
+
+    def test_checkpoint_tensor_names_and_bytes(self, tmp_path):
+        """The checkpoint format of docs/formats.md: four named tensors in
+        this order, byte for byte the container of the same dict."""
+        params = init_params(TINY, 9)
+        path, by_hand = tmp_path / "p.ckpt", tmp_path / "by_hand.ckpt"
+        save_params(path, params)
+        save_checkpoint(by_hand, {
+            "conv_weights": params.conv,
+            "spdagg_w_hat": params.w_hat,
+            "fc_weight": params.fc_weight,
+            "fc_bias": params.fc_bias,
+        })
+        assert list(load_checkpoint(path)) == [
+            "conv_weights", "spdagg_w_hat", "fc_weight", "fc_bias"]
+        assert path.read_bytes() == by_hand.read_bytes()
 
     def test_load_with_mismatched_config(self, tmp_path):
         params = init_params(TINY, 9)
