@@ -1,9 +1,14 @@
 """Network layers: grid convolution, Gaussian aggregation, spectral
 nonlinearities, branch pipelines, SPD aggregation, and the classifier head.
 
-Every forward returns (output, context); the context caches exactly what
-the matching hand-written backward consumes, including the forward's
-eigendecompositions so forward and backward always agree. Loss gradients
+Every forward returns (output, context) for the matching hand-written
+backward. A context keeps the layer's inputs and the forward's
+eigendecompositions, so forward and backward always agree, but not
+intermediates the backward can rebuild cheaply: a branch family keeps
+its features per joint set and the table's vector rows, from which the
+backward re-gathers each window's samples and each branch's rows with
+the forward's own indexing, so its gradients are bitwise those of
+stored copies; the SPD aggregation keeps no W_i X_i. Loss gradients
 with respect to symmetric matrices use the Frobenius pairing and are
 symmetrized on entry to each backward.
 
@@ -139,6 +144,11 @@ def conv_backward(ctx: ConvContext, grad_out: np.ndarray):
 # Gaussian aggregation
 
 
+def _augment(samples: np.ndarray) -> np.ndarray:
+    """[X 1]: the (..., n, d) samples with a column of ones appended."""
+    return np.concatenate([samples, np.ones(samples.shape[:-1] + (1,))], axis=-1)
+
+
 def _gauss_embed_stack(samples: np.ndarray, ridge: float):
     """Embed stacks of sample sets as (d+1)x(d+1) Gaussian SPD matrices.
 
@@ -147,8 +157,9 @@ def _gauss_embed_stack(samples: np.ndarray, ridge: float):
     estimators, computed as [X 1]^T [X 1] / n plus the ridge.
     """
     n, d = samples.shape[-2:]
-    x_aug = np.concatenate([samples, np.ones(samples.shape[:-1] + (1,))], axis=-1)
-    y = np.swapaxes(x_aug, -1, -2) @ x_aug / n
+    x_aug = _augment(samples)
+    y = np.swapaxes(x_aug, -1, -2) @ x_aug
+    y /= n
     y = symmetrize(y)
     idx = np.arange(d)
     y[..., idx, idx] += ridge
@@ -159,8 +170,9 @@ def _gauss_grad_stack(x_aug: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the sample matrix: (2/n) [X 1] sym(G) restricted
     to the first d columns. The ridge is constant and drops out."""
     n, d1 = x_aug.shape[-2:]
-    g = symmetrize(grad_out)
-    return (2.0 / n) * (x_aug @ g[..., :, : d1 - 1])
+    grad = x_aug @ symmetrize(grad_out)[..., :, : d1 - 1]
+    grad *= 2.0 / n
+    return grad
 
 
 @dataclass
@@ -313,7 +325,16 @@ class _WindowGroup:
     sets: np.ndarray  # joint set of each entry
     starts: np.ndarray  # first frame of each entry
     length: int  # frames per window
-    x_aug: np.ndarray  # (entries, length * set size, d + 1)
+
+
+def _window_samples(by_set: np.ndarray, sets: np.ndarray, starts: np.ndarray,
+                    length: int) -> np.ndarray:
+    """(windows, length * set size, d) samples of windows of one length."""
+    samples = by_set[sets[:, None], starts[:, None] + np.arange(length)]
+    return samples.reshape(sets.size, -1, by_set.shape[-1])
+
+
+WINDOW_CHUNK = 512  # windows whose sample gradients a backward forms at once
 
 
 @dataclass
@@ -322,7 +343,6 @@ class _SecondStage:
 
     branches: np.ndarray  # positions in the call's branch order
     rows: np.ndarray  # (branches, rows) table entry of each row
-    gauss: GaussAggContext
 
 
 @dataclass
@@ -332,8 +352,10 @@ class BranchContext:
     out_shape: tuple[int, ...]  # (m, m) for one branch, else (branches, m, m)
     eps: float
     joint_sets: np.ndarray  # (sets, set size) joint indices of the table
+    by_set: np.ndarray  # (sets, frames, set size, d) features of each joint set
     windows: list[_WindowGroup]
     spectral_cache: tuple  # of the window table, one entry per window
+    vecs: np.ndarray  # (entries, m - 1) vector row of each window, the second stage's samples
     second: list[_SecondStage]
 
 
@@ -374,18 +396,18 @@ def _branch_family_forward(kind, feats, branches, rows_of, eps, ridge):
     table_sets, table_starts = np.divmod(rest, n_frames + 1)
 
     # first stage: embed every distinct window once, grouped by length
-    by_set = feats[:, joint_sets].swapaxes(0, 1)  # (sets, frames, set size, d)
+    by_set = feats[:, joint_sets].swapaxes(0, 1)
     mats = np.empty((table.size, d + 1, d + 1))
     windows = []
     for length in np.unique(lengths):
         ids = np.flatnonzero(lengths == length)
-        sets, starts = table_sets[ids], table_starts[ids]
-        samples = by_set[sets[:, None], starts[:, None] + np.arange(length)]
-        y, x_aug = _gauss_embed_stack(samples.reshape(ids.size, -1, d), ridge)
-        mats[ids] = y
-        windows.append(_WindowGroup(ids=ids, sets=sets, starts=starts, length=int(length),
-                                    x_aug=x_aug))
+        group = _WindowGroup(ids=ids, sets=table_sets[ids], starts=table_starts[ids],
+                             length=int(length))
+        mats[ids], _ = _gauss_embed_stack(
+            _window_samples(by_set, group.sets, group.starts, group.length), ridge)
+        windows.append(group)
     vecs, cache = _rect_log_vec_stack(mats, eps)
+    del mats
 
     # second stage: one Gaussian over each branch's rows
     m = vecs.shape[1] + 1
@@ -395,15 +417,13 @@ def _branch_family_forward(kind, feats, branches, rows_of, eps, ridge):
     for count in sorted(set(n_rows)):
         members = np.array([k for k, c in enumerate(n_rows) if c == count])
         rows = row_entry[offsets[members][:, None] + np.arange(count)]
-        y, x_aug = _gauss_embed_stack(vecs[rows], ridge)
-        out[members] = y
-        second.append(_SecondStage(branches=members, rows=rows,
-                                   gauss=GaussAggContext(output=y, x_aug=x_aug)))
+        out[members], _ = _gauss_embed_stack(vecs[rows], ridge)
+        second.append(_SecondStage(branches=members, rows=rows))
     if single:
         out = out[0]
     ctx = BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
-                        joint_sets=joint_sets, windows=windows, spectral_cache=cache,
-                        second=second)
+                        joint_sets=joint_sets, by_set=by_set, windows=windows,
+                        spectral_cache=cache, vecs=vecs, second=second)
     return out, ctx
 
 
@@ -462,25 +482,32 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
     ``grad_out`` has the forward output's shape. The first stage is
     linear in its upstream gradient, so the row gradients of each
     distinct window are summed before one spectral backward over the
-    table; overlapping windows then accumulate additively.
+    table; overlapping windows then accumulate additively. Each stage's
+    samples are re-gathered from the context just before their gradient,
+    window samples `WINDOW_CHUNK` windows at a time.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     _require(grad_out.shape == ctx.out_shape,
              f"branch gradient must be {ctx.out_shape}, got {grad_out.shape}")
     grads = grad_out.reshape((-1,) + grad_out.shape[-2:])
-    vals = ctx.spectral_cache[1]
-    grad_table = np.zeros((vals.shape[0], tri_length(vals.shape[1])))
+    grad_table = np.zeros(ctx.vecs.shape)
     for stage in ctx.second:
-        grad_rows = _gauss_grad_stack(stage.gauss.x_aug, grads[stage.branches])
+        grad_rows = _gauss_grad_stack(_augment(ctx.vecs[stage.rows]), grads[stage.branches])
         for rows, grad in zip(stage.rows, grad_rows):  # one branch's rows never repeat
             grad_table[rows] += grad
     dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_table)
+    del grad_table
 
     n_frames, _, d = ctx.shape
     n_sets, set_size = ctx.joint_sets.shape
     by_set = np.zeros((n_sets, n_frames, set_size, d))
     for group in ctx.windows:
-        grad_samples = _gauss_grad_stack(group.x_aug, dmats[group.ids])
+        grad_samples = np.empty((group.ids.size, group.length * set_size, d))
+        for lo in range(0, group.ids.size, WINDOW_CHUNK):
+            part = slice(lo, lo + WINDOW_CHUNK)
+            samples = _window_samples(ctx.by_set, group.sets[part], group.starts[part],
+                                      group.length)
+            grad_samples[part] = _gauss_grad_stack(_augment(samples), dmats[group.ids[part]])
         grad_samples = grad_samples.reshape(group.ids.size, group.length, set_size, d)
         # within one offset every (set, frame) pair occurs at most once
         for k in range(group.length):
@@ -497,9 +524,14 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpdAggContext:
+    """The inputs, the weight and the output's eigendecomposition.
+
+    W_i X_i is not kept: the backward forms G W_i first, from which both
+    gradients follow.
+    """
+
     xs: np.ndarray  # (N, d_in, d_in)
     w_hat: np.ndarray  # (d_out, N * d_in)
-    wx: np.ndarray  # cached W_i X_i, (N, d_out, d_in)
     output: np.ndarray
     out_eig: EigPair
 
@@ -524,25 +556,29 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
              f"weight must be (d_out, {n * d_in}), got {w_hat.shape}")
     _require(w_hat.shape[0] <= w_hat.shape[1],
              f"d_out {w_hat.shape[0]} exceeds N*d_in {w_hat.shape[1]}")
-    blocks = _w_blocks(w_hat, n, d_in)
-    wx = blocks @ xs
-    # sum_i (W_i X_i) W_i^T as one product of the flattened block rows
-    wx_flat = wx.swapaxes(0, 1).reshape(w_hat.shape[0], n * d_in)
+    # sum_i (W_i X_i) W_i^T as one product of the W_i X_i block rows,
+    # which are written in place into their (d_out, N * d_in) layout
+    wx_flat = np.empty(w_hat.shape)
+    np.matmul(_w_blocks(w_hat, n, d_in), xs, out=_w_blocks(wx_flat, n, d_in))
     y = symmetrize(wx_flat @ w_hat.T)
+    del wx_flat
     eig = assert_spd(y, "spd_agg_forward output")
-    return y, SpdAggContext(xs=xs, w_hat=w_hat, wx=wx, output=y, out_eig=eig)
+    return y, SpdAggContext(xs=xs, w_hat=w_hat, output=y, out_eig=eig)
 
 
-def _agg_grad_blocks(blocks, wx, g):
-    return (np.swapaxes(blocks, 1, 2) @ g) @ blocks, 2.0 * g @ wx
+def _agg_grad_blocks(blocks, xs, grad_blocks, g):
+    """dX_i = W_i^T (G W_i); writes dW_i = 2 (G W_i) X_i into ``grad_blocks``."""
+    gw = g @ blocks
+    np.matmul(gw, 2.0 * xs, out=grad_blocks)
+    return np.swapaxes(blocks, 1, 2) @ gw
 
 
 def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray):
     """Per-input gradients and the Euclidean gradient of the combined weight.
 
     dL/dX_i = W_i^T G W_i and dL/dW_i = 2 G W_i X_i with G the
-    symmetrized upstream gradient; the W_i gradients concatenate into the
-    gradient of W_hat.
+    symmetrized upstream gradient, both from G W_i; the W_i gradients
+    are written as the column blocks of the gradient of W_hat.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     d_out = ctx.w_hat.shape[0]
@@ -550,9 +586,9 @@ def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray):
              f"gradient must be {d_out}x{d_out}, got {grad_out.shape}")
     g = symmetrize(grad_out)
     n, d_in = ctx.xs.shape[0], ctx.xs.shape[1]
-    grad_xs, grad_blocks = _split_stack(partial(_agg_grad_blocks, g=g),
-                                        _w_blocks(ctx.w_hat, n, d_in), ctx.wx)
-    grad_w_hat = grad_blocks.swapaxes(0, 1).reshape(d_out, n * d_in)
+    grad_w_hat = np.empty(ctx.w_hat.shape)
+    grad_xs = _split_stack(partial(_agg_grad_blocks, g=g), _w_blocks(ctx.w_hat, n, d_in),
+                           ctx.xs, _w_blocks(grad_w_hat, n, d_in))
     return grad_xs, grad_w_hat
 
 

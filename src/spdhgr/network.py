@@ -133,13 +133,23 @@ class NetworkConfig:
 _PARSERS = {"int": int, "float": float, "str": str}  # by annotation
 
 
-def config_from_mapping(mapping: dict[str, str]) -> NetworkConfig:
+def config_from_mapping(mapping: dict[str, str],
+                        sources: dict[str, str] | None = None) -> NetworkConfig:
+    """Parse and validate key=value strings.
+
+    ``sources`` names where each key was set (``file:line``, an
+    environment variable); an error for a key starts with it.
+    """
     parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(NetworkConfig)}
     kwargs = {}
     for key, value in mapping.items():
+        where = f"{sources[key]}: " if sources and key in sources else ""
         if key not in parsers:
-            raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = parsers[key](value)
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        try:
+            kwargs[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}{key}: {exc}") from exc
     if "n_classes" not in kwargs:
         raise ConfigError("config must set n_classes")
     return NetworkConfig(**kwargs).validate()
@@ -149,12 +159,15 @@ def load_config(path, overrides: dict[str, str] | None = None, env=None) -> Netw
     """Parse a key=value config file.
 
     '#' starts a comment. Environment variables SPDHGR_<KEY> override the
-    file; explicit ``overrides`` (e.g. CLI flags) override both.
+    file; explicit ``overrides`` (e.g. CLI flags) override both. A value
+    that does not parse is reported with its key and where it was set:
+    the file and line, the environment variable, or "override".
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
     mapping: dict[str, str] = {}
+    sources: dict[str, str] = {}
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -163,20 +176,20 @@ def load_config(path, overrides: dict[str, str] | None = None, env=None) -> Netw
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, _, value = stripped.partition("=")
-            mapping[key.strip()] = value.strip()
+            key = key.strip()
+            mapping[key] = value.strip()
+            sources[key] = f"{path}:{lineno}"
     env = os.environ if env is None else env
     for field in dataclasses.fields(NetworkConfig):
-        env_val = env.get(ENV_PREFIX + field.name.upper())
+        name = ENV_PREFIX + field.name.upper()
+        env_val = env.get(name)
         if env_val is not None:
             mapping[field.name] = env_val
+            sources[field.name] = name
     for key, value in (overrides or {}).items():
         mapping[key] = str(value)
-    try:
-        return config_from_mapping(mapping)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+        sources[key] = "override"
+    return config_from_mapping(mapping, sources)
 
 
 def save_config(path, config: NetworkConfig) -> None:
@@ -256,6 +269,8 @@ def load_params(path, config: NetworkConfig) -> NetworkParams:
                 f"checkpoint {path}: tensor {name!r} has shape {tensors[name].shape}, "
                 f"config expects {want}"
             )
+        if not np.all(np.isfinite(tensors[name])):
+            raise ConfigError(f"checkpoint {path}: tensor {name!r} has non-finite entries")
         params[field] = tensors[name]
     return NetworkParams(**params)
 

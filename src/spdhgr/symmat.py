@@ -50,7 +50,9 @@ TIE_RTOL = 1e-6
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T)/2, batched over leading axes."""
     a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    out = a + np.swapaxes(a, -1, -2)
+    out *= 0.5
+    return out
 
 
 def _as_square_sym(a, name: str = "matrix") -> np.ndarray:

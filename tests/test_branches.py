@@ -47,7 +47,7 @@ def rect_log_vec(mat, eps):
 def second_samples(ctx):
     """Per-row vectors of a one-branch call: its second-stage samples."""
     (stage,) = ctx.second
-    return stage.gauss.x_aug[0, :, :-1]
+    return ctx.vecs[stage.rows[0]]
 
 
 def st_branch_reference(feats, t0, eps, ridge):

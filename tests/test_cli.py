@@ -106,6 +106,16 @@ class TestTrain:
         assert code == 2
         assert want in err and "Traceback" not in err
 
+    def test_unparsable_config_value_exits_2(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_classes=2\nt0=abc\n")
+        assert run("train", "--config", bad, "--data-root", data,
+                   "--out", tmp_path / "o", "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: t0: invalid literal for int() with base 10: 'abc'" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     def test_non_finite_ridge_exits_2(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         bad = tmp_path / "bad.cfg"

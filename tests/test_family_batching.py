@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from spdhgr import layers
 from spdhgr.layers import (
     _gauss_embed_stack,
     _gauss_grad_stack,
@@ -168,8 +169,8 @@ def st_rows_by_branch(bctx):
     """Per st branch, in branch order, the table rows it took."""
     rows = {}
     for stage in bctx.second:
-        for x_aug, k in zip(stage.gauss.x_aug, stage.branches):
-            rows[int(k)] = x_aug[:, :-1]
+        for entries, k in zip(stage.rows, stage.branches):
+            rows[int(k)] = bctx.vecs[entries]
     return [rows[k] for k in range(len(rows))]
 
 
@@ -198,3 +199,59 @@ def test_batched_families_match_per_branch_loop(n_frames, t0, grid_mode, variant
             np.testing.assert_array_equal(got, ref.second.x_aug[:, :-1])
     for name, ref in ref_grads.items():
         assert rel(getattr(grads, name), ref) <= 1e-12, name
+
+
+def stored_copy_branch_backward(bctx, x_augs, grad_out):
+    """The family backward over the [X 1] sample copies the forward made, in
+    its call order (window groups, then second stages), instead of the
+    samples the context re-gathers."""
+    window_x, second_x = x_augs[:len(bctx.windows)], x_augs[len(bctx.windows):]
+    grads = grad_out.reshape((-1,) + grad_out.shape[-2:])
+    grad_table = np.zeros(bctx.vecs.shape)
+    for stage, x_aug in zip(bctx.second, second_x):
+        for rows, grad in zip(stage.rows, _gauss_grad_stack(x_aug, grads[stage.branches])):
+            grad_table[rows] += grad
+    dmats = _rect_log_vec_grad_stack(bctx.spectral_cache, bctx.eps, grad_table)
+    n_frames, _, d = bctx.shape
+    n_sets, set_size = bctx.joint_sets.shape
+    by_set = np.zeros((n_sets, n_frames, set_size, d))
+    for group, x_aug in zip(bctx.windows, window_x):
+        grad_samples = _gauss_grad_stack(x_aug, dmats[group.ids])
+        grad_samples = grad_samples.reshape(group.ids.size, group.length, set_size, d)
+        for k in range(group.length):
+            by_set[group.sets, group.starts + k] += grad_samples[:, k]
+    grad_feats = np.zeros(bctx.shape)
+    for joints, grad in zip(bctx.joint_sets, by_set):
+        grad_feats[:, joints] += grad
+    return grad_feats
+
+
+@pytest.mark.parametrize("chunk", (3, layers.WINDOW_CHUNK))
+@pytest.mark.parametrize("family", ("st", "ts"))
+def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeypatch):
+    """Re-gathering samples in the backward, a chunk of windows at a time,
+    gives bitwise the gradient of the copies the forward used."""
+    rng = np.random.default_rng(7)
+    n_frames, d = 500, 9
+    branches = [(spec.frame_range[0] - 1, spec.frame_range[1],
+                 [grid_node_index(j) for j in spec.joints])
+                for spec in build_branch_plan(n_frames).entries]
+    feats = rng.standard_normal((n_frames, N_GRID_NODES, d))
+    x_augs = []
+    embed = layers._gauss_embed_stack
+
+    def recording(samples, ridge):
+        y, x_aug = embed(samples, ridge)
+        x_augs.append(x_aug)
+        return y, x_aug
+
+    monkeypatch.setattr(layers, "_gauss_embed_stack", recording)
+    layer, size = {"st": (layers.st_branch_forward, 1),
+                   "ts": (layers.ts_branch_forward, 15)}[family]
+    out, bctx = layer(feats, size, 1e-4, 1e-6, branches=branches)
+    monkeypatch.setattr(layers, "WINDOW_CHUNK", chunk)
+    assert len(x_augs) == len(bctx.windows) + len(bctx.second)
+    assert max(group.ids.size for group in bctx.windows) > chunk
+    grad_out = rng.standard_normal(out.shape)
+    got = layers.branch_backward(bctx, grad_out)
+    assert got.tobytes() == stored_copy_branch_backward(bctx, x_augs, grad_out).tobytes()

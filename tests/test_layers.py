@@ -302,6 +302,21 @@ class TestSpdAgg:
         np.testing.assert_allclose(grad_xs[0], g, atol=1e-12)
         np.testing.assert_allclose(grad_w, 2.0 * g @ x, atol=1e-12)
 
+    def test_backward_matches_per_block_formulas(self, rng):
+        """dX_i = W_i^T G W_i and dW_i = 2 G (W_i X_i), block by block."""
+        n, d_in, d_out = 7, 5, 12
+        xs = np.stack([random_spd(rng, d_in) for _ in range(n)])
+        w = stiefel_init(d_out, n * d_in, 3)
+        g = random_sym(rng, d_out)
+        _, ctx = spd_agg_forward(xs, w)
+        grad_xs, grad_w = spd_agg_backward(ctx, g)
+        for i in range(n):
+            w_i = w[:, i * d_in : (i + 1) * d_in]
+            want_x, want_w = w_i.T @ g @ w_i, 2.0 * g @ (w_i @ xs[i])
+            assert np.max(np.abs(grad_xs[i] - want_x)) <= 1e-12 * np.max(np.abs(want_x))
+            got_w = grad_w[:, i * d_in : (i + 1) * d_in]
+            assert np.max(np.abs(got_w - want_w)) <= 1e-12 * np.max(np.abs(want_w))
+
     def test_backward_zero(self, rng):
         xs = np.stack([random_spd(rng, 3) for _ in range(2)])
         w = stiefel_init(4, 6, 0)

@@ -1,5 +1,7 @@
+import dataclasses
 import multiprocessing
 import os
+import re
 import threading
 import time
 
@@ -13,6 +15,7 @@ from spdhgr.layers import cross_entropy
 from spdhgr.network import (
     NetworkConfig,
     NetworkParams,
+    PARAM_TENSORS,
     backward,
     config_from_mapping,
     extract_features,
@@ -125,6 +128,29 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "none.cfg")
+
+    @pytest.mark.parametrize("text, env, overrides, want", [
+        ("n_classes=2\nt0=abc\n", {}, {},
+         "{cfg}:2: t0: invalid literal for int() with base 10: 'abc'"),
+        ("n_classes=2\n\nwidth=9\n", {}, {}, "{cfg}:3: unknown config key 'width'"),
+        ("n_classes=2\n", {"SPDHGR_RIDGE": "x"}, {},
+         "SPDHGR_RIDGE: ridge: could not convert string to float: 'x'"),
+        ("n_classes=2\nt0=abc\n", {"SPDHGR_T0": "2.5"}, {},
+         "SPDHGR_T0: t0: invalid literal for int() with base 10: '2.5'"),
+        ("n_classes=2\n", {}, {"n_chunks": "many"},
+         "override: n_chunks: invalid literal for int() with base 10: 'many'"),
+    ])
+    def test_unparsable_value_names_key_and_source(self, tmp_path, text, env, overrides,
+                                                   want):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path, overrides=overrides, env=env)
+        assert str(info.value) == want.format(cfg=path)
+
+    def test_unparsable_mapping_value_names_key(self):
+        with pytest.raises(ConfigError, match=r"^epsilon: could not convert string to float"):
+            config_from_mapping({"n_classes": "2", "epsilon": "tiny"})
 
 
 class TestInitParams:
@@ -310,6 +336,18 @@ class TestFeaturesAndIo:
             "conv_weights", "spdagg_w_hat", "fc_weight", "fc_bias"]
         assert path.read_bytes() == by_hand.read_bytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", list(PARAM_TENSORS))
+    def test_load_rejects_non_finite_tensor(self, tmp_path, field, value):
+        params = init_params(TINY, 9)
+        getattr(params, field).flat[1] = value
+        path = tmp_path / "p.ckpt"
+        save_params(path, params)
+        name = PARAM_TENSORS[field][0]
+        want = f"checkpoint {path}: tensor '{name}' has non-finite entries"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            load_params(path, TINY)
+
     def test_load_with_mismatched_config(self, tmp_path):
         params = init_params(TINY, 9)
         path = tmp_path / "p.ckpt"
@@ -318,6 +356,33 @@ class TestFeaturesAndIo:
                               n_chunks=2)
         with pytest.raises(ConfigError, match="shape"):
             load_params(path, other)
+
+
+def _owned_arrays(obj, params, seen):
+    """Bytes of the arrays under ``obj`` (dataclasses, lists, tuples), each
+    memory block counted once, skipping blocks shared with ``params``."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen or any(np.shares_memory(obj, p) for p in params):
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, field.name) for field in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return sum(_owned_arrays(item, params, seen) for item in obj)
+    return 0
+
+
+def test_paper_scale_context_stays_slim(rng):
+    """A paper-scale forward context keeps inputs and eigendecompositions
+    but no sample copies or W_i X_i (22.9 MB when it kept them)."""
+    config = NetworkConfig(n_classes=14).validate()
+    params = init_params(config, 0)
+    _, ctx, _ = forward(rng.standard_normal((500, N_GRID_NODES, 3)), params, config)
+    tensors = [getattr(params, field.name) for field in dataclasses.fields(params)]
+    assert _owned_arrays(ctx, tensors, set()) <= 12e6
 
 
 def _usable_cores(monkeypatch, n):
