@@ -12,6 +12,12 @@ stored copies; the SPD aggregation keeps no W_i X_i. Loss gradients
 with respect to symmetric matrices use the Frobenius pairing and are
 symmetrized on entry to each backward.
 
+The aggregation and head backwards add their weight gradients into a
+running total given as ``into`` (a batch's sum), a piece of W_i blocks
+or an FC row at a time, so neither gradient is formed whole. Each total
+element gets the same product added as when the gradient was formed
+first, so the total is bitwise the same.
+
 A branch pipeline call runs a whole branch family. Its rows are the
 Gaussians of windows (consecutive frames over a set of joints), and the
 windows of all branches form one table: each distinct window is embedded
@@ -167,10 +173,11 @@ def _gauss_embed_stack(samples: np.ndarray, ridge: float):
 
 
 def _gauss_grad_stack(x_aug: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the sample matrix: (2/n) [X 1] sym(G) restricted
-    to the first d columns. The ridge is constant and drops out."""
+    """Gradient w.r.t. the sample matrix: (2/n) [X 1] G restricted to the
+    first d columns, for a symmetric G (callers symmetrize on entry). The
+    ridge is constant and drops out."""
     n, d1 = x_aug.shape[-2:]
-    grad = x_aug @ symmetrize(grad_out)[..., :, : d1 - 1]
+    grad = x_aug @ grad_out[..., :, : d1 - 1]
     grad *= 2.0 / n
     return grad
 
@@ -199,7 +206,7 @@ def gauss_agg_backward(ctx: GaussAggContext, grad_out: np.ndarray) -> np.ndarray
     grad_out = np.asarray(grad_out, dtype=np.float64)
     m = ctx.output.shape[0]
     _require(grad_out.shape == (m, m), f"gradient must be {m}x{m}, got {grad_out.shape}")
-    return _gauss_grad_stack(ctx.x_aug, grad_out)
+    return _gauss_grad_stack(ctx.x_aug, symmetrize(grad_out))
 
 
 # ---------------------------------------------------------------------------
@@ -239,45 +246,71 @@ def _split_stack(fn, *stacks):
     ``fn`` works on each matrix of a stack alone and returns a stack or a
     tuple of stacks. With two table threads the stack is cut into
     `STACK_PIECES` pieces, and the caller and the worker each take the
-    next piece nobody has taken until none is left. Pieces join in order,
-    so the result is bitwise that of one call. The caller waits only for
-    a piece the worker has in hand, never for a worker that took none, so
-    a worker that starts late (its core busy) costs no more than a serial
-    call. A failure is raised once the worker's piece in hand is done; one
-    of the worker reaches the caller unchanged. ``fn`` must not call back
-    into this function, since the worker never waits on itself.
+    next piece nobody has taken until none is left. The caller copies
+    each piece into its rows of one output: its own as soon as it is
+    done, the worker's after the caller's next piece or at the end. Only
+    the caller allocates the output, so it never sits in the worker's
+    malloc arena. The result is bitwise that of one call. The caller
+    waits only for a piece the worker has in hand, never for a worker
+    that took none, so a worker that starts late (its core busy) costs
+    no more than a serial call. A failure is raised once the worker's
+    piece in hand is done; one of the worker reaches the caller
+    unchanged. ``fn`` must not call back into this function, since the
+    worker never waits on itself.
     """
     n = stacks[0].shape[0]
     if n < 2 or table_threads() == 1:
         return fn(*stacks)
     count = min(n, STACK_PIECES)
     bounds = [n * k // count for k in range(count + 1)]
-    pieces = [None] * count
+    stashed = [None] * count  # worker pieces the caller has not copied yet
+    copied = [False] * count
+    outputs = []
+    single = False  # whether fn returns one stack, not a tuple
     lock = threading.Lock()
     taken = 0
 
-    def take_pieces():
+    def take_pieces(done):
         nonlocal taken
         while True:
             with lock:
                 i, taken = taken, taken + 1
             if i >= count:
                 return
-            pieces[i] = fn(*(s[bounds[i] : bounds[i + 1]] for s in stacks))
+            done(i, fn(*(s[bounds[i] : bounds[i + 1]] for s in stacks)))
 
-    future = _table_pool.submit(take_pieces)
+    def copy(i, piece):
+        nonlocal single
+        parts = (piece,) if isinstance(piece, np.ndarray) else piece
+        if not outputs:
+            outputs.extend(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
+            single = parts is not piece
+        for out, part in zip(outputs, parts):
+            out[bounds[i] : bounds[i + 1]] = part
+        copied[i] = True
+
+    def copy_stashed():
+        for i, piece in enumerate(stashed):
+            if piece is not None:
+                stashed[i] = None
+                copy(i, piece)
+
+    def copy_with_stashed(i, piece):
+        copy(i, piece)
+        copy_stashed()
+
+    future = _table_pool.submit(take_pieces, stashed.__setitem__)
     try:
-        take_pieces()
+        take_pieces(copy_with_stashed)
     except BaseException:
         with lock:
             taken = count  # the worker takes no further piece
         future.exception()  # wait for the piece it has in hand
         raise
-    if any(piece is None for piece in pieces):
+    if not all(copied[i] or stashed[i] is not None for i in range(count)):
         future.result()  # the worker's piece in hand; raises its failure
-    if isinstance(pieces[0], np.ndarray):
-        return np.concatenate(pieces)
-    return tuple(np.concatenate(parts) for parts in zip(*pieces))
+    copy_stashed()
+    return outputs[0] if single else tuple(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +522,7 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
     grad_out = np.asarray(grad_out, dtype=np.float64)
     _require(grad_out.shape == ctx.out_shape,
              f"branch gradient must be {ctx.out_shape}, got {grad_out.shape}")
-    grads = grad_out.reshape((-1,) + grad_out.shape[-2:])
+    grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
     grad_table = np.zeros(ctx.vecs.shape)
     for stage in ctx.second:
         grad_rows = _gauss_grad_stack(_augment(ctx.vecs[stage.rows]), grads[stage.branches])
@@ -567,18 +600,20 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
 
 
 def _agg_grad_blocks(blocks, xs, grad_blocks, g):
-    """dX_i = W_i^T (G W_i); writes dW_i = 2 (G W_i) X_i into ``grad_blocks``."""
+    """dX_i = W_i^T (G W_i); adds dW_i = 2 (G W_i) X_i into ``grad_blocks``."""
     gw = g @ blocks
-    np.matmul(gw, 2.0 * xs, out=grad_blocks)
+    grad_blocks += gw @ (2.0 * xs)
     return np.swapaxes(blocks, 1, 2) @ gw
 
 
-def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray):
+def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray, into: np.ndarray | None = None):
     """Per-input gradients and the Euclidean gradient of the combined weight.
 
     dL/dX_i = W_i^T G W_i and dL/dW_i = 2 G W_i X_i with G the
-    symmetrized upstream gradient, both from G W_i; the W_i gradients
-    are written as the column blocks of the gradient of W_hat.
+    symmetrized upstream gradient, both from G W_i. The W_i gradients
+    are added, a piece of blocks at a time, into the column blocks of
+    ``into``, a running W_hat gradient total (a new zero one if None),
+    which is returned second.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     d_out = ctx.w_hat.shape[0]
@@ -586,7 +621,9 @@ def spd_agg_backward(ctx: SpdAggContext, grad_out: np.ndarray):
              f"gradient must be {d_out}x{d_out}, got {grad_out.shape}")
     g = symmetrize(grad_out)
     n, d_in = ctx.xs.shape[0], ctx.xs.shape[1]
-    grad_w_hat = np.empty(ctx.w_hat.shape)
+    grad_w_hat = np.zeros(ctx.w_hat.shape) if into is None else into
+    _require(grad_w_hat.shape == ctx.w_hat.shape,
+             f"weight gradient total must be {ctx.w_hat.shape}, got {grad_w_hat.shape}")
     grad_xs = _split_stack(partial(_agg_grad_blocks, g=g), _w_blocks(ctx.w_hat, n, d_in),
                            ctx.xs, _w_blocks(grad_w_hat, n, d_in))
     return grad_xs, grad_w_hat
@@ -634,14 +671,24 @@ def head_forward(y: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray,
                                       fc_weight=fc_weight)
 
 
-def head_backward(ctx: HeadContext, true_label: int):
-    """Cross-entropy gradients: (dL/dY, dL/dW_fc, dL/db_fc)."""
+def head_backward(ctx: HeadContext, true_label: int, into: np.ndarray | None = None):
+    """Cross-entropy gradients: (dL/dY, dL/dW_fc, dL/db_fc).
+
+    dL/dW_fc is the outer product of dL/db_fc and the flattened log map.
+    It is added row by row into ``into``, a running FC weight gradient
+    total (a new zero one if None), which is returned as dL/dW_fc, so the
+    product itself is never formed.
+    """
     n_classes = ctx.probs.shape[0]
     if not 0 <= true_label < n_classes:
         raise InvalidInput(f"label {true_label} out of range [0, {n_classes})")
+    grad_fc = np.zeros(ctx.fc_weight.shape) if into is None else into
+    _require(grad_fc.shape == ctx.fc_weight.shape,
+             f"fc gradient total must be {ctx.fc_weight.shape}, got {grad_fc.shape}")
     dz = ctx.probs.copy()
     dz[true_label] -= 1.0
-    grad_fc = np.outer(dz, ctx.log_flat)
+    for row, dz_k in zip(grad_fc, dz):
+        row += dz_k * ctx.log_flat
     d = ctx.eig.dim
     grad_log = (ctx.fc_weight.T @ dz).reshape(d, d)
     vals = ctx.eig.vals

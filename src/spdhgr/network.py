@@ -302,6 +302,7 @@ def _as_grid_coords(seq, config: NetworkConfig) -> np.ndarray:
 def forward(seq, params: NetworkParams, config: NetworkConfig):
     """Run the full pipeline; returns (probs, context, final SPD matrix)."""
     blas.hold_one_thread()
+    blas.keep_heap()
     coords = _as_grid_coords(seq, config)
     grid = JointGrid(config.grid_mode)
     feats, conv_ctx = conv_forward(coords, params.conv, grid)
@@ -328,15 +329,25 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     return probs, ctx, y_final
 
 
-def backward(ctx: ForwardContext, true_label: int) -> NetworkParams:
-    """Full-chain gradients for all trainable tensors.
+def backward(ctx: ForwardContext, true_label: int,
+             into: NetworkParams | None = None) -> NetworkParams:
+    """Full-chain gradients for all trainable tensors, added into a total.
 
-    The aggregation-weight gradient is Euclidean (pre tangent
-    projection); branch gradients accumulate additively into the shared
-    convolution filters.
+    ``into`` is a running gradient total, such as a batch's sum, and
+    without it a new zero one; it is returned. Each layer adds its
+    gradient straight into it (the FC rows, then the aggregation-weight
+    blocks, then the convolution filters and the FC bias), so no
+    separate gradient set is held. The aggregation-weight gradient is
+    Euclidean (pre tangent projection); branch gradients accumulate
+    additively into the shared convolution filters.
     """
-    grad_y, grad_fc, grad_bias = head_backward(ctx.head, true_label)
-    grad_xs, grad_w_hat = spd_agg_backward(ctx.agg, grad_y)
+    if into is None:
+        into = NetworkParams(conv=np.zeros_like(ctx.conv.weights),
+                             w_hat=np.zeros_like(ctx.agg.w_hat),
+                             fc_weight=np.zeros_like(ctx.head.fc_weight),
+                             fc_bias=np.zeros_like(ctx.head.probs))
+    grad_y, _, dz = head_backward(ctx.head, true_label, into=into.fc_weight)
+    grad_xs, _ = spd_agg_backward(ctx.agg, grad_y, into=into.w_hat)
     grad_feats = np.zeros(ctx.feats_shape)
     first = 0
     for bctx in ctx.branches:
@@ -344,8 +355,9 @@ def backward(ctx: ForwardContext, true_label: int) -> NetworkParams:
         grad_feats += branch_backward(bctx, grad_xs[first : first + n])
         first += n
     _, grad_conv = conv_backward(ctx.conv, grad_feats)
-    return NetworkParams(conv=grad_conv, w_hat=grad_w_hat,
-                         fc_weight=grad_fc, fc_bias=grad_bias)
+    into.conv += grad_conv
+    into.fc_bias += dz
+    return into
 
 
 def extract_features(seq, params: NetworkParams, config: NetworkConfig) -> np.ndarray:

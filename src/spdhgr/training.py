@@ -1,12 +1,18 @@
 """Mini-batch SGD training loop with per-epoch checkpoints and a manifest.
 
 Gradient reduction over a batch always sums in submission order, so runs
-are bitwise reproducible for a given seed at any worker count.
+are bitwise reproducible for a given seed at any worker count. The
+serial loop hands its running batch total to `network.backward` as
+``into``, so each layer adds its gradient straight into it and no
+sequence's gradient set is ever held apart from it. A pool keeps at most
+``workers`` sequences in flight, each with its own gradient set, and
+adds each set into the total in submission order.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -63,11 +69,37 @@ def _check_labels(sequences: list[SkeletonSequence], config: NetworkConfig) -> N
         )
 
 
-def _item_pass(seq: SkeletonSequence, params: NetworkParams, config: NetworkConfig):
+def _item_pass(seq: SkeletonSequence, params: NetworkParams, config: NetworkConfig,
+               into: NetworkParams | None = None):
+    """(loss, whether correct, gradients added into ``into`` or a new set)."""
     probs, ctx, _ = forward(seq, params, config)
     loss = cross_entropy(probs, seq.label)
-    grads = backward(ctx, seq.label)
+    grads = backward(ctx, seq.label, into=into)
     return loss, int(np.argmax(probs)) == seq.label, grads
+
+
+def _pooled_passes(pool: ThreadPoolExecutor, workers: int, items, params: NetworkParams,
+                   config: NetworkConfig, total: NetworkParams):
+    """Yield (loss, correct) per item in order, with at most ``workers``
+    items in flight; each item's gradients join ``total`` before it is
+    yielded."""
+    pending = deque()
+
+    def finish_first():
+        loss, correct, grads = pending.popleft().result()
+        total.add_(grads)
+        return loss, correct
+
+    try:
+        for seq in items:
+            if len(pending) == workers:
+                yield finish_first()
+            pending.append(pool.submit(_item_pass, seq, params, config))
+        while pending:
+            yield finish_first()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
@@ -137,18 +169,16 @@ def train_network(
             for batch_lo in range(0, len(order), batch_size):
                 batch = order[batch_lo : batch_lo + batch_size]
                 items = [sequences[i] for i in batch]
-                if pool is not None:
-                    results = pool.map(lambda s: _item_pass(s, params, config), items)
-                else:
-                    results = (_item_pass(s, params, config) for s in items)
-                # each item's gradients join the total as they arrive, in
-                # submission order, so at most the in-flight ones are held
-                losses = []
+                # each item's gradients join the total in submission order
                 total = params.zeros_like()
-                for loss, correct, grads in results:
+                if pool is not None:
+                    results = _pooled_passes(pool, workers, items, params, config, total)
+                else:
+                    results = (_item_pass(s, params, config, into=total)[:2] for s in items)
+                losses = []
+                for loss, correct in results:
                     losses.append(loss)
                     epoch_correct += correct
-                    total.add_(grads)
                 if not np.all(np.isfinite(losses)):
                     raise NumericalFailure(
                         f"non-finite loss in epoch {epoch}, batch of sequences "
@@ -157,6 +187,7 @@ def train_network(
                 total.scale_(1.0 / len(items))
                 epoch_losses.extend(losses)
                 params = _apply_updates(params, total, lr)
+                del total  # not held through the next batch or the evaluation
             record = EpochRecord(
                 epoch=epoch,
                 mean_loss=float(np.mean(epoch_losses)),

@@ -35,6 +35,7 @@ from spdhgr.skeleton import (
     grid_node_index,
     split_range,
 )
+from spdhgr.symmat import symmetrize
 
 
 @dataclass
@@ -204,9 +205,10 @@ def test_batched_families_match_per_branch_loop(n_frames, t0, grid_mode, variant
 def stored_copy_branch_backward(bctx, x_augs, grad_out):
     """The family backward over the [X 1] sample copies the forward made, in
     its call order (window groups, then second stages), instead of the
-    samples the context re-gathers."""
+    samples the context re-gathers. The upstream gradient is symmetrized
+    once on entry, as `branch_backward` does."""
     window_x, second_x = x_augs[:len(bctx.windows)], x_augs[len(bctx.windows):]
-    grads = grad_out.reshape((-1,) + grad_out.shape[-2:])
+    grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
     grad_table = np.zeros(bctx.vecs.shape)
     for stage, x_aug in zip(bctx.second, second_x):
         for rows, grad in zip(stage.rows, _gauss_grad_stack(x_aug, grads[stage.branches])):

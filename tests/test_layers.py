@@ -325,6 +325,20 @@ class TestSpdAgg:
         np.testing.assert_array_equal(grad_xs, 0.0)
         np.testing.assert_array_equal(grad_w, 0.0)
 
+    def test_backward_adds_into_a_total(self, rng):
+        xs = np.stack([random_spd(rng, 3) for _ in range(4)])
+        w = stiefel_init(5, 12, 1)
+        g = random_sym(rng, 5)
+        _, ctx = spd_agg_forward(xs, w)
+        start = rng.standard_normal(w.shape)
+        total = start.copy()
+        grad_xs, got = spd_agg_backward(ctx, g, into=total)
+        assert got is total
+        assert total.tobytes() == (start + spd_agg_backward(ctx, g)[1]).tobytes()
+        np.testing.assert_array_equal(grad_xs, spd_agg_backward(ctx, g)[0])
+        with pytest.raises(InvalidInput):
+            spd_agg_backward(ctx, g, into=np.zeros((5, 11)))
+
     def test_rank_deficient_weight_fails_spd(self, rng):
         x = random_spd(rng, 4)
         w = np.zeros((2, 4))
@@ -370,6 +384,19 @@ class TestHead:
         assert np.max(np.abs(grad_y)) <= 1e-10
         assert np.max(np.abs(grad_fc)) <= 1e-10
         assert np.max(np.abs(grad_b)) <= 1e-10
+
+    def test_fc_gradient_rows_are_the_outer_product(self, rng):
+        y = random_spd(rng, 4)
+        _, _, ctx = head_forward(y, rng.standard_normal((3, 16)), rng.standard_normal(3))
+        _, grad_fc, dz = head_backward(ctx, 1)
+        want = np.outer(dz, ctx.log_flat)
+        np.testing.assert_array_equal(grad_fc, want)
+        start = rng.standard_normal((3, 16))
+        total = start.copy()
+        assert head_backward(ctx, 1, into=total)[1] is total
+        assert total.tobytes() == (start + want).tobytes()
+        with pytest.raises(InvalidInput):
+            head_backward(ctx, 1, into=np.zeros((2, 16)))
 
     def test_label_out_of_range(self, rng):
         y = random_spd(rng, 3)

@@ -260,6 +260,22 @@ class TestBackward:
             block = grads.w_hat[:, i * d_in : (i + 1) * d_in]
             assert np.max(np.abs(block - expected)) <= 1e-12
 
+    def test_total_with_into_is_the_in_order_sum_of_standalone_gradients(self, rng):
+        """Each layer adding into a running total gives byte for byte the
+        total of standalone gradient sets summed in order."""
+        params = init_params(TINY, 2)
+        params.fc_weight = rng.standard_normal(params.fc_weight.shape)
+        items = [(forward(tiny_coords(rng), params, TINY)[1], label) for label in (0, 1, 1)]
+        want = params.zeros_like()
+        for ctx, label in items:
+            want.add_(backward(ctx, label))
+        total = params.zeros_like()
+        for ctx, label in items:
+            assert backward(ctx, label, into=total) is total
+        for field in dataclasses.fields(NetworkParams):
+            got, ref = getattr(total, field.name), getattr(want, field.name)
+            assert got.tobytes() == ref.tobytes(), field.name
+
     @pytest.mark.parametrize("seed", range(5))
     def test_end_to_end_fd_sampled_entries(self, seed):
         """Loss gradient matches finite differences on sampled entries,
@@ -454,6 +470,33 @@ class TestTableThreads:
         for a, b in zip(split, serial):
             assert a.tobytes() == b.tobytes()
 
+    def test_output_is_made_and_written_by_the_caller(self, monkeypatch):
+        """Pieces the worker finishes first are still joined in order into
+        an output the caller allocated, so no output sits in the worker's
+        malloc arena."""
+        _usable_cores(monkeypatch, 2)
+        caller = threading.current_thread()
+        ran_on, made_on = [], []
+        empty = np.empty
+
+        def recording(*args, **kwargs):
+            made_on.append(threading.current_thread())
+            return empty(*args, **kwargs)
+
+        def piece(x):
+            ran_on.append(threading.current_thread())
+            if threading.current_thread() is caller:
+                time.sleep(0.05)  # leave the worker pieces to take
+            return 2.0 * x, x + 1.0
+
+        monkeypatch.setattr(layers.np, "empty", recording)
+        stack = np.arange(8.0).reshape(8, 1, 1)
+        doubled, plus_one = layers._split_stack(piece, stack)
+        monkeypatch.undo()
+        assert set(ran_on) - {caller} and made_on == [caller, caller]
+        assert doubled.tobytes() == (2.0 * stack).tobytes()
+        assert plus_one.tobytes() == (stack + 1.0).tobytes()
+
     def test_worker_failure_reaches_caller(self, rng, monkeypatch):
         _usable_cores(monkeypatch, 2)
         raised_on = []
@@ -537,6 +580,30 @@ class TestTableThreads:
         monkeypatch.setattr(blas, "_find_controls", lambda: None)
         forward(tiny_coords(rng), init_params(TINY, 0), TINY)
         assert not blas.held()
+
+    def test_first_forward_sets_the_heap_thresholds_once(self, rng, monkeypatch):
+        mallopt = blas._find_mallopt()
+        if mallopt is None:
+            pytest.skip("no glibc mallopt")
+        calls = []
+
+        def recording(param, value):
+            calls.append((param, value))
+            return mallopt(param, value)
+
+        monkeypatch.setattr(blas, "_heap_kept", None)
+        monkeypatch.setattr(blas, "_find_mallopt", lambda: recording)
+        params, coords = init_params(TINY, 0), tiny_coords(rng)
+        forward(coords, params, TINY)
+        forward(coords, params, TINY)
+        assert calls == [(blas.M_MMAP_THRESHOLD, 32 << 20), (blas.M_TRIM_THRESHOLD, 128 << 20)]
+        assert blas._heap_kept
+
+    def test_malloc_left_alone_without_glibc(self, rng, monkeypatch):
+        monkeypatch.setattr(blas, "_heap_kept", None)
+        monkeypatch.setattr(blas, "_find_mallopt", lambda: None)
+        forward(tiny_coords(rng), init_params(TINY, 0), TINY)
+        assert blas._heap_kept is False
 
 
 def test_eigenvector_signs_do_not_change_outputs(rng, monkeypatch):

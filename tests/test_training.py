@@ -1,10 +1,16 @@
+import threading
+import time
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from spdhgr import training
 from spdhgr.errors import ConfigError, NumericalFailure
 from spdhgr.network import NetworkConfig, init_params
 from spdhgr.optim import stiefel_error
-from spdhgr.skeleton import load_dhg, resample, write_synthetic_dataset
+from spdhgr.skeleton import SkeletonSequence, load_dhg, resample, write_synthetic_dataset
 from spdhgr.training import evaluate, train_network
 
 CONFIG = NetworkConfig(n_classes=2, d_out_c=2, d_out_s=24, n_frames=12, t0=1,
@@ -50,6 +56,35 @@ class TestTrainLoop:
         assert serial.final_accuracy == pooled.final_accuracy
         for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
             assert np.array_equal(getattr(serial.params, name), getattr(pooled.params, name))
+
+    def test_pool_holds_at_most_workers_plus_one_gradient_sets(self, dataset, monkeypatch):
+        """With the batch's first item slow, the items behind it wait to
+        start instead of finishing early and holding their gradient sets."""
+        workers, seed = 2, 7
+        # train_network draws the batch order from default_rng(seed)
+        first = dataset[int(np.random.default_rng(seed).permutation(len(dataset))[0])]
+        forward, backward = training.forward, training.backward
+        lock = threading.Lock()
+        sets, most_alive = [], []
+
+        def slow_first(seq, *args):
+            if seq is first:
+                time.sleep(0.3)
+            return forward(seq, *args)
+
+        def counting(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            with lock:
+                sets.append(weakref.ref(grads))
+                most_alive.append(sum(ref() is not None for ref in sets))
+            return grads
+
+        monkeypatch.setattr(training, "forward", slow_first)
+        monkeypatch.setattr(training, "backward", counting)
+        train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=1,
+                      batch_size=len(dataset), lr=0.01, seed=seed, workers=workers)
+        assert len(sets) == len(dataset)
+        assert max(most_alive) <= workers + 1
 
     def test_nan_loss_aborts_with_batch_ids(self, dataset):
         params = init_params(CONFIG, 0)
@@ -119,3 +154,25 @@ class TestEvaluate:
         loss, acc = evaluate(dataset, result.params, CONFIG)
         assert loss == pytest.approx(result.final_loss)
         assert acc == pytest.approx(result.final_accuracy)
+
+
+def test_paper_scale_batch_peak_memory():
+    """One batch of two paper-scale sequences stays under a traced peak of
+    42 MB above entry; holding each item's gradient set apart from the
+    batch total took 51 MB."""
+    config = NetworkConfig(n_classes=14).validate()
+    rng = np.random.default_rng(0)
+    seqs = [SkeletonSequence(frames=rng.standard_normal((500, 20, 3)), label=label)
+            for label in (0, 5)]
+    params = init_params(config, 0)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_network(seqs, params, config, epochs=1, batch_size=2)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 42e6, f"peak {peak / 1e6:.1f} MB above entry"
