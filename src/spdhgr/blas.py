@@ -6,7 +6,10 @@ and it spreads its window tables over two threads of its own (`layers`).
 A multi-threaded OpenBLAS only competes with them: its worker threads
 spin on the other core after every threaded product. The first forward
 pass therefore sets OpenBLAS to one thread for the rest of the process,
-so network results do not depend on ``OPENBLAS_NUM_THREADS``.
+so network passes do not depend on ``OPENBLAS_NUM_THREADS``.
+``network.init_params`` does not hold it: its QR would take about a
+third less time on one thread, but for some weight shapes (210x420, not
+200x3360) one thread gives another initial ``w_hat`` than two.
 
 numpy's wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``,
 which exports ``scipy_openblas_set_num_threads64_`` and

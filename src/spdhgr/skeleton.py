@@ -139,24 +139,46 @@ def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
 
     Per joint and coordinate, piecewise-linear interpolation over [0, 1];
     the first and last frames are preserved exactly, and resampling an
-    already-resampled sequence is a bitwise no-op.
+    already-resampled sequence is a bitwise no-op. The result is
+    ``np.interp`` of each column, bit for bit.
     """
     if n_frames < 2:
         raise InvalidInput(f"n_frames must be >= 2, got {n_frames}")
     if seq.n_frames < 2:
-        raise InvalidInput("cannot resample a sequence with fewer than 2 frames")
+        where = f"{seq.source}: " if seq.source else ""
+        raise InvalidInput(f"{where}cannot resample a sequence with fewer than 2 frames")
     src_t = np.linspace(0.0, 1.0, seq.n_frames)
     dst_t = np.linspace(0.0, 1.0, n_frames)
     flat = seq.frames.reshape(seq.n_frames, -1)
-    out = np.empty((n_frames, flat.shape[1]), dtype=np.float64)
-    for c in range(flat.shape[1]):
-        out[:, c] = np.interp(dst_t, src_t, flat[:, c])
+    out = _interp_columns(dst_t, src_t, flat)
     return SkeletonSequence(
         frames=out.reshape(n_frames, seq.joints_per_frame, 3),
         label=seq.label,
         subject=seq.subject,
         source=seq.source,
     )
+
+
+def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp[:, c])`` for every column c, in one pass.
+
+    ``x`` and ``xp`` both run from 0 to 1. The arithmetic is np.interp's
+    own: ``j`` with ``xp[j] <= x < xp[j + 1]``, ``fp[j]`` where ``x`` hits
+    ``xp[j]`` (the last frame included), else ``slope * (x - xp[j]) +
+    fp[j]`` with ``slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])``.
+    np.interp retries a NaN from the other end of the interval, so any
+    column with a non-finite value goes through np.interp itself.
+    """
+    j = np.searchsorted(xp, x, side="right") - 1
+    k = np.minimum(j, len(xp) - 2)
+    with np.errstate(all="ignore"):
+        slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])[:, None]
+        out = slopes[k] * (x - xp[k])[:, None] + fp[k]
+    hit = xp[j] == x
+    out[hit] = fp[j[hit]]
+    for c in np.flatnonzero(~np.isfinite(out).all(axis=0)):
+        out[:, c] = np.interp(x, xp, fp[:, c])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +259,8 @@ def _parse_floats(path: Path, lineno: int, tokens: list[str], expected: int) -> 
     return row
 
 
-def _read_text_lines(path: Path, what: str):
-    """The lines of a UTF-8 text file, LF, CRLF or CR terminated.
+def _read_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 file.
 
     A missing or unreadable file is a ConfigError naming it as ``what``;
     bytes that are not UTF-8 are a ParseError naming the file and line.
@@ -250,31 +272,62 @@ def _read_text_lines(path: Path, what: str):
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{lineno}: not UTF-8 text "
                          f"(byte 0x{data[exc.start]:02x})") from None
+
+
+def _lines(text: str):
+    """The lines of a text, LF, CRLF or CR terminated."""
     return io.StringIO(text, newline=None)
 
 
 def _read_skeleton_file(path: Path, n_joints: int, leading_index: bool) -> np.ndarray:
     expected = n_joints * 3 + (1 if leading_index else 0)
-    rows = []
-    for lineno, line in enumerate(_read_text_lines(path, "sequence file"), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        row = _parse_floats(path, lineno, tokens, expected)
-        rows.append(row[1:] if leading_index else row)
+    text = _read_text(path, "sequence file")
+    values = _parse_whole(text, expected)
+    if values is None:
+        values = _parse_by_line(path, text, expected)
+    if leading_index:
+        values = np.ascontiguousarray(values[:, 1:])
+    return values.reshape(len(values), n_joints, 3)
+
+
+def _parse_whole(text: str, expected: int) -> np.ndarray | None:
+    """Every frame of a skeleton file in one ``np.loadtxt`` call, or None.
+
+    loadtxt splits on the same Unicode whitespace as ``str.split``, skips
+    the same blank lines and parses tokens with the routine ``float()``
+    uses; only ``float()`` also takes underscores and non-ASCII digits.
+    What this accepts, `_parse_by_line` reads to the same bits. None
+    leaves the text to `_parse_by_line`: loadtxt rejected a token, the
+    column count is not ``expected``, a value is not finite, or the text
+    is blank (on which loadtxt warns).
+    """
+    if not text or text.isspace():
+        return None
+    try:
+        values = np.loadtxt(_lines(text), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != expected or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_by_line(path: Path, text: str, expected: int) -> np.ndarray:
+    rows = [_parse_floats(path, lineno, tokens, expected)
+            for lineno, tokens in enumerate(map(str.split, _lines(text)), start=1) if tokens]
     if not rows:
         raise ParseError(f"{path}:1: empty skeleton file")
-    return np.stack(rows).reshape(len(rows), n_joints, 3)
+    return np.stack(rows)
 
 
 def _read_index(path: Path, n_fields: int) -> list[tuple[str, list[int]]]:
     entries = []
-    for lineno, line in enumerate(_read_text_lines(path, "split index file"), start=1):
+    for lineno, line in enumerate(_lines(_read_text(path, "split index file")), start=1):
         tokens = line.split()
         if not tokens:
             continue

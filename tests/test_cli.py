@@ -85,7 +85,7 @@ class TestTrain:
                    "--out", tmp_path / "o") == 2
 
     @pytest.mark.parametrize("fault", ["missing_sequence", "index_not_utf8",
-                                       "sequence_not_utf8"])
+                                       "sequence_not_utf8", "one_frame"])
     def test_malformed_dataset_exits_2(self, workspace, tmp_path, capsys, fault):
         _, _, config = workspace
         data = tmp_path / "data"
@@ -94,6 +94,9 @@ class TestTrain:
         if fault == "missing_sequence":
             seq.unlink()
             want = f"missing sequence file: {seq}"
+        elif fault == "one_frame":
+            seq.write_bytes(seq.read_bytes().splitlines(keepends=True)[0])
+            want = "sequences/train_c1_00.txt: cannot resample a sequence with fewer than 2 frames"
         else:
             path = index if fault == "index_not_utf8" else seq
             lines = path.read_bytes().splitlines(keepends=True)

@@ -111,6 +111,36 @@ class TestResample:
         with pytest.raises(InvalidInput):
             resample(self._seq(np.zeros((1, 22, 3))), 5)
 
+    def test_single_frame_names_its_file(self):
+        seq = SkeletonSequence(frames=np.zeros((1, 22, 3)), label=0, source="seq/a.txt")
+        with pytest.raises(InvalidInput, match=r"^seq/a\.txt: cannot resample a sequence "
+                                               r"with fewer than 2 frames$"):
+            resample(seq, 5)
+
+    @staticmethod
+    def _interp_loop(frames, n_frames):
+        """The per-column ``np.interp`` loop that resample replaces: its reference."""
+        src_t = np.linspace(0.0, 1.0, frames.shape[0])
+        dst_t = np.linspace(0.0, 1.0, n_frames)
+        flat = frames.reshape(frames.shape[0], -1)
+        out = np.empty((n_frames, flat.shape[1]))
+        for c in range(flat.shape[1]):
+            out[:, c] = np.interp(dst_t, src_t, flat[:, c])
+        return out.reshape(n_frames, -1, 3)
+
+    @given(st.integers(2, 600), st.integers(2, 600), st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.02, 0.3]))
+    def test_bitwise_equal_to_per_column_interp(self, n_src, n_dst, same, seed, extreme):
+        n_dst = n_src if same else n_dst
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((n_src, 22, 3)) * 10.0 ** rng.integers(-6, 6)
+        # +-1e308 overflows the slopes, and +-inf makes np.interp's own NaN retry run
+        odd = rng.random(frames.shape) < extreme
+        frames[odd] = rng.choice([1e308, -1e308, np.inf, -np.inf, np.nan, -0.0], size=odd.sum())
+        got = resample(self._seq(frames), n_dst).frames
+        want = self._interp_loop(frames, n_dst)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_preserves_metadata(self, rng):
         seq = SkeletonSequence(frames=rng.standard_normal((4, 22, 3)), label=3,
                                subject=7, source="x.txt")
