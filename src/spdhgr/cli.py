@@ -176,17 +176,21 @@ def cmd_ablate(args) -> int:
             f"unknown ablation knob {args.knob!r}; choices: {sorted(ABLATION_KNOBS)}"
         )
     out_root = Path(args.out)
-    rows = []
+    # every value's weights are drawn before the first network pass holds
+    # OpenBLAS at one thread, as `spdhgr train` draws them
+    runs = []
     for value in args.values:
         config = load_config(args.config, overrides={**_config_overrides(args),
                                                      field: value})
+        runs.append((value, config, init_params(config, args.seed)))
+    rows = []
+    for value, config, params in runs:
         run_dir = out_root / f"{args.knob}_{value}"
         splits = {
             split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
                                  config.n_frames)
             for split in ("train", "test")
         }
-        params = init_params(config, args.seed)
         result = train_network(
             splits["train"], params, config,
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,

@@ -47,6 +47,8 @@ from .skeleton import (
     JointGrid,
     N_FILTERS,
     SkeletonSequence,
+    _lines,
+    _read_text,
     build_branch_plan,
     grid_joint_coords,
     grid_node_index,
@@ -168,17 +170,16 @@ def load_config(path, overrides: dict[str, str] | None = None, env=None) -> Netw
         raise ConfigError(f"config file does not exist: {path}")
     mapping: dict[str, str] = {}
     sources: dict[str, str] = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            mapping[key] = value.strip()
-            sources[key] = f"{path}:{lineno}"
+    for lineno, line in enumerate(_lines(_read_text(path, "config file")), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        mapping[key] = value.strip()
+        sources[key] = f"{path}:{lineno}"
     env = os.environ if env is None else env
     for field in dataclasses.fields(NetworkConfig):
         name = ENV_PREFIX + field.name.upper()
@@ -210,12 +211,6 @@ class NetworkParams:
     w_hat: np.ndarray  # (d_out_s, n_inputs * d_in_s), row-orthonormal
     fc_weight: np.ndarray  # (n_classes, d_out_s^2)
     fc_bias: np.ndarray  # (n_classes,)
-
-    def add_(self, other: NetworkParams) -> NetworkParams:
-        for field in dataclasses.fields(self):
-            tensor = getattr(self, field.name)
-            tensor += getattr(other, field.name)
-        return self
 
     def scale_(self, factor: float) -> NetworkParams:
         for field in dataclasses.fields(self):

@@ -1,18 +1,19 @@
 """Mini-batch SGD training loop with per-epoch checkpoints and a manifest.
 
-Gradient reduction over a batch always sums in submission order, so runs
-are bitwise reproducible for a given seed at any worker count. The
-serial loop hands its running batch total to `network.backward` as
-``into``, so each layer adds its gradient straight into it and no
-sequence's gradient set is ever held apart from it. A pool keeps at most
-``workers`` sequences in flight, each with its own gradient set, and
-adds each set into the total in submission order.
+Serial and pooled runs share one pass loop, `_passes`. Each sequence runs
+its forward, then waits for its turn and hands the batch's running
+gradient total to `network.backward` as ``into``, so each layer adds its
+gradient straight into it. The turns follow submission order, so the sum
+is bitwise the serial one at any worker count, and no sequence's
+gradient set is ever held apart from the total. A pool of ``workers``
+threads keeps at most ``workers`` forward contexts alive; the final
+evaluation runs on the same pool.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -69,37 +70,34 @@ def _check_labels(sequences: list[SkeletonSequence], config: NetworkConfig) -> N
         )
 
 
-def _item_pass(seq: SkeletonSequence, params: NetworkParams, config: NetworkConfig,
-               into: NetworkParams | None = None):
-    """(loss, whether correct, gradients added into ``into`` or a new set)."""
-    probs, ctx, _ = forward(seq, params, config)
-    loss = cross_entropy(probs, seq.label)
-    grads = backward(ctx, seq.label, into=into)
-    return loss, int(np.argmax(probs)) == seq.label, grads
+def _passes(sequences, params: NetworkParams, config: NetworkConfig,
+            pool: ThreadPoolExecutor | None = None, total: NetworkParams | None = None):
+    """Yield (loss, whether correct) per sequence, in order.
 
+    With a ``total``, each sequence's backward adds its gradients into it.
+    The backwards take turns in sequence order, so on a pool the total is
+    summed in the same order as without one. Without a pool the passes run
+    on the calling thread.
+    """
+    turns = [threading.Event() for _ in range(len(sequences) + 1)]
+    turns[0].set()
 
-def _pooled_passes(pool: ThreadPoolExecutor, workers: int, items, params: NetworkParams,
-                   config: NetworkConfig, total: NetworkParams):
-    """Yield (loss, correct) per item in order, with at most ``workers``
-    items in flight; each item's gradients join ``total`` before it is
-    yielded."""
-    pending = deque()
+    def one(i):
+        seq = sequences[i]
+        try:
+            probs, ctx, _ = forward(seq, params, config)
+            result = cross_entropy(probs, seq.label), int(np.argmax(probs)) == seq.label
+            if total is not None:
+                turns[i].wait()
+                backward(ctx, seq.label, into=total)
+            return result
+        finally:
+            # a failed sequence also passes the turn on, after its own, so
+            # no later sequence waits forever and the order still holds
+            turns[i].wait()
+            turns[i + 1].set()
 
-    def finish_first():
-        loss, correct, grads = pending.popleft().result()
-        total.add_(grads)
-        return loss, correct
-
-    try:
-        for seq in items:
-            if len(pending) == workers:
-                yield finish_first()
-            pending.append(pool.submit(_item_pass, seq, params, config))
-        while pending:
-            yield finish_first()
-    finally:
-        for future in pending:
-            future.cancel()
+    yield from (map if pool is None else pool.map)(one, range(len(sequences)))
 
 
 def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
@@ -111,14 +109,14 @@ def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> Ne
     )
 
 
-def evaluate(sequences, params: NetworkParams, config: NetworkConfig):
+def evaluate(sequences, params: NetworkParams, config: NetworkConfig,
+             pool: ThreadPoolExecutor | None = None):
     """Mean loss and accuracy of fixed parameters over a sequence list."""
     losses = []
     correct = 0
-    for seq in sequences:
-        probs, _, _ = forward(seq, params, config)
-        losses.append(cross_entropy(probs, seq.label))
-        correct += int(np.argmax(probs)) == seq.label
+    for loss, hit in _passes(sequences, params, config, pool):
+        losses.append(loss)
+        correct += hit
     n = max(len(sequences), 1)
     return float(np.mean(losses)) if losses else float("nan"), correct / n
 
@@ -169,14 +167,9 @@ def train_network(
             for batch_lo in range(0, len(order), batch_size):
                 batch = order[batch_lo : batch_lo + batch_size]
                 items = [sequences[i] for i in batch]
-                # each item's gradients join the total in submission order
                 total = params.zeros_like()
-                if pool is not None:
-                    results = _pooled_passes(pool, workers, items, params, config, total)
-                else:
-                    results = (_item_pass(s, params, config, into=total)[:2] for s in items)
                 losses = []
-                for loss, correct in results:
+                for loss, correct in _passes(items, params, config, pool, total):
                     losses.append(loss)
                     epoch_correct += correct
                 if not np.all(np.isfinite(losses)):
@@ -202,10 +195,10 @@ def train_network(
             if log is not None:
                 log(f"EPOCH {epoch} loss={record.mean_loss!r} "
                     f"acc={record.accuracy!r} time={record.wall_time_s:.3f}")
+        final_loss, final_acc = evaluate(sequences, params, config, pool)
     finally:
         if pool is not None:
             pool.shutdown()
 
-    final_loss, final_acc = evaluate(sequences, params, config)
     return TrainResult(params=params, epochs=records, final_loss=final_loss,
                        final_accuracy=final_acc, checkpoints=checkpoints)

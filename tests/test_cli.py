@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from spdhgr import gradcheck
+from spdhgr import cli, gradcheck
 from spdhgr.cli import main
-from spdhgr.network import NetworkConfig, save_config
+from spdhgr.network import NetworkConfig, init_params, save_config
 from spdhgr.skeleton import write_synthetic_dataset
 from spdhgr.optim import load_checkpoint
 from spdhgr.svm import load_features, save_features
+from spdhgr.training import train_network
 
 TINY = NetworkConfig(n_classes=2, d_out_c=2, d_out_s=8, n_frames=12, t0=1, n_chunks=2)
 
@@ -118,6 +119,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"{bad}:2: t0: invalid literal for int() with base 10: 'abc'" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "not_utf8"])
+    def test_unreadable_config_exits_2(self, workspace, tmp_path, capsys, fault):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.cfg"
+        if fault == "missing":
+            want = f"config file does not exist: {bad}"
+        else:
+            bad.write_bytes(b"n_classes=2\n# caf\xff\n")
+            want = f"{bad}:2: not UTF-8 text (byte 0xff)"
+        assert run("train", "--config", bad, "--data-root", data,
+                   "--out", tmp_path / "o", "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err
 
     def test_non_finite_ridge_exits_2(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
@@ -327,6 +342,28 @@ class TestAblate:
         out = root / "ablate_ns"
         assert run("ablate", "--config", config, "--data-root", data, "--out", out,
                    "--knob", "N_S", "--values", 2, "--epochs", 1) == 0
+
+    def test_every_value_draws_its_weights_before_training(self, workspace, roomy_config,
+                                                            monkeypatch):
+        """Each value's weights are drawn before any network pass, as
+        `spdhgr train` draws them."""
+        root, data, _ = workspace
+        calls = []
+
+        def init(*args):
+            calls.append("init")
+            return init_params(*args)
+
+        def train(*args, **kwargs):
+            calls.append("train")
+            return train_network(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "init_params", init)
+        monkeypatch.setattr(cli, "train_network", train)
+        assert run("ablate", "--config", roomy_config, "--data-root", data,
+                   "--out", root / "ablate_order", "--knob", "t0", "--values", 1, 2,
+                   "--epochs", 1) == 0
+        assert calls == ["init", "init", "train", "train"]
 
     def test_invalid_knob(self, workspace):
         root, data, config = workspace

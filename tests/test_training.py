@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 import tracemalloc
@@ -22,6 +23,24 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     write_synthetic_dataset(root, n_classes=2, train_per_class=5, n_frames=15, seed=3)
     return [resample(s, CONFIG.n_frames) for s in load_dhg(root, "train")]
+
+
+def _run_bounded(fn, timeout=60.0):
+    """Run ``fn`` on a thread for at most ``timeout`` seconds; the errors it
+    raised."""
+    errors = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"still running after {timeout} s"
+    return errors
 
 
 class TestTrainLoop:
@@ -57,34 +76,98 @@ class TestTrainLoop:
         for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
             assert np.array_equal(getattr(serial.params, name), getattr(pooled.params, name))
 
-    def test_pool_holds_at_most_workers_plus_one_gradient_sets(self, dataset, monkeypatch):
-        """With the batch's first item slow, the items behind it wait to
-        start instead of finishing early and holding their gradient sets."""
+    def test_pool_holds_at_most_workers_contexts_and_adds_into_the_batch_total(
+            self, dataset, monkeypatch):
+        """With the batch's first item slow, the items behind it wait for
+        their turn holding their forward contexts, so no more than
+        ``workers`` are alive; every backward adds into the one batch total
+        that the update then reads."""
         workers, seed = 2, 7
         # train_network draws the batch order from default_rng(seed)
         first = dataset[int(np.random.default_rng(seed).permutation(len(dataset))[0])]
         forward, backward = training.forward, training.backward
+        euclid_sgd_step = training.euclid_sgd_step
         lock = threading.Lock()
-        sets, most_alive = [], []
+        contexts, most_alive, totals, conv_steps = [], [], [], []
 
         def slow_first(seq, *args):
             if seq is first:
                 time.sleep(0.3)
-            return forward(seq, *args)
-
-        def counting(*args, **kwargs):
-            grads = backward(*args, **kwargs)
+            out = forward(seq, *args)
             with lock:
-                sets.append(weakref.ref(grads))
-                most_alive.append(sum(ref() is not None for ref in sets))
-            return grads
+                contexts.append(weakref.ref(out[1]))
+                most_alive.append(sum(ref() is not None for ref in contexts))
+            return out
+
+        def recording(ctx, label, into=None):
+            totals.append(into)
+            return backward(ctx, label, into=into)
+
+        def step(param, grad, lr):
+            conv_steps.append(grad)
+            return euclid_sgd_step(param, grad, lr)
 
         monkeypatch.setattr(training, "forward", slow_first)
-        monkeypatch.setattr(training, "backward", counting)
+        monkeypatch.setattr(training, "backward", recording)
+        monkeypatch.setattr(training, "euclid_sgd_step", step)
         train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=1,
                       batch_size=len(dataset), lr=0.01, seed=seed, workers=workers)
-        assert len(sets) == len(dataset)
-        assert max(most_alive) <= workers + 1
+        # one batch: one backward per sequence, then the training passes'
+        # forwards and the final evaluation's
+        assert len(totals) == len(dataset) and len(contexts) == 2 * len(dataset)
+        assert max(most_alive) <= workers
+        assert totals[0] is not None and all(t is totals[0] for t in totals)
+        assert conv_steps[0] is totals[0].conv
+
+    def test_failing_forward_in_a_pool_raises_and_leaves_no_thread(self, dataset,
+                                                                    monkeypatch):
+        """The third forward of a pooled batch raises; the sequences after
+        it still get their turns, so train_network raises that error and
+        its pool's threads all end."""
+        forward = training.forward
+        lock = threading.Lock()
+        calls = []
+
+        def third_fails(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise NumericalFailure("third forward failed")
+            return forward(*args)
+
+        monkeypatch.setattr(training, "forward", third_fails)
+        before = set(threading.enumerate())
+        errors = _run_bounded(lambda: train_network(
+            dataset, init_params(CONFIG, 0), CONFIG, epochs=1, batch_size=len(dataset),
+            lr=0.01, seed=7, workers=2))
+        assert len(errors) == 1 and isinstance(errors[0], NumericalFailure)
+        assert str(errors[0]) == "third forward failed"
+        left = [t for t in threading.enumerate()
+                if t not in before and not t.name.startswith("spdhgr-table")]
+        assert left == []
+
+    def test_workers_under_fast_thread_switching(self, dataset):
+        """More workers than cores and a thread switch every microsecond
+        still give the serial run's bits."""
+        serial = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=1,
+                               batch_size=5, lr=0.01, seed=11)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _run_bounded(lambda: results.append(train_network(
+                dataset, init_params(CONFIG, 0), CONFIG, epochs=1, batch_size=5,
+                lr=0.01, seed=11, workers=4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(results) == 1
+        pooled = results[0]
+        assert [r.mean_loss for r in serial.epochs] == [r.mean_loss for r in pooled.epochs]
+        assert (serial.final_loss, serial.final_accuracy) == (pooled.final_loss,
+                                                              pooled.final_accuracy)
+        for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
+            assert getattr(serial.params, name).tobytes() == getattr(pooled.params,
+                                                                     name).tobytes()
 
     def test_nan_loss_aborts_with_batch_ids(self, dataset):
         params = init_params(CONFIG, 0)
