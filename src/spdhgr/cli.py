@@ -184,7 +184,9 @@ def cmd_ablate(args) -> int:
                                                      field: value})
         runs.append((value, config, init_params(config, args.seed)))
     rows = []
-    for value, config, params in runs:
+    while runs:
+        # a value's initial weights are not held past its own run
+        value, config, params = runs.pop(0)
         run_dir = out_root / f"{args.knob}_{value}"
         splits = {
             split: _resample_all(_load_dataset(args.data_root, args.dataset, split),

@@ -7,14 +7,14 @@ gradient straight into it. The turns follow submission order, so the sum
 is bitwise the serial one at any worker count, and no sequence's
 gradient set is ever held apart from the total. A pool of ``workers``
 threads keeps at most ``workers`` forward contexts alive; the final
-evaluation runs on the same pool.
+evaluation runs on the same pool, with no backward and so no turns.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -74,30 +74,41 @@ def _passes(sequences, params: NetworkParams, config: NetworkConfig,
             pool: ThreadPoolExecutor | None = None, total: NetworkParams | None = None):
     """Yield (loss, whether correct) per sequence, in order.
 
-    With a ``total``, each sequence's backward adds its gradients into it.
-    The backwards take turns in sequence order, so on a pool the total is
-    summed in the same order as without one. Without a pool the passes run
-    on the calling thread.
-    """
+    With a ``total``, the backwards take turns in sequence order adding into
+    it, so a pool sums as the calling thread does. No pooled pass is ever
+    cancelled: after an error the rest skip their work but pass their turns
+    on, and the error is raised once all have ended."""
     turns = [threading.Event() for _ in range(len(sequences) + 1)]
     turns[0].set()
+    stop = threading.Event()
 
     def one(i):
-        seq = sequences[i]
         try:
+            if stop.is_set():
+                return None
+            seq = sequences[i]
             probs, ctx, _ = forward(seq, params, config)
             result = cross_entropy(probs, seq.label), int(np.argmax(probs)) == seq.label
             if total is not None:
                 turns[i].wait()
-                backward(ctx, seq.label, into=total)
+                if not stop.is_set():
+                    backward(ctx, seq.label, into=total)
             return result
         finally:
-            # a failed sequence also passes the turn on, after its own, so
-            # no later sequence waits forever and the order still holds
-            turns[i].wait()
-            turns[i + 1].set()
+            if total is not None:
+                # a failed sequence also passes the turn on, after its own
+                turns[i].wait()
+                turns[i + 1].set()
 
-    yield from (map if pool is None else pool.map)(one, range(len(sequences)))
+    if pool is None:
+        yield from map(one, range(len(sequences)))
+        return
+    futures = [pool.submit(one, i) for i in range(len(sequences))]
+    try:
+        yield from (future.result() for future in futures)
+    finally:
+        stop.set()
+        wait(futures)
 
 
 def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
@@ -112,13 +123,8 @@ def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> Ne
 def evaluate(sequences, params: NetworkParams, config: NetworkConfig,
              pool: ThreadPoolExecutor | None = None):
     """Mean loss and accuracy of fixed parameters over a sequence list."""
-    losses = []
-    correct = 0
-    for loss, hit in _passes(sequences, params, config, pool):
-        losses.append(loss)
-        correct += hit
-    n = max(len(sequences), 1)
-    return float(np.mean(losses)) if losses else float("nan"), correct / n
+    losses, hits = zip(*_passes(sequences, params, config, pool)) if sequences else ((), ())
+    return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)
 
 
 def train_network(
@@ -168,10 +174,8 @@ def train_network(
                 batch = order[batch_lo : batch_lo + batch_size]
                 items = [sequences[i] for i in batch]
                 total = params.zeros_like()
-                losses = []
-                for loss, correct in _passes(items, params, config, pool, total):
-                    losses.append(loss)
-                    epoch_correct += correct
+                losses, hits = zip(*_passes(items, params, config, pool, total))
+                epoch_correct += sum(hits)
                 if not np.all(np.isfinite(losses)):
                     raise NumericalFailure(
                         f"non-finite loss in epoch {epoch}, batch of sequences "

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import threading
 import time
@@ -145,6 +146,74 @@ class TestTrainLoop:
         left = [t for t in threading.enumerate()
                 if t not in before and not t.name.startswith("spdhgr-table")]
         assert left == []
+
+    def test_error_while_a_dequeued_item_is_not_yet_running(self, dataset,
+                                                             monkeypatch):
+        """A pool worker takes an item off its queue before marking it
+        running; an item cancelled in between never runs. Here the second
+        item is held in that gap while the third already waits for its
+        turn, and the first item's forward raises: the passes must not
+        cancel the second, or the third and all behind it wait forever."""
+        first = dataset[int(np.random.default_rng(7).permutation(len(dataset))[0])]
+        forward = training.forward
+        cancelled = []
+
+        class NotedFuture(concurrent.futures.Future):
+            def __init__(self):
+                super().__init__()
+                self.cancel_called = threading.Event()
+
+            def cancel(self):
+                done = super().cancel()
+                cancelled.append(done)
+                self.cancel_called.set()
+                return done
+
+        class HoldsSecondItem(concurrent.futures.Executor):
+            """Runs each item on its own thread at once, except the second:
+            that one is marked running only once it is cancelled or a
+            second has passed."""
+
+            def __init__(self, max_workers):
+                self.threads = []
+
+            def submit(self, fn, /, *args):
+                future = NotedFuture()
+                held = args[0] == 1
+                if not held:
+                    future.set_running_or_notify_cancel()
+
+                def run():
+                    if held:
+                        future.cancel_called.wait(1.0)
+                        if not future.set_running_or_notify_cancel():
+                            return
+                    try:
+                        future.set_result(fn(*args))
+                    except BaseException as exc:
+                        future.set_exception(exc)
+
+                thread = threading.Thread(target=run, daemon=True)
+                self.threads.append(thread)
+                thread.start()
+                return future
+
+            def shutdown(self, wait=True, **kwargs):
+                for thread in self.threads:
+                    thread.join()
+
+        def first_fails(seq, *args):
+            if seq is first:
+                raise NumericalFailure("first forward failed")
+            return forward(seq, *args)
+
+        monkeypatch.setattr(training, "forward", first_fails)
+        monkeypatch.setattr(training, "ThreadPoolExecutor", HoldsSecondItem)
+        errors = _run_bounded(lambda: train_network(
+            dataset, init_params(CONFIG, 0), CONFIG, epochs=1, batch_size=len(dataset),
+            lr=0.01, seed=7, workers=2), timeout=20.0)
+        assert len(errors) == 1 and str(errors[0]) == "first forward failed"
+        assert not any(cancelled)
 
     def test_workers_under_fast_thread_switching(self, dataset):
         """More workers than cores and a thread switch every microsecond
