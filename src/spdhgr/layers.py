@@ -38,8 +38,9 @@ f = log; both run through `symmat.spectral_apply` and
 The window tables' spectral maps and the per-block products of the
 aggregation backward treat each matrix of a stack alone. On two or more
 usable cores `_split_stack` shares such a stack between the caller and
-one worker thread and joins the pieces in order, so results are
-bitwise those of one call. The split stays inside the calling layer,
+one worker thread. The caller allocates the outputs and each thread
+writes the pieces it computed into their rows, so results are bitwise
+those of one call. The split stays inside the calling layer,
 so timing a layer from outside still covers its work.
 """
 
@@ -244,72 +245,56 @@ def _split_stack(fn, *stacks):
     """``fn`` over the leading axis of ``stacks``; outputs joined along it.
 
     ``fn`` works on each matrix of a stack alone and returns a stack or a
-    tuple of stacks. With two table threads the stack is cut into
-    `STACK_PIECES` pieces, and the caller and the worker each take the
-    next piece nobody has taken until none is left. The caller copies
-    each piece into its rows of one output: its own as soon as it is
-    done, the worker's after the caller's next piece or at the end. Only
-    the caller allocates the output, so it never sits in the worker's
-    malloc arena. The result is bitwise that of one call. The caller
-    waits only for a piece the worker has in hand, never for a worker
-    that took none, so a worker that starts late (its core busy) costs
-    no more than a serial call. A failure is raised once the worker's
-    piece in hand is done; one of the worker reaches the caller
-    unchanged. ``fn`` must not call back into this function, since the
-    worker never waits on itself.
+    tuple of stacks. With two table threads the caller allocates every
+    output before the worker starts, with the trailing shapes and dtypes
+    of ``fn`` on a zero-length slice. The stack is cut into
+    `STACK_PIECES` pieces; the caller and the worker each take the next
+    piece nobody has taken until none is left, and each writes the
+    pieces it computed into their rows of the outputs, so the result is
+    bitwise that of one call. The caller waits only for a piece the
+    worker has in hand, never for a worker that took none, so a worker
+    that starts late (its core busy) costs no more than a serial call. A
+    failure is raised once the worker's piece in hand is done; one of
+    the worker reaches the caller unchanged. ``fn`` must not call back
+    into this function, since the worker never waits on itself.
     """
     n = stacks[0].shape[0]
     if n < 2 or table_threads() == 1:
         return fn(*stacks)
+    empty = fn(*(s[:0] for s in stacks))
+    single = isinstance(empty, np.ndarray)
+    outputs = [np.empty((n,) + e.shape[1:], e.dtype) for e in ((empty,) if single else empty)]
     count = min(n, STACK_PIECES)
     bounds = [n * k // count for k in range(count + 1)]
-    stashed = [None] * count  # worker pieces the caller has not copied yet
-    copied = [False] * count
-    outputs = []
-    single = False  # whether fn returns one stack, not a tuple
     lock = threading.Lock()
     taken = 0
 
-    def take_pieces(done):
+    def take_pieces():
+        """Compute and write pieces until none is left; return how many."""
         nonlocal taken
+        done = 0
         while True:
             with lock:
                 i, taken = taken, taken + 1
             if i >= count:
-                return
-            done(i, fn(*(s[bounds[i] : bounds[i + 1]] for s in stacks)))
+                return done
+            rows = slice(bounds[i], bounds[i + 1])
+            piece = fn(*(s[rows] for s in stacks))
+            for out, part in zip(outputs, (piece,) if single else piece):
+                out[rows] = part
+            del piece, part  # not held through the next piece
+            done += 1
 
-    def copy(i, piece):
-        nonlocal single
-        parts = (piece,) if isinstance(piece, np.ndarray) else piece
-        if not outputs:
-            outputs.extend(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
-            single = parts is not piece
-        for out, part in zip(outputs, parts):
-            out[bounds[i] : bounds[i + 1]] = part
-        copied[i] = True
-
-    def copy_stashed():
-        for i, piece in enumerate(stashed):
-            if piece is not None:
-                stashed[i] = None
-                copy(i, piece)
-
-    def copy_with_stashed(i, piece):
-        copy(i, piece)
-        copy_stashed()
-
-    future = _table_pool.submit(take_pieces, stashed.__setitem__)
+    future = _table_pool.submit(take_pieces)
     try:
-        take_pieces(copy_with_stashed)
+        done = take_pieces()
     except BaseException:
         with lock:
             taken = count  # the worker takes no further piece
         future.exception()  # wait for the piece it has in hand
         raise
-    if not all(copied[i] or stashed[i] is not None for i in range(count)):
-        future.result()  # the worker's piece in hand; raises its failure
-    copy_stashed()
+    if done < count:
+        future.result()  # the worker's pieces; raises its failure
     return outputs[0] if single else tuple(outputs)
 
 

@@ -43,6 +43,7 @@ class TrainResult:
     final_loss: float
     final_accuracy: float
     checkpoints: list[str] = field(default_factory=list)
+    workers: int = 1  # sequence workers the run used
 
     def manifest(self, *, config: NetworkConfig, seed: int, dataset_id: str,
                  n_sequences: int, batch_size: int, lr: float,
@@ -58,7 +59,8 @@ class TrainResult:
             "final": {"mean_loss": self.final_loss, "accuracy": self.final_accuracy},
             "checkpoints": self.checkpoints,
             "total_wall_time_s": total_wall_time_s,
-            "threads": {"window_tables": table_threads(), "blas_held": blas.held()},
+            "threads": {"workers": self.workers, "window_tables": table_threads(),
+                        "blas_held": blas.held()},
         }
 
 
@@ -205,4 +207,4 @@ def train_network(
             pool.shutdown()
 
     return TrainResult(params=params, epochs=records, final_loss=final_loss,
-                       final_accuracy=final_acc, checkpoints=checkpoints)
+                       final_accuracy=final_acc, checkpoints=checkpoints, workers=workers)

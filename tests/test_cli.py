@@ -78,6 +78,13 @@ class TestTrain:
         assert manifests[2]["epochs"] == manifests[1]["epochs"]
         assert manifests[2]["final"] == manifests[1]["final"]
 
+    def test_manifest_records_the_workers(self, workspace):
+        root, data, config = workspace
+        out = root / "workers_recorded"
+        assert run("train", "--config", config, "--data-root", data, "--out", out,
+                   "--epochs", 1, "--seed", 3, "--batch-size", 4, "--workers", 2) == 0
+        assert json.loads((out / "manifest.json").read_text())["threads"]["workers"] == 2
+
     def test_bad_config_value(self, workspace, tmp_path):
         root, data, _ = workspace
         bad = tmp_path / "bad.cfg"

@@ -2,6 +2,7 @@ import dataclasses
 import multiprocessing
 import os
 import re
+import sys
 import threading
 import time
 
@@ -472,10 +473,9 @@ class TestTableThreads:
         for a, b in zip(split, serial):
             assert a.tobytes() == b.tobytes()
 
-    def test_output_is_made_and_written_by_the_caller(self, monkeypatch):
-        """Pieces the worker finishes first are still joined in order into
-        an output the caller allocated, so no output sits in the worker's
-        malloc arena."""
+    def test_outputs_are_made_by_the_caller(self, monkeypatch):
+        """Pieces the worker computes are written into outputs the caller
+        allocated, so no output sits in the worker's malloc arena."""
         _usable_cores(monkeypatch, 2)
         caller = threading.current_thread()
         ran_on, made_on = [], []
@@ -498,6 +498,64 @@ class TestTableThreads:
         assert set(ran_on) - {caller} and made_on == [caller, caller]
         assert doubled.tobytes() == (2.0 * stack).tobytes()
         assert plus_one.tobytes() == (stack + 1.0).tobytes()
+
+    @staticmethod
+    def _slow_on_caller(fn, ran_on):
+        """``fn``, run after a pause on the caller's non-empty pieces so the
+        worker takes some, recording the thread of each piece."""
+        def piece(*stacks):
+            if stacks[0].shape[0]:
+                ran_on.append(threading.current_thread())
+                if threading.current_thread() is threading.main_thread():
+                    time.sleep(0.02)
+            return fn(*stacks)
+        return piece
+
+    @staticmethod
+    def _one(x, k):
+        return x * k[:, None, None]
+
+    @staticmethod
+    def _two(x, k):
+        return x.sum(axis=2) + k[:, None], (100 * x[:, :, :2]).astype(np.int64) - k[:, None, None]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("fn", ["_one", "_two"])
+    def test_split_stack_equals_one_call(self, rng, monkeypatch, n, fn):
+        _usable_cores(monkeypatch, 2)
+        fn = getattr(self, fn)
+        stacks = rng.standard_normal((n, 2, 3)), np.arange(n, dtype=np.int64)
+        ran_on = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the piece loop
+        try:
+            split = layers._split_stack(self._slow_on_caller(fn, ran_on), *stacks)
+        finally:
+            sys.setswitchinterval(interval)
+        whole = fn(*stacks)
+        assert len(ran_on) == min(n, layers.STACK_PIECES)
+        assert set(ran_on) - {threading.main_thread()}
+        if isinstance(whole, np.ndarray):
+            split, whole = (split,), (whole,)
+        assert len(split) == len(whole)
+        for a, b in zip(split, whole):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("row", ["first", "last"])
+    def test_split_stack_raises_a_piece_failure_unchanged(self, monkeypatch, n, row):
+        _usable_cores(monkeypatch, 2)
+        error = NumericalFailure("piece failed")
+        bad = 0 if row == "first" else n - 1
+
+        def failing(x):
+            if np.any(x == bad):
+                raise error
+            return 2 * x
+
+        with pytest.raises(NumericalFailure) as raised:
+            layers._split_stack(self._slow_on_caller(failing, []), np.arange(n))
+        assert raised.value is error
 
     def test_worker_failure_reaches_caller(self, rng, monkeypatch):
         _usable_cores(monkeypatch, 2)
@@ -522,6 +580,8 @@ class TestTableThreads:
         eigh_stack = layers._eigh_stack
 
         def failing_on_main(a):
+            if a.shape[0] == 0:
+                return eigh_stack(a)  # the caller's output shapes
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.05)  # leave the worker a piece to take
                 raise NumericalFailure("caller piece failed")
