@@ -183,16 +183,15 @@ def cmd_ablate(args) -> int:
         config = load_config(args.config, overrides={**_config_overrides(args),
                                                      field: value})
         runs.append((value, config, init_params(config, args.seed)))
+    # no knob changes n_frames, so every value runs on the same resampled splits
+    n_frames = runs[0][1].n_frames
+    splits = {split: _resample_all(_load_dataset(args.data_root, args.dataset, split), n_frames)
+              for split in ("train", "test")}
     rows = []
     while runs:
         # a value's initial weights are not held past its own run
         value, config, params = runs.pop(0)
         run_dir = out_root / f"{args.knob}_{value}"
-        splits = {
-            split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
-                                 config.n_frames)
-            for split in ("train", "test")
-        }
         result = train_network(
             splits["train"], params, config,
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,

@@ -37,7 +37,6 @@ END_TO_END_TOL = 1e-4
 
 TINY_CONFIG = NetworkConfig(
     n_classes=2, d_out_c=2, d_out_s=4, n_frames=12, t0=1, n_chunks=2,
-    epsilon=1e-4, ridge=1e-6,
 )
 
 

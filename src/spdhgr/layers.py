@@ -550,7 +550,6 @@ class SpdAggContext:
 
     xs: np.ndarray  # (N, d_in, d_in)
     w_hat: np.ndarray  # (d_out, N * d_in)
-    output: np.ndarray
     out_eig: EigPair
 
 
@@ -581,7 +580,7 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
     y = symmetrize(wx_flat @ w_hat.T)
     del wx_flat
     eig = assert_spd(y, "spd_agg_forward output")
-    return y, SpdAggContext(xs=xs, w_hat=w_hat, output=y, out_eig=eig)
+    return y, SpdAggContext(xs=xs, w_hat=w_hat, out_eig=eig)
 
 
 def _agg_grad_blocks(blocks, xs, grad_blocks, g):

@@ -25,6 +25,7 @@ import numpy as np
 from . import blas
 from .errors import ConfigError, InvalidInput
 from .layers import (
+    DEFAULT_RIDGE,
     BranchContext,
     ConvContext,
     HeadContext,
@@ -72,7 +73,7 @@ class NetworkConfig:
     t0: int = 1  # sliding-window half width
     n_chunks: int = 15  # temporal chunks per branch
     epsilon: float = 1e-4  # eigenvalue rectification threshold
-    ridge: float = 1e-6  # covariance ridge
+    ridge: float = DEFAULT_RIDGE  # covariance ridge
     variant: str = "st_ts"
     grid_mode: str = "full"
 
@@ -276,7 +277,7 @@ def load_params(path, config: NetworkConfig) -> NetworkParams:
 
 @dataclass
 class ForwardContext:
-    config: NetworkConfig
+    params: NetworkParams  # the parameters the pass ran with
     conv: ConvContext
     branches: list[BranchContext]  # one per branch family, in weight-block order
     agg: SpdAggContext
@@ -297,7 +298,6 @@ def _as_grid_coords(seq, config: NetworkConfig) -> np.ndarray:
 def forward(seq, params: NetworkParams, config: NetworkConfig):
     """Run the full pipeline; returns (probs, context, final SPD matrix)."""
     blas.hold_one_thread()
-    blas.keep_heap()
     coords = _as_grid_coords(seq, config)
     grid = JointGrid(config.grid_mode)
     feats, conv_ctx = conv_forward(coords, params.conv, grid)
@@ -319,7 +319,7 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     y_final, agg_ctx = spd_agg_forward(np.concatenate(inputs), params.w_hat)
     _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias,
                                       y_eig=agg_ctx.out_eig)
-    ctx = ForwardContext(config=config, conv=conv_ctx, branches=contexts, agg=agg_ctx,
+    ctx = ForwardContext(params=params, conv=conv_ctx, branches=contexts, agg=agg_ctx,
                          head=head_ctx, feats_shape=feats.shape)
     return probs, ctx, y_final
 
@@ -337,10 +337,7 @@ def backward(ctx: ForwardContext, true_label: int,
     additively into the shared convolution filters.
     """
     if into is None:
-        into = NetworkParams(conv=np.zeros_like(ctx.conv.weights),
-                             w_hat=np.zeros_like(ctx.agg.w_hat),
-                             fc_weight=np.zeros_like(ctx.head.fc_weight),
-                             fc_bias=np.zeros_like(ctx.head.probs))
+        into = ctx.params.zeros_like()
     grad_y, _, dz = head_backward(ctx.head, true_label, into=into.fc_weight)
     grad_xs, _ = spd_agg_backward(ctx.agg, grad_y, into=into.w_hat)
     grad_feats = np.zeros(ctx.feats_shape)

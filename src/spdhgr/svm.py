@@ -40,6 +40,12 @@ class SvmModel:
         return self.class_ids.shape[0]
 
 
+def _integer_labels(labels: np.ndarray) -> bool:
+    """Whether every label is an integer of magnitude at most 2^53 (exact in float64)."""
+    return labels.dtype.kind in "biuf" and bool(
+        np.all((np.abs(labels) <= 2.0**53) & (labels == np.trunc(labels))))
+
+
 def _dual_pass(gram, q_diag, shift, y_run, alpha_run, f_run, rngs):
     """One lockstep pass over the running classes, one row of ``y_run``,
     ``alpha_run`` and ``f_run`` (updated in place) and one generator each.
@@ -135,6 +141,8 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
         raise InvalidInput(f"need at least 2 samples of equal dim, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise InvalidInput(f"labels of shape {y.shape} do not match {x.shape[0]} samples")
+    if not _integer_labels(y):
+        raise InvalidInput("labels are not all finite integers")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("features contain non-finite values")
     class_ids = np.unique(y)
@@ -180,8 +188,6 @@ def svm_accuracy(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # feature files
 
-_MAX_EXACT_LABEL = 2.0**53  # float64 holds every integer up to here exactly
-
 
 def save_features(path, labels, feats) -> None:
     """Write labels (n,) and features (n, dim) as a two-tensor container."""
@@ -206,6 +212,6 @@ def load_features(path):
     if labels.ndim != 1 or feats.ndim != 2 or labels.shape[0] != feats.shape[0]:
         raise ParseError(f"{path}: labels {labels.shape} and features {feats.shape} "
                          "are not (n,) and (n, dim)")
-    if not np.all((np.abs(labels) <= _MAX_EXACT_LABEL) & (labels == np.trunc(labels))):
+    if not _integer_labels(labels):
         raise ParseError(f"{path}: labels are not all integers")
     return labels.astype(np.int64), feats

@@ -61,7 +61,7 @@ def _as_square_sym(a, name: str = "matrix") -> np.ndarray:
         raise InvalidInput(f"{name} must be a square 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} has non-finite entries")
-    return 0.5 * (a + a.T)
+    return symmetrize(a)
 
 
 @dataclass(frozen=True)

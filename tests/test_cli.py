@@ -353,7 +353,8 @@ class TestAblate:
     def test_every_value_draws_its_weights_before_training(self, workspace, roomy_config,
                                                             monkeypatch):
         """Each value's weights are drawn before any network pass, as
-        `spdhgr train` draws them."""
+        `spdhgr train` draws them, and each split is loaded once for all
+        values."""
         root, data, _ = workspace
         calls = []
 
@@ -361,16 +362,22 @@ class TestAblate:
             calls.append("init")
             return init_params(*args)
 
+        def load(*args):
+            calls.append("load")
+            return load_dataset(*args)
+
         def train(*args, **kwargs):
             calls.append("train")
             return train_network(*args, **kwargs)
 
+        load_dataset = cli._load_dataset
         monkeypatch.setattr(cli, "init_params", init)
+        monkeypatch.setattr(cli, "_load_dataset", load)
         monkeypatch.setattr(cli, "train_network", train)
         assert run("ablate", "--config", roomy_config, "--data-root", data,
                    "--out", root / "ablate_order", "--knob", "t0", "--values", 1, 2,
                    "--epochs", 1) == 0
-        assert calls == ["init", "init", "train", "train"]
+        assert calls == ["init", "init", "load", "load", "train", "train"]
 
     def test_invalid_knob(self, workspace):
         root, data, config = workspace

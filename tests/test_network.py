@@ -643,30 +643,6 @@ class TestTableThreads:
         forward(tiny_coords(rng), init_params(TINY, 0), TINY)
         assert not blas.held()
 
-    def test_first_forward_sets_the_heap_thresholds_once(self, rng, monkeypatch):
-        mallopt = blas._find_mallopt()
-        if mallopt is None:
-            pytest.skip("no glibc mallopt")
-        calls = []
-
-        def recording(param, value):
-            calls.append((param, value))
-            return mallopt(param, value)
-
-        monkeypatch.setattr(blas, "_heap_kept", None)
-        monkeypatch.setattr(blas, "_find_mallopt", lambda: recording)
-        params, coords = init_params(TINY, 0), tiny_coords(rng)
-        forward(coords, params, TINY)
-        forward(coords, params, TINY)
-        assert calls == [(blas.M_MMAP_THRESHOLD, 32 << 20), (blas.M_TRIM_THRESHOLD, 128 << 20)]
-        assert blas._heap_kept
-
-    def test_malloc_left_alone_without_glibc(self, rng, monkeypatch):
-        monkeypatch.setattr(blas, "_heap_kept", None)
-        monkeypatch.setattr(blas, "_find_mallopt", lambda: None)
-        forward(tiny_coords(rng), init_params(TINY, 0), TINY)
-        assert blas._heap_kept is False
-
 
 def test_eigenvector_signs_do_not_change_outputs(rng, monkeypatch):
     """Flipping random eigenvector columns of every eigendecomposition

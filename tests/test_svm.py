@@ -112,6 +112,23 @@ class TestSolver:
         with pytest.raises(InvalidInput):
             svm_train(np.eye(3), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("labels", [
+        [0.2, 0.2, 0.7, 0.7],  # would truncate to one class id, 0
+        [0.0, 0.0, 1.0, 1.5],
+        [0.0, 1.0, 1.0, float("nan")],
+        [0.0, 1.0, 1.0, float("inf")],
+        [0.0, 1.0, 1.0, 2.0**60],  # not every integer this large is exact in float64
+        ["a", "a", "b", "b"],
+    ])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(InvalidInput, match="labels are not all finite integers"):
+            svm_train(np.eye(4), np.array(labels))
+
+    def test_integer_valued_float_labels_accepted(self):
+        model = svm_train(np.eye(4), np.array([0.0, 0.0, 3.0, 3.0]))
+        assert model.class_ids.tolist() == [0, 3]
+        assert svm_predict_batch(model, np.eye(4)).tolist() == [0, 0, 3, 3]
+
     @pytest.mark.parametrize("kwargs, message", [
         (dict(c=0.0), "C must be finite and > 0, got 0.0"),
         (dict(c=-1.0), "C must be finite and > 0, got -1.0"),
