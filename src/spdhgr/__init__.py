@@ -28,7 +28,6 @@ from .network import (
     save_params,
 )
 from .skeleton import (
-    BranchPlan,
     JointGrid,
     SkeletonSequence,
     build_branch_plan,
@@ -44,7 +43,6 @@ from .training import train_network
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchPlan",
     "ConfigError",
     "InvalidInput",
     "JointGrid",

@@ -2,13 +2,14 @@
 spatial-temporal and 30 temporal-spatial branches, SPD aggregation under
 a Stiefel-constrained weight, and a log-Euclidean softmax head.
 
-Branch order is fixed (spatial-temporal branches first, each group
-sub-sequence-major then finger) and defines the column-block layout of
-the combined aggregation weight, so checkpoints are portable. Variants
-drop one branch group and shrink the weight accordingly.
+Branch order is fixed (spatial-temporal branches first, each family in
+the order of `skeleton.build_branch_plan`) and defines the column-block
+layout of the combined aggregation weight, so checkpoints are portable;
+docs/formats.md states it. Variants drop one branch family and shrink
+the weight accordingly.
 
 Each branch family runs as one call over the whole feature tensor with
-the list of branches (frame range and finger joints), so windows shared
+the plan's branches (frame range and finger joints), so windows shared
 between sub-sequences are computed once per sequence; see `layers`.
 """
 
@@ -46,13 +47,13 @@ from .optim import load_checkpoint, save_checkpoint, stiefel_init, write_atomic
 from .skeleton import (
     GRID_MODES,
     JointGrid,
+    N_BRANCHES,
     N_FILTERS,
     SkeletonSequence,
     _lines,
     _read_text,
     build_branch_plan,
     grid_joint_coords,
-    grid_node_index,
 )
 from .symmat import tri_length
 
@@ -84,7 +85,7 @@ class NetworkConfig:
 
     @property
     def n_inputs(self) -> int:
-        return 30 * len(FAMILIES[self.variant])
+        return N_BRANCHES * len(FAMILIES[self.variant])
 
     @property
     def feature_dim(self) -> int:
@@ -113,7 +114,7 @@ class NetworkConfig:
         if self.n_frames < 6:
             problems.append(f"n_frames must be >= 6, got {self.n_frames}")
         else:
-            shortest = self.n_frames // 3  # shortest branch: first third
+            shortest = min(stop - start for start, stop, _ in build_branch_plan(self.n_frames))
             families = FAMILIES.get(self.variant, ())
             if "st" in families and shortest < 2 * self.t0 + 1:
                 problems.append(
@@ -301,9 +302,7 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     coords = _as_grid_coords(seq, config)
     grid = JointGrid(config.grid_mode)
     feats, conv_ctx = conv_forward(coords, params.conv, grid)
-    plan = build_branch_plan(config.n_frames)
-    branches = [(spec.frame_range[0] - 1, spec.frame_range[1],
-                 [grid_node_index(j) for j in spec.joints]) for spec in plan.entries]
+    branches = build_branch_plan(config.n_frames)
 
     # each family's layer and window size (t0 or chunk count)
     family_layers = {"st": (st_branch_forward, config.t0),

@@ -75,13 +75,6 @@ def finger_joints(finger: int) -> tuple[int, int, int, int]:
     return tuple(range(base, base + N_LEVELS))
 
 
-def grid_node_index(node_id: int) -> int:
-    """0-based position of a grid node in coordinate arrays."""
-    if node_id not in GRID_NODE_IDS:
-        raise InvalidInput(f"node {node_id} is not a grid node (expected 3..22)")
-    return node_id - 3
-
-
 def grid_neighbors(grid: JointGrid, node_id: int) -> list[tuple[int, int]]:
     """Valid (neighbour node id, filter index) pairs for a node.
 
@@ -202,45 +195,26 @@ def split_range(n: int, parts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    """One (sub-sequence, finger) branch: frames are 1-based inclusive."""
-
-    sub_seq: int
-    finger: int
-    frame_range: tuple[int, int]
-    joints: tuple[int, int, int, int]
+# sub-sequences of the branch plan: the whole sequence, its halves, its thirds
+SUB_SEQUENCE_SPLITS = (1, 2, 3)
+N_BRANCHES = sum(SUB_SEQUENCE_SPLITS) * N_FINGERS
 
 
-@dataclass(frozen=True)
-class BranchPlan:
-    n_frames: int
-    entries: tuple[BranchSpec, ...]
+def build_branch_plan(n_frames: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The N_BRANCHES (sub-sequence, finger) branches over a sequence.
 
-
-def build_branch_plan(n_frames: int) -> BranchPlan:
-    """The 30 (sub-sequence, finger) branches over a sequence.
-
-    Sub-sequence 1 is the whole sequence, 2-3 its halves, 4-6 its thirds;
-    crossed with the five fingers, ordered sub-sequence-major.
+    Each branch is ``(start, stop, joints)``: frames 0-based and
+    half-open, joints the 0-based lattice positions of one finger's four
+    nodes, base to tip. This is the ``branches`` argument of the branch
+    family layers, in the column-block order of the aggregation weight:
+    sub-sequence-major (whole, halves, thirds), then finger.
     """
     if n_frames < 6:
         raise InvalidInput(f"need at least 6 frames for the branch plan, got {n_frames}")
-    ranges = [(0, n_frames)]
-    ranges += split_range(n_frames, 2)
-    ranges += split_range(n_frames, 3)
-    entries = []
-    for s, (start, stop) in enumerate(ranges, start=1):
-        for f in range(1, N_FINGERS + 1):
-            entries.append(
-                BranchSpec(
-                    sub_seq=s,
-                    finger=f,
-                    frame_range=(start + 1, stop),
-                    joints=finger_joints(f),
-                )
-            )
-    return BranchPlan(n_frames=n_frames, entries=tuple(entries))
+    ranges = [piece for parts in SUB_SEQUENCE_SPLITS for piece in split_range(n_frames, parts)]
+    fingers = [tuple(j - GRID_NODE_IDS[0] for j in finger_joints(f))
+               for f in range(1, N_FINGERS + 1)]
+    return tuple((start, stop, joints) for start, stop in ranges for joints in fingers)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +311,9 @@ def _read_index(path: Path, n_fields: int) -> list[tuple[str, list[int]]]:
             fields = [int(t) for t in tokens[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-integer field ({exc})") from exc
+        if any(abs(v) > 2**53 for v in fields):
+            raise ParseError(f"{path}:{lineno}: integer field beyond +-2**53, the range "
+                             "a feature file holds exactly")
         entries.append((tokens[0], fields))
     entries.sort(key=lambda e: e[0])
     return entries

@@ -31,6 +31,7 @@ public single-matrix wrappers and the batched layer code both call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,16 +173,13 @@ def _tri_dim(length: int) -> int:
 
 
 _SQRT2 = np.sqrt(2.0)
-_tri_cache: dict[int, tuple] = {}
 
 
+@lru_cache(maxsize=None)
 def _tri_indices(n: int):
     """Cached row-major upper-triangle indices and off-diagonal mask."""
-    hit = _tri_cache.get(n)
-    if hit is None:
-        iu = np.triu_indices(n)
-        hit = _tri_cache.setdefault(n, (iu[0], iu[1], iu[0] != iu[1]))
-    return hit
+    rows, cols = np.triu_indices(n)
+    return rows, cols, rows != cols
 
 
 def sym_vectorize(a: np.ndarray) -> np.ndarray:

@@ -160,7 +160,11 @@ def train_network(
         raise ConfigError(f"lr must be finite, got {lr}")
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror or exc}") from None
 
     rng = np.random.default_rng(seed)
     records = []

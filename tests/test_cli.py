@@ -151,6 +151,22 @@ class TestTrain:
         assert "ridge must be finite and >= 0, got nan" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ("train", "ablate"))
+    @pytest.mark.parametrize("under", (False, True))
+    def test_output_directory_blocked_by_a_file_exits_2(self, workspace, tmp_path, capsys,
+                                                        command, under):
+        _, data, config = workspace
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "run" if under else blocker
+        extra = ("--knob", "t0", "--values", 1) if command == "ablate" else ()
+        assert run(command, "--config", config, "--data-root", data, "--out", out,
+                   "--epochs", 1, *extra) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(blocker) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):

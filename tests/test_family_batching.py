@@ -32,7 +32,6 @@ from spdhgr.skeleton import (
     N_GRID_NODES,
     JointGrid,
     build_branch_plan,
-    grid_node_index,
     split_range,
 )
 from spdhgr.symmat import symmetrize
@@ -126,11 +125,8 @@ def ref_branch_backward(ctx, grad_out):
 def ref_forward_backward(coords, params, config, label):
     """The per-branch network forward and backward loop."""
     feats, conv_ctx = conv_forward(coords, params.conv, JointGrid(config.grid_mode))
-    branch_slices = []
-    for spec in build_branch_plan(config.n_frames).entries:
-        t_begin, t_end = spec.frame_range
-        branch_slices.append((slice(t_begin - 1, t_end),
-                              [grid_node_index(j) for j in spec.joints]))
+    branch_slices = [(slice(start, stop), list(joints))
+                     for start, stop, joints in build_branch_plan(config.n_frames)]
     inputs, contexts = [], []
     if config.variant in ("st_ts", "st_only"):
         for frame_slice, joints in branch_slices:
@@ -235,9 +231,7 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
     gives bitwise the gradient of the copies the forward used."""
     rng = np.random.default_rng(7)
     n_frames, d = 500, 9
-    branches = [(spec.frame_range[0] - 1, spec.frame_range[1],
-                 [grid_node_index(j) for j in spec.joints])
-                for spec in build_branch_plan(n_frames).entries]
+    branches = build_branch_plan(n_frames)
     feats = rng.standard_normal((n_frames, N_GRID_NODES, d))
     x_augs = []
     embed = layers._gauss_embed_stack

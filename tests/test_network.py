@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdhgr import blas, layers, network, symmat
 from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
@@ -17,6 +19,7 @@ from spdhgr.network import (
     NetworkConfig,
     NetworkParams,
     PARAM_TENSORS,
+    VARIANTS,
     backward,
     config_from_mapping,
     extract_features,
@@ -28,7 +31,7 @@ from spdhgr.network import (
     save_params,
 )
 from spdhgr.optim import load_checkpoint, save_checkpoint, stiefel_error
-from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence
+from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence, build_branch_plan
 from spdhgr.symmat import spd_log, spectral_grad, sym_vectorize
 
 TINY = TINY_CONFIG
@@ -85,11 +88,34 @@ class TestConfig:
             NetworkConfig(n_classes=2, **{key: value}).validate()
 
     def test_branch_feasibility(self):
-        # shortest branch (a third) must hold the window and the chunks
+        # the shortest plan branch (a third) must hold the window and the chunks
         with pytest.raises(ConfigError, match="window"):
             NetworkConfig(n_classes=2, n_frames=12, t0=3, n_chunks=2).validate()
         with pytest.raises(ConfigError, match="chunks"):
             NetworkConfig(n_classes=2, n_frames=12, t0=1, n_chunks=3).validate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_frames=st.integers(6, 40), t0=st.integers(1, 7), n_chunks=st.integers(2, 8),
+           variant=st.sampled_from(VARIANTS))
+    def test_validate_accepts_exactly_what_every_branch_holds(self, n_frames, t0, n_chunks,
+                                                            variant):
+        """validate() accepts a config exactly when every branch of the plan
+        holds a 2*t0+1 window (st) and n_chunks chunks of at least 2 frames
+        (ts), and every config it accepts runs a forward pass."""
+        config = NetworkConfig(n_classes=2, d_out_c=1, d_out_s=2, n_frames=n_frames,
+                               t0=t0, n_chunks=n_chunks, variant=variant)
+        lengths = [stop - start for start, stop, _ in build_branch_plan(n_frames)]
+        fits = all((variant == "ts_only" or n >= 2 * t0 + 1)
+                   and (variant == "st_only" or n >= 2 * n_chunks) for n in lengths)
+        try:
+            config.validate()
+        except ConfigError:
+            assert not fits
+            return
+        assert fits
+        coords = np.random.default_rng(n_frames).standard_normal((n_frames, N_GRID_NODES, 3))
+        probs, _, _ = forward(coords, init_params(config, 0), config)
+        assert probs.shape == (2,) and np.all(np.isfinite(probs))
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "net.cfg"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spdhgr.errors import ConfigError, InvalidInput, ParseError
 from spdhgr.skeleton import (
     GRID_NODE_IDS,
+    N_BRANCHES,
     JointGrid,
     OFFSET_LABELS,
     SkeletonSequence,
@@ -151,35 +152,33 @@ class TestResample:
 class TestBranchPlan:
     def test_canonical_500(self):
         plan = build_branch_plan(500)
-        ranges = [e.frame_range for e in plan.entries[::5]]
-        assert ranges == [(1, 500), (1, 250), (251, 500), (1, 166), (167, 333), (334, 500)]
+        ranges = [(start, stop) for start, stop, _ in plan[::5]]
+        assert ranges == [(0, 500), (0, 250), (250, 500), (0, 166), (166, 333), (333, 500)]
 
     def test_six_frames(self):
         plan = build_branch_plan(6)
-        thirds = [e.frame_range for e in plan.entries if e.sub_seq >= 4]
-        assert thirds[::5] == [(1, 2), (3, 4), (5, 6)]
+        thirds = [(start, stop) for start, stop, _ in plan[15:]]
+        assert thirds[::5] == [(0, 2), (2, 4), (4, 6)]
 
     def test_thirty_entries_order(self):
         plan = build_branch_plan(30)
-        assert len(plan.entries) == 30
-        assert [(e.sub_seq, e.finger) for e in plan.entries] == [
-            (s, f) for s in range(1, 7) for f in range(1, 6)
-        ]
-        for e in plan.entries:
-            assert e.joints == finger_joints(e.finger)
+        assert len(plan) == N_BRANCHES == 30
+        # sub-sequence-major, then finger: the finger cycles fastest
+        for k, (start, stop, joints) in enumerate(plan):
+            sub_seq, finger = divmod(k, 5)
+            assert (start, stop) == plan[5 * sub_seq][:2]
+            assert joints == tuple(GRID_NODE_IDS.index(j) for j in finger_joints(finger + 1))
 
     @given(st.integers(min_value=6, max_value=2000))
     def test_partition_property(self, n):
-        plan = build_branch_plan(n)
-        by_s = {e.sub_seq: e.frame_range for e in plan.entries}
-        assert by_s[1] == (1, n)
-        for group in ((2, 3), (4, 5, 6)):
+        by_s = [(start, stop) for start, stop, _ in build_branch_plan(n)[::5]]
+        assert by_s[0] == (0, n)
+        for group in (by_s[1:3], by_s[3:6]):
             covered = []
-            for s in group:
-                lo, hi = by_s[s]
-                covered.extend(range(lo, hi + 1))
-            assert covered == list(range(1, n + 1))
-            sizes = [by_s[s][1] - by_s[s][0] + 1 for s in group]
+            for lo, hi in group:
+                covered.extend(range(lo, hi))
+            assert covered == list(range(n))
+            sizes = [hi - lo for lo, hi in group]
             assert max(sizes) - min(sizes) <= 1
 
     def test_too_short(self):
@@ -232,6 +231,27 @@ class TestDhgLoader:
         (tmp_path / "train.txt").write_text("sequences/bad.txt 0 0 1\n")
         with pytest.raises(ParseError, match=r"bad\.txt:1"):
             load_dhg(tmp_path, "train")
+
+    @pytest.mark.parametrize("field", (2**53 + 1, -(2**53) - 1, 2**63, 10**30))
+    @pytest.mark.parametrize("column", (1, 2, 3))
+    def test_field_beyond_float64_range_names_location(self, tmp_path, field, column):
+        """A feature file stores labels as float64, exact up to 2**53 in
+        magnitude; a larger index field is a parse error at its line."""
+        (tmp_path / "sequences").mkdir(parents=True)
+        (tmp_path / "sequences" / "a.txt").write_text(" ".join(["0.0"] * 66) + "\n")
+        fields = ["0", "0", "1"]
+        fields[column - 1] = str(field)
+        (tmp_path / "train.txt").write_text("sequences/a.txt 0 0 1\n"
+                                            f"sequences/a.txt {' '.join(fields)}\n")
+        with pytest.raises(ParseError, match=r"train\.txt:2: integer field beyond"):
+            load_dhg(tmp_path, "train")
+
+    def test_field_at_float64_limit_accepted(self, tmp_path):
+        (tmp_path / "sequences").mkdir(parents=True)
+        (tmp_path / "sequences" / "a.txt").write_text(" ".join(["0.0"] * 66) + "\n")
+        (tmp_path / "train.txt").write_text(f"sequences/a.txt {2**53} 0 {-(2**53)}\n")
+        (seq,) = load_dhg(tmp_path, "train")
+        assert (seq.label, seq.subject) == (2**53, -(2**53))
 
     def test_missing_split_file(self, tmp_path):
         write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=1, n_frames=5)
