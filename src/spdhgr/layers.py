@@ -28,20 +28,24 @@ the same frames, so at t0=1 the 30 spatial-temporal branches of a
 Branches with equally many rows share one stacked second-stage
 embedding, and the backward sums each window's row gradients before one
 spectral backward over the table. A single branch is the one-branch
-case of the same code.
+case of the same code. The table's layout (joint sets, windows, length
+groups, second-stage rows) depends only on the branches and sizes, so
+`_family_plan` builds it once per layout and every call shares it.
 
 Rectification followed by the logarithm (ReEig then LogEig) is one
 spectral function, f = log(max(v, eps)), and the head's LogEig is
 f = log; both run through `symmat.spectral_apply` and
 `symmat.spectral_grad`, the one spectral map of the package.
 
-The window tables' spectral maps and the per-block products of the
-aggregation backward treat each matrix of a stack alone. On two or more
-usable cores `_split_stack` shares such a stack between the caller and
-one worker thread. The caller allocates the outputs and each thread
-writes the pieces it computed into their rows, so results are bitwise
-those of one call. The split stays inside the calling layer,
-so timing a layer from outside still covers its work.
+The window tables' spectral maps, the aggregation forward (a row piece
+of W_hat at a time) and the per-block products of the aggregation
+backward treat each row of a stack alone. `_split_stack` cuts such a
+stack into the same pieces at any thread count, and on two or more
+usable cores shares them between the caller and one worker thread. The
+caller allocates the outputs and each thread writes the pieces it
+computed into their rows, so results are bitwise the same on one thread
+and two. The split stays inside the calling layer, so timing a layer
+from outside still covers its work.
 """
 
 from __future__ import annotations
@@ -244,24 +248,26 @@ STACK_PIECES = 4  # a split stack is cut into this many pieces
 def _split_stack(fn, *stacks):
     """``fn`` over the leading axis of ``stacks``; outputs joined along it.
 
-    ``fn`` works on each matrix of a stack alone and returns a stack or a
-    tuple of stacks. With two table threads the caller allocates every
-    output before the worker starts, with the trailing shapes and dtypes
-    of ``fn`` on a zero-length slice. The stack is cut into
-    `STACK_PIECES` pieces; the caller and the worker each take the next
-    piece nobody has taken until none is left, and each writes the
-    pieces it computed into their rows of the outputs, so the result is
-    bitwise that of one call. The caller waits only for a piece the
-    worker has in hand, never for a worker that took none, so a worker
-    that starts late (its core busy) costs no more than a serial call. A
-    failure is raised once the worker's piece in hand is done; one of
-    the worker reaches the caller unchanged. ``fn`` must not call back
-    into this function, since the worker never waits on itself.
+    ``fn`` works on each row of a stack alone and returns a stack or a
+    tuple of stacks. The caller allocates every output, with the
+    trailing shapes and dtypes of ``fn`` on a zero-length slice. The
+    stack is cut into `STACK_PIECES` pieces, the same pieces at any
+    thread count, so a piece whose bits depend on its row count (a GEMM)
+    gives the same result on one thread as on two. With two table
+    threads the caller and the worker each take the next piece nobody
+    has taken until none is left; with one the caller takes them all.
+    Each thread writes the pieces it computed into their rows of the
+    outputs. The caller waits only for a piece the worker has in hand,
+    never for a worker that took none, so a worker that starts late (its
+    core busy) costs no more than a serial call. A failure is raised
+    once the worker's piece in hand is done; one of the worker reaches
+    the caller unchanged. ``fn`` must not call back into this function,
+    since the worker never waits on itself.
     """
     n = stacks[0].shape[0]
-    if n < 2 or table_threads() == 1:
-        return fn(*stacks)
     empty = fn(*(s[:0] for s in stacks))
+    if n == 0:
+        return empty
     single = isinstance(empty, np.ndarray)
     outputs = [np.empty((n,) + e.shape[1:], e.dtype) for e in ((empty,) if single else empty)]
     count = min(n, STACK_PIECES)
@@ -285,6 +291,9 @@ def _split_stack(fn, *stacks):
             del piece, part  # not held through the next piece
             done += 1
 
+    if count < 2 or table_threads() == 1:
+        take_pieces()
+        return outputs[0] if single else tuple(outputs)
     future = _table_pool.submit(take_pieces)
     try:
         done = take_pieces()
@@ -335,7 +344,7 @@ def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> n
 # module docstring)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _WindowGroup:
     """Table windows of one length, embedded as one stack."""
 
@@ -355,7 +364,7 @@ def _window_samples(by_set: np.ndarray, sets: np.ndarray, starts: np.ndarray,
 WINDOW_CHUNK = 512  # windows whose sample gradients a backward forms at once
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SecondStage:
     """Branches with equally many rows, embedded as one stack."""
 
@@ -371,36 +380,62 @@ class BranchContext:
     eps: float
     joint_sets: np.ndarray  # (sets, set size) joint indices of the table
     by_set: np.ndarray  # (sets, frames, set size, d) features of each joint set
-    windows: list[_WindowGroup]
+    windows: tuple[_WindowGroup, ...]  # shared with the call's `_FamilyPlan`
     spectral_cache: tuple  # of the window table, one entry per window
     vecs: np.ndarray  # (entries, m - 1) vector row of each window, the second stage's samples
-    second: list[_SecondStage]
+    second: tuple[_SecondStage, ...]  # shared with the call's `_FamilyPlan`
 
 
-def _branch_family_forward(kind, feats, branches, rows_of, eps, ridge):
-    """Shared forward of both families.
+@dataclass(frozen=True)
+class _FamilyPlan:
+    """The window-table layout of one family call; its arrays are read-only."""
 
-    ``rows_of(n_frames, joints)`` cuts one branch into rows and returns
-    (joint sets, per-row set, per-row start, per-row stop) with frames
-    relative to the branch start.
+    joint_sets: np.ndarray  # (sets, set size) joint indices of the table
+    entries: int  # distinct windows in the table
+    windows: tuple[_WindowGroup, ...]
+    second: tuple[_SecondStage, ...]
+
+
+def _st_rows(t0, n_frames, joints):
+    _require(n_frames >= 2 * t0 + 1,
+             f"branch of {n_frames} frames is shorter than the window {2 * t0 + 1}")
+    t = np.arange(n_frames)
+    return ([joints], np.zeros(n_frames, dtype=np.intp),
+            np.maximum(t - t0, 0), np.minimum(t + t0 + 1, n_frames))
+
+
+def _ts_rows(n_chunks, n_frames, joints):
+    _require(n_frames >= 2 * n_chunks,
+             f"branch of {n_frames} frames cannot give {n_chunks} chunks of >= 2 frames")
+    bounds = np.array(split_range(n_frames, n_chunks))
+    n = len(joints)
+    return ([[j] for j in joints], np.repeat(np.arange(n), n_chunks),
+            np.tile(bounds[:, 0], n), np.tile(bounds[:, 1], n))
+
+
+# family -> rows_of(size, n_frames, joints): one branch cut into rows, as
+# (joint sets, per-row set, per-row start, per-row stop) with frames
+# relative to the branch start
+_ROWS_OF = {"st": _st_rows, "ts": _ts_rows}
+
+
+@lru_cache(maxsize=16)
+def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
+                 branches: tuple) -> _FamilyPlan:
+    """The joint sets, window table, length groups and second-stage rows
+    of a family call, built once per layout.
+
+    ``size`` is t0 (st) or the chunk count (ts), and ``branches`` holds
+    (first frame, stop frame, joint tuple) per branch, all ints.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
-    n_frames, n_joints, d = feats.shape
-    single = branches is None
-    if single:
-        branches = [(0, n_frames, range(n_joints))]
-    _require(len(branches) >= 1, "no branches given")
-
     set_index: dict[tuple, int] = {}
     keys, n_rows = [], []
     for start, stop, joints in branches:
         _require(0 <= start < stop <= n_frames,
                  f"branch frames [{start}, {stop}) outside [0, {n_frames})")
-        _require(len(set(joints)) == len(joints), f"branch joints {joints} repeat")
-        sets, row_set, lo, hi = rows_of(stop - start, joints)
-        ids = np.array([set_index.setdefault(tuple(int(j) for j in s), len(set_index))
-                        for s in sets])
+        _require(len(set(joints)) == len(joints), f"branch joints {list(joints)} repeat")
+        sets, row_set, lo, hi = _ROWS_OF[kind](size, stop - start, joints)
+        ids = np.array([set_index.setdefault(tuple(s), len(set_index)) for s in sets])
         # one integer key per window: (set, first frame, length)
         keys.append((ids[row_set] * (n_frames + 1) + start + lo) * (n_frames + 1) + hi - lo)
         n_rows.append(row_set.size)
@@ -412,36 +447,58 @@ def _branch_family_forward(kind, feats, branches, rows_of, eps, ridge):
     table, row_entry = np.unique(np.concatenate(keys), return_inverse=True)
     rest, lengths = np.divmod(table, n_frames + 1)
     table_sets, table_starts = np.divmod(rest, n_frames + 1)
-
-    # first stage: embed every distinct window once, grouped by length
-    by_set = feats[:, joint_sets].swapaxes(0, 1)
-    mats = np.empty((table.size, d + 1, d + 1))
     windows = []
     for length in np.unique(lengths):
         ids = np.flatnonzero(lengths == length)
-        group = _WindowGroup(ids=ids, sets=table_sets[ids], starts=table_starts[ids],
-                             length=int(length))
-        mats[ids], _ = _gauss_embed_stack(
+        windows.append(_WindowGroup(ids=ids, sets=table_sets[ids], starts=table_starts[ids],
+                                    length=int(length)))
+    offsets = np.cumsum([0] + n_rows)
+    second = []
+    for count in sorted(set(n_rows)):
+        members = np.array([k for k, c in enumerate(n_rows) if c == count])
+        second.append(_SecondStage(
+            branches=members, rows=row_entry[offsets[members][:, None] + np.arange(count)]))
+    frozen = [joint_sets]
+    frozen += [a for g in windows for a in (g.ids, g.sets, g.starts)]
+    frozen += [a for s in second for a in (s.branches, s.rows)]
+    for a in frozen:  # every call of this layout shares them
+        a.flags.writeable = False
+    return _FamilyPlan(joint_sets=joint_sets, entries=table.size, windows=tuple(windows),
+                       second=tuple(second))
+
+
+def _branch_family_forward(kind, size, feats, branches, eps, ridge):
+    """Shared forward of both families; ``size`` is as for `_family_plan`."""
+    feats = np.asarray(feats, dtype=np.float64)
+    _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
+    n_frames, n_joints, d = feats.shape
+    single = branches is None
+    if single:
+        branches = [(0, n_frames, range(n_joints))]
+    _require(len(branches) >= 1, "no branches given")
+    plan = _family_plan(kind, size, n_frames, n_joints, tuple(
+        (int(start), int(stop), tuple(int(j) for j in joints))
+        for start, stop, joints in branches))
+
+    # first stage: embed every distinct window once, grouped by length
+    by_set = feats[:, plan.joint_sets].swapaxes(0, 1)
+    mats = np.empty((plan.entries, d + 1, d + 1))
+    for group in plan.windows:
+        mats[group.ids], _ = _gauss_embed_stack(
             _window_samples(by_set, group.sets, group.starts, group.length), ridge)
-        windows.append(group)
     vecs, cache = _rect_log_vec_stack(mats, eps)
     del mats
 
     # second stage: one Gaussian over each branch's rows
     m = vecs.shape[1] + 1
     out = np.empty((len(branches), m, m))
-    offsets = np.cumsum([0] + n_rows)
-    second = []
-    for count in sorted(set(n_rows)):
-        members = np.array([k for k, c in enumerate(n_rows) if c == count])
-        rows = row_entry[offsets[members][:, None] + np.arange(count)]
-        out[members], _ = _gauss_embed_stack(vecs[rows], ridge)
-        second.append(_SecondStage(branches=members, rows=rows))
+    for stage in plan.second:
+        out[stage.branches], _ = _gauss_embed_stack(vecs[stage.rows], ridge)
     if single:
         out = out[0]
     ctx = BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
-                        joint_sets=joint_sets, by_set=by_set, windows=windows,
-                        spectral_cache=cache, vecs=vecs, second=second)
+                        joint_sets=plan.joint_sets, by_set=by_set, windows=plan.windows,
+                        spectral_cache=cache, vecs=vecs, second=plan.second)
     return out, ctx
 
 
@@ -460,15 +517,7 @@ def st_branch_forward(feats: np.ndarray, t0: int, eps: float, ridge: float = DEF
     stacks their descriptors in that order.
     """
     _require(t0 >= 1, f"t0 must be >= 1, got {t0}")
-
-    def rows_of(n_frames, joints):
-        _require(n_frames >= 2 * t0 + 1,
-                 f"branch of {n_frames} frames is shorter than the window {2 * t0 + 1}")
-        t = np.arange(n_frames)
-        return ([joints], np.zeros(n_frames, dtype=np.intp),
-                np.maximum(t - t0, 0), np.minimum(t + t0 + 1, n_frames))
-
-    return _branch_family_forward("st", feats, branches, rows_of, eps, ridge)
+    return _branch_family_forward("st", t0, feats, branches, eps, ridge)
 
 
 def ts_branch_forward(feats: np.ndarray, n_chunks: int, eps: float,
@@ -482,16 +531,7 @@ def ts_branch_forward(feats: np.ndarray, n_chunks: int, eps: float,
     `st_branch_forward`.
     """
     _require(n_chunks >= 1, f"n_chunks must be >= 1, got {n_chunks}")
-
-    def rows_of(n_frames, joints):
-        _require(n_frames >= 2 * n_chunks,
-                 f"branch of {n_frames} frames cannot give {n_chunks} chunks of >= 2 frames")
-        bounds = np.array(split_range(n_frames, n_chunks))
-        n = len(joints)
-        return ([[j] for j in joints], np.repeat(np.arange(n), n_chunks),
-                np.tile(bounds[:, 0], n), np.tile(bounds[:, 1], n))
-
-    return _branch_family_forward("ts", feats, branches, rows_of, eps, ridge)
+    return _branch_family_forward("ts", n_chunks, feats, branches, eps, ridge)
 
 
 def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
@@ -558,11 +598,23 @@ def _w_blocks(w_hat: np.ndarray, n: int, d_in: int) -> np.ndarray:
     return w_hat.reshape(w_hat.shape[0], n, d_in).swapaxes(0, 1)
 
 
+def _agg_rows(w_rows, xs, w_hat):
+    """Rows of sum_i (W_i X_i) W_i^T for the rows ``w_rows`` of W_hat: one
+    product of their W_i X_i block rows, written in place into a
+    (rows, N * d_in) buffer, with W_hat^T."""
+    n, d_in = xs.shape[0], xs.shape[1]
+    wx_rows = np.empty(w_rows.shape)
+    np.matmul(_w_blocks(w_rows, n, d_in), xs, out=_w_blocks(wx_rows, n, d_in))
+    return wx_rows @ w_hat.T
+
+
 def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
     """Aggregate N SPD matrices: Y = sum_i W_i X_i W_i^T.
 
     Equals W_hat applied to the block-diagonal of the inputs; with W_hat
-    of full row rank the output is SPD, which is asserted.
+    of full row rank the output is SPD, which is asserted. Y is formed in
+    row pieces of W_hat through `_split_stack`, so the W_i X_i blocks are
+    never whole and the product runs on both table threads.
     """
     xs = np.asarray(xs, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
@@ -573,12 +625,7 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
              f"weight must be (d_out, {n * d_in}), got {w_hat.shape}")
     _require(w_hat.shape[0] <= w_hat.shape[1],
              f"d_out {w_hat.shape[0]} exceeds N*d_in {w_hat.shape[1]}")
-    # sum_i (W_i X_i) W_i^T as one product of the W_i X_i block rows,
-    # which are written in place into their (d_out, N * d_in) layout
-    wx_flat = np.empty(w_hat.shape)
-    np.matmul(_w_blocks(w_hat, n, d_in), xs, out=_w_blocks(wx_flat, n, d_in))
-    y = symmetrize(wx_flat @ w_hat.T)
-    del wx_flat
+    y = symmetrize(_split_stack(partial(_agg_rows, xs=xs, w_hat=w_hat), w_hat))
     eig = assert_spd(y, "spd_agg_forward output")
     return y, SpdAggContext(xs=xs, w_hat=w_hat, out_eig=eig)
 

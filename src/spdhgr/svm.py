@@ -42,7 +42,9 @@ class SvmModel:
 
 def _integer_labels(labels: np.ndarray) -> bool:
     """Whether every label is an integer of magnitude at most 2^53 (exact in float64)."""
-    return labels.dtype.kind in "biuf" and bool(
+    if labels.dtype.kind in "biu":  # compared as integers: 2^53 + 1 is no float64
+        return bool(np.all((labels >= -2**53) & (labels <= 2**53)))
+    return labels.dtype.kind == "f" and bool(
         np.all((np.abs(labels) <= 2.0**53) & (labels == np.trunc(labels))))
 
 
@@ -190,13 +192,19 @@ def svm_accuracy(model: SvmModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def save_features(path, labels, feats) -> None:
-    """Write labels (n,) and features (n, dim) as a two-tensor container."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Write labels (n,) and features (n, dim) as a two-tensor container.
+
+    The container holds float64, so labels must be integers of magnitude
+    at most 2^53, which it holds exactly.
+    """
+    labels = np.asarray(labels)
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or labels.shape != feats.shape[:1]:
         raise InvalidInput(f"need labels (n,) and features (n, dim), got "
                            f"{labels.shape} and {feats.shape}")
-    save_checkpoint(path, {"labels": labels, "features": feats})
+    if not _integer_labels(labels):
+        raise InvalidInput("labels must be integers of magnitude at most 2^53")
+    save_checkpoint(path, {"labels": labels.astype(np.int64), "features": feats})
 
 
 def load_features(path):

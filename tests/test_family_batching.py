@@ -251,3 +251,56 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
     grad_out = rng.standard_normal(out.shape)
     got = layers.branch_backward(bctx, grad_out)
     assert got.tobytes() == stored_copy_branch_backward(bctx, x_augs, grad_out).tobytes()
+
+
+def _plan_arrays(plan):
+    arrays = [plan.joint_sets]
+    arrays += [a for g in plan.windows for a in (g.ids, g.sets, g.starts)]
+    arrays += [a for s in plan.second for a in (s.branches, s.rows)]
+    return arrays
+
+
+def _int_branches(n_frames):
+    return tuple((start, stop, tuple(joints)) for start, stop, joints
+                 in build_branch_plan(n_frames))
+
+
+class TestFamilyPlan:
+    """The window-table layout is built once per layout and shared read-only."""
+
+    @pytest.mark.parametrize("family, size", [("st", 1), ("ts", 4)])
+    def test_second_forward_of_a_layout_hits_the_cache(self, family, size):
+        layer = {"st": layers.st_branch_forward, "ts": layers.ts_branch_forward}[family]
+        feats = np.random.default_rng(2).standard_normal((37, N_GRID_NODES, 2))
+        branches = build_branch_plan(37)
+        out, ctx = layer(feats, size, 1e-4, branches=branches)
+        before = layers._family_plan.cache_info()
+        again, again_ctx = layer(2.0 * feats, size, 1e-4, branches=branches)
+        after = layers._family_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again_ctx.windows is ctx.windows and again_ctx.second is ctx.second
+        assert again.tobytes() != out.tobytes()
+
+    def test_plan_arrays_are_read_only(self):
+        plan = layers._family_plan("st", 1, 31, N_GRID_NODES, _int_branches(31))
+        arrays = _plan_arrays(plan)
+        assert len(arrays) == 1 + 3 * len(plan.windows) + 2 * len(plan.second)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_each_layout_gets_its_own_plan_equal_to_an_uncached_build(self):
+        plans = []
+        for family, size, n_frames in [("st", 1, 31), ("st", 2, 31), ("st", 1, 47),
+                                       ("ts", 2, 31), ("ts", 3, 31), ("ts", 2, 47)]:
+            branches = _int_branches(n_frames)
+            plan = layers._family_plan(family, size, n_frames, N_GRID_NODES, branches)
+            fresh = layers._family_plan.__wrapped__(family, size, n_frames, N_GRID_NODES,
+                                                    branches)
+            assert plan.entries == fresh.entries
+            assert [g.length for g in plan.windows] == [g.length for g in fresh.windows]
+            for a, b in zip(_plan_arrays(plan), _plan_arrays(fresh), strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            plans.append(plan)
+        assert len({id(plan) for plan in plans}) == len(plans)

@@ -474,6 +474,55 @@ class TestTableThreads:
         for a, b in zip(two, one):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    def test_two_threads_and_one_bitwise_equal_at_the_overfit_shape(self, rng, monkeypatch):
+        """At the overfit fixture's 210x420 weight, row pieces of the
+        aggregation product give other bits than one product, so only the
+        same pieces at any thread count keep one thread and two equal."""
+        config = NetworkConfig(n_classes=2, d_out_c=2, d_out_s=210, n_frames=16, t0=1,
+                               n_chunks=2).validate()
+        params = init_params(config, 4)
+        assert params.w_hat.shape == (210, 420)
+        params.fc_weight = 0.1 * rng.standard_normal(params.fc_weight.shape)
+        coords = tiny_coords(rng, config)
+        ran_on = []
+        agg_rows = layers._agg_rows
+
+        def recording(w_rows, **kwargs):
+            if w_rows.shape[0]:
+                ran_on.append(threading.current_thread())
+                if threading.current_thread() is threading.main_thread():
+                    time.sleep(0.01)  # leave the worker pieces to take
+            return agg_rows(w_rows, **kwargs)
+
+        monkeypatch.setattr(layers, "_agg_rows", recording)
+        _usable_cores(monkeypatch, 2)
+        two = self._outputs(coords, params, config)
+        assert any(t is not threading.main_thread() for t in ran_on)
+        _usable_cores(monkeypatch, 1)
+        ran_on.clear()
+        one = self._outputs(coords, params, config)
+        assert ran_on and set(ran_on) == {threading.main_thread()}
+        for a, b in zip(two, one):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 210])
+    def test_one_thread_takes_the_same_pieces(self, monkeypatch, n):
+        _usable_cores(monkeypatch, 1)
+        seen = []
+
+        def piece(x):
+            seen.append((threading.current_thread(), x.tolist()))
+            return 2 * x
+
+        stack = np.arange(n)
+        assert layers._split_stack(piece, stack).tolist() == (2 * stack).tolist()
+        count = min(n, layers.STACK_PIECES)
+        bounds = [n * k // count for k in range(count + 1)] if n else []
+        assert seen[0][1] == []  # the output shapes, before any piece
+        assert [rows for _, rows in seen[1:]] == [
+            list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        assert {thread for thread, _ in seen} == {threading.main_thread()}
+
     def test_core_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(layers.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(layers.os, "cpu_count", lambda: 4)

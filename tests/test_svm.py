@@ -119,6 +119,7 @@ class TestSolver:
         [0.0, 1.0, 1.0, float("inf")],
         [0.0, 1.0, 1.0, 2.0**60],  # not every integer this large is exact in float64
         ["a", "a", "b", "b"],
+        [0, 1, 1, 2**53 + 1],  # an int64 that float64 cannot hold
     ])
     def test_non_integer_labels_rejected(self, labels):
         with pytest.raises(InvalidInput, match="labels are not all finite integers"):
@@ -404,6 +405,25 @@ class TestFeatureFiles:
             save_checkpoint(tmp_path / name, tensors)
             with pytest.raises(ParseError, match=name):
                 load_features(tmp_path / name)
+
+    @pytest.mark.parametrize("labels", [
+        [0.7, 1.2],  # would truncate to 0 and 1
+        [0, 2**53 + 1],  # would read back as 2^53
+        [0, -(2**53) - 1],
+        [0, 2**63],  # a uint64 that int64 cannot hold
+        [0.0, float("nan")],
+        ["a", "b"],
+    ])
+    def test_save_rejects_labels_a_file_cannot_hold(self, tmp_path, labels):
+        path = tmp_path / "x.features"
+        with pytest.raises(InvalidInput, match=r"labels must be integers of magnitude at most 2\^53"):
+            save_features(path, labels, np.zeros((2, 3)))
+        assert not path.exists()
+
+    def test_save_keeps_the_largest_exact_labels(self, tmp_path):
+        labels = [2**53, -(2**53), 0]
+        save_features(tmp_path / "x.features", labels, np.zeros((3, 2)))
+        assert load_features(tmp_path / "x.features")[0].tolist() == labels
 
     def test_save_rejects_mismatched_shapes(self, tmp_path):
         with pytest.raises(InvalidInput):
