@@ -21,10 +21,11 @@ first, so the total is bitwise the same.
 A branch pipeline call runs a whole branch family. Its rows are the
 Gaussians of windows (consecutive frames over a set of joints), and the
 windows of all branches form one table: each distinct window is embedded
-and eigendecomposed once, in one stacked spectral call, and branches
-index their rows from it. The sub-sequences are a temporal pyramid over
-the same frames, so at t0=1 the 30 spatial-temporal branches of a
-500-frame sequence need 506 windows per finger instead of 1,500.
+and eigendecomposed once, in one split call over the table (below),
+and branches index their rows from it. The sub-sequences are a temporal
+pyramid over the same frames, so at t0=1 the 30 spatial-temporal
+branches of a 500-frame sequence need 506 windows per finger instead of
+1,500.
 Branches with equally many rows share one stacked second-stage
 embedding, and the backward sums each window's row gradients before one
 spectral backward over the table. A single branch is the one-branch
@@ -37,15 +38,21 @@ spectral function, f = log(max(v, eps)), and the head's LogEig is
 f = log; both run through `symmat.spectral_apply` and
 `symmat.spectral_grad`, the one spectral map of the package.
 
-The window tables' spectral maps, the aggregation forward (a row piece
-of W_hat at a time) and the per-block products of the aggregation
-backward treat each row of a stack alone. `_split_stack` cuts such a
-stack into the same pieces at any thread count, and on two or more
-usable cores shares them between the caller and one worker thread. The
-caller allocates the outputs and each thread writes the pieces it
-computed into their rows, so results are bitwise the same on one thread
-and two. The split stays inside the calling layer, so timing a layer
-from outside still covers its work.
+The window tables' first stage, their spectral backward, the aggregation
+forward (a row piece of W_hat at a time) and the per-block products of
+the aggregation backward treat each row of a stack alone. `_split_stack`
+cuts such a stack into the same pieces at any thread count, and on two
+or more usable cores shares them between the caller and one worker
+thread. The caller allocates the outputs and each thread writes the
+pieces it computed into their rows, so results are bitwise the same on
+one thread and two. A table's entries are sorted by window length, and
+each first-stage piece gathers its own windows' samples, embeds each run
+of one length as one stack, then rectifies, log-maps and vectorizes the
+piece, so the table's embedded matrices are never all held at once. A
+window's embedding and eigendecomposition do not depend on the stack it
+is in, so the pieces give bitwise the table of one call. The split stays
+inside the calling layer, so timing a layer from outside still covers
+its work.
 """
 
 from __future__ import annotations
@@ -94,28 +101,40 @@ def _require(cond: bool, message: str) -> None:
 
 
 @lru_cache(maxsize=4)
-def _conv_triples(mode: str) -> tuple[tuple[int, int, int], ...]:
-    """(node index, neighbour index, filter index) triples, all 0-based."""
+def _conv_triples(mode: str) -> np.ndarray:
+    """(triples, 3) read-only rows of (node index, neighbour index, filter
+    index), all 0-based; no (node, neighbour) pair repeats."""
     grid = JointGrid(mode)
-    triples = []
-    for node in grid.node_ids:
-        for j, label in grid_neighbors(grid, node):
-            triples.append((node - 3, j - 3, label - 1))
-    return tuple(triples)
+    triples = np.array([(node - 3, j - 3, label - 1) for node in grid.node_ids
+                        for j, label in grid_neighbors(grid, node)], dtype=np.intp)
+    triples.flags.writeable = False
+    return triples
+
+
+def _conv_kernel(weights: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """The (20 * 3, 20 * d_out) matrix of the convolution on a flattened
+    frame: its (neighbour j, node i) block is W_l^T for each triple (i, j, l)
+    and zero where j is no neighbour of i."""
+    nodes, neighbours, filters = triples.T
+    kernel = np.zeros((N_GRID_NODES, 3, N_GRID_NODES, weights.shape[1]))
+    kernel[neighbours, :, nodes] = weights[filters].swapaxes(1, 2)
+    return kernel.reshape(N_GRID_NODES * 3, -1)
 
 
 @dataclass
 class ConvContext:
     coords: np.ndarray  # (n_frames, 20, 3)
     weights: np.ndarray  # (9, d_out, 3)
-    triples: tuple
+    triples: np.ndarray  # `_conv_triples` of the grid
+    kernel: np.ndarray  # `_conv_kernel` of the weights
 
 
 def conv_forward(coords: np.ndarray, weights: np.ndarray, grid: JointGrid):
     """Lattice convolution: out_i = sum over neighbours j of W_{l(j,i)} p_j.
 
     Filter weights are shared across frames; coords is (n_frames, 20, 3)
-    and the output (n_frames, 20, d_out).
+    and the output (n_frames, 20, d_out). All frames go through one
+    (n_frames, 60) by (60, 20 * d_out) product with the lattice kernel.
     """
     coords = np.asarray(coords, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -129,25 +148,33 @@ def conv_forward(coords: np.ndarray, weights: np.ndarray, grid: JointGrid):
     )
     _require(bool(np.all(np.isfinite(coords))), "coords has non-finite entries")
     triples = _conv_triples(grid.mode)
-    out = np.zeros((coords.shape[0], N_GRID_NODES, weights.shape[1]))
-    for i, j, l in triples:
-        out[:, i] += coords[:, j] @ weights[l].T
-    return out, ConvContext(coords=coords, weights=weights, triples=triples)
+    kernel = _conv_kernel(weights, triples)
+    out = (coords.reshape(coords.shape[0], -1) @ kernel).reshape(
+        coords.shape[0], N_GRID_NODES, weights.shape[1])
+    return out, ConvContext(coords=coords, weights=weights, triples=triples, kernel=kernel)
 
 
 def conv_backward(ctx: ConvContext, grad_out: np.ndarray):
-    """Gradients w.r.t. the input coordinates and the nine filters."""
+    """Gradients w.r.t. the input coordinates and the nine filters.
+
+    The coordinate gradient is one product with the kernel's transpose. The
+    kernel gradient is one coords^T @ grad product, whose block of each
+    triple (i, j, l) is added onto filter l.
+    """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     d_out = ctx.weights.shape[1]
     _require(
         grad_out.shape == (ctx.coords.shape[0], N_GRID_NODES, d_out),
         f"upstream gradient shape {grad_out.shape} does not match forward",
     )
-    grad_coords = np.zeros_like(ctx.coords)
+    n_frames = ctx.coords.shape[0]
+    grad_flat = grad_out.reshape(n_frames, -1)
+    grad_coords = (grad_flat @ ctx.kernel.T).reshape(ctx.coords.shape)
+    grad_kernel = (ctx.coords.reshape(n_frames, -1).T @ grad_flat).reshape(
+        N_GRID_NODES, 3, N_GRID_NODES, d_out)
+    nodes, neighbours, filters = ctx.triples.T
     grad_weights = np.zeros_like(ctx.weights)
-    for i, j, l in ctx.triples:
-        grad_weights[l] += grad_out[:, i].T @ ctx.coords[:, j]
-        grad_coords[:, j] += grad_out[:, i] @ ctx.weights[l]
+    np.add.at(grad_weights, filters, grad_kernel[neighbours, :, nodes].swapaxes(1, 2))
     return grad_coords, grad_weights
 
 
@@ -312,18 +339,14 @@ def _split_stack(fn, *stacks):
 
 
 def _rect_log_vec_rows(mats: np.ndarray, eps: float):
+    """Batched ReEig -> LogEig -> half-vectorization over (n, m, m).
+
+    Returns the vector rows and the cache the backward takes:
+    (eigenvectors, eigenvalues, rectified eigenvalues).
+    """
     vals, vecs = _eigh_stack(mats)
     rect = np.maximum(vals, eps)
     return _sym_vectorize_stack(spectral_apply(vecs, np.log(rect))), vecs, vals, rect
-
-
-def _rect_log_vec_stack(mats: np.ndarray, eps: float):
-    """Batched ReEig -> LogEig -> half-vectorization over (n, m, m).
-
-    The cache is (eigenvectors, eigenvalues, rectified eigenvalues).
-    """
-    rows, vecs, vals, rect = _split_stack(partial(_rect_log_vec_rows, eps=eps), mats)
-    return rows, (vecs, vals, rect)
 
 
 def _rect_log_vec_grad_rows(vecs, vals, rect, grad_vecs_flat, eps: float):
@@ -332,7 +355,7 @@ def _rect_log_vec_grad_rows(vecs, vals, rect, grad_vecs_flat, eps: float):
 
 
 def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> np.ndarray:
-    """Backward of `_rect_log_vec_stack` from per-row vector gradients.
+    """Backward of `_rect_log_vec_rows` from per-row vector gradients.
 
     f' of log(max(v, eps)) is zero at and below eps.
     """
@@ -346,9 +369,9 @@ def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> n
 
 @dataclass(frozen=True)
 class _WindowGroup:
-    """Table windows of one length, embedded as one stack."""
+    """Table windows of one length, a contiguous range of table entries."""
 
-    ids: np.ndarray  # table entries
+    rows: slice  # table entries
     sets: np.ndarray  # joint set of each entry
     starts: np.ndarray  # first frame of each entry
     length: int  # frames per window
@@ -358,7 +381,20 @@ def _window_samples(by_set: np.ndarray, sets: np.ndarray, starts: np.ndarray,
                     length: int) -> np.ndarray:
     """(windows, length * set size, d) samples of windows of one length."""
     samples = by_set[sets[:, None], starts[:, None] + np.arange(length)]
-    return samples.reshape(sets.size, -1, by_set.shape[-1])
+    return samples.reshape(sets.size, length * by_set.shape[2], by_set.shape[3])
+
+
+def _first_stage_rows(sets, starts, lengths, by_set, ridge, eps):
+    """The first stage of table entries in ascending length order: each run
+    of one length gathers and embeds its windows as one stack, then the
+    entries are rectified, log-mapped and vectorized together."""
+    d = by_set.shape[-1]
+    mats = np.empty((sets.size, d + 1, d + 1))
+    values, firsts = np.unique(lengths, return_index=True)
+    for length, lo, hi in zip(values, firsts, np.append(firsts[1:], sets.size)):
+        mats[lo:hi], _ = _gauss_embed_stack(
+            _window_samples(by_set, sets[lo:hi], starts[lo:hi], int(length)), ridge)
+    return _rect_log_vec_rows(mats, eps)
 
 
 WINDOW_CHUNK = 512  # windows whose sample gradients a backward forms at once
@@ -388,11 +424,17 @@ class BranchContext:
 
 @dataclass(frozen=True)
 class _FamilyPlan:
-    """The window-table layout of one family call; its arrays are read-only."""
+    """The window-table layout of one family call; its arrays are read-only.
+
+    Table entries are ordered by length, then joint set, then first frame,
+    so each length group is a contiguous range of entries.
+    """
 
     joint_sets: np.ndarray  # (sets, set size) joint indices of the table
-    entries: int  # distinct windows in the table
-    windows: tuple[_WindowGroup, ...]
+    sets: np.ndarray  # (entries,) joint set of each window
+    starts: np.ndarray  # (entries,) first frame of each window
+    lengths: np.ndarray  # (entries,) frames of each window, ascending
+    windows: tuple[_WindowGroup, ...]  # views of the entry arrays, one per length
     second: tuple[_SecondStage, ...]
 
 
@@ -429,49 +471,51 @@ def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
     (first frame, stop frame, joint tuple) per branch, all ints.
     """
     set_index: dict[tuple, int] = {}
-    keys, n_rows = [], []
+    rows, n_rows = [], []
     for start, stop, joints in branches:
         _require(0 <= start < stop <= n_frames,
                  f"branch frames [{start}, {stop}) outside [0, {n_frames})")
         _require(len(set(joints)) == len(joints), f"branch joints {list(joints)} repeat")
         sets, row_set, lo, hi = _ROWS_OF[kind](size, stop - start, joints)
         ids = np.array([set_index.setdefault(tuple(s), len(set_index)) for s in sets])
-        # one integer key per window: (set, first frame, length)
-        keys.append((ids[row_set] * (n_frames + 1) + start + lo) * (n_frames + 1) + hi - lo)
+        rows.append((ids[row_set], start + lo, hi - lo))  # (set, first frame, length)
         n_rows.append(row_set.size)
     _require(len({len(s) for s in set_index}) == 1,
              "branches of one call must cover equally many joints")
     joint_sets = np.array(list(set_index), dtype=np.intp)
     _require(bool(np.all((joint_sets >= 0) & (joint_sets < n_joints))),
              f"branch joints outside [0, {n_joints})")
-    table, row_entry = np.unique(np.concatenate(keys), return_inverse=True)
-    rest, lengths = np.divmod(table, n_frames + 1)
-    table_sets, table_starts = np.divmod(rest, n_frames + 1)
-    windows = []
-    for length in np.unique(lengths):
-        ids = np.flatnonzero(lengths == length)
-        windows.append(_WindowGroup(ids=ids, sets=table_sets[ids], starts=table_starts[ids],
-                                    length=int(length)))
+    row_sets, row_starts, row_lengths = (np.concatenate(a) for a in zip(*rows))
+    # one integer key per window, ordered by (length, set, first frame)
+    keys = (row_lengths * len(joint_sets) + row_sets) * n_frames + row_starts
+    table, row_entry = np.unique(keys, return_inverse=True)
+    rest, starts = np.divmod(table, n_frames)
+    lengths, sets = np.divmod(rest, len(joint_sets))
     offsets = np.cumsum([0] + n_rows)
     second = []
     for count in sorted(set(n_rows)):
         members = np.array([k for k, c in enumerate(n_rows) if c == count])
         second.append(_SecondStage(
             branches=members, rows=row_entry[offsets[members][:, None] + np.arange(count)]))
-    frozen = [joint_sets]
-    frozen += [a for g in windows for a in (g.ids, g.sets, g.starts)]
+    frozen = [joint_sets, sets, starts, lengths]
     frozen += [a for s in second for a in (s.branches, s.rows)]
     for a in frozen:  # every call of this layout shares them
         a.flags.writeable = False
-    return _FamilyPlan(joint_sets=joint_sets, entries=table.size, windows=tuple(windows),
-                       second=tuple(second))
+    # each length group is a range of entries, its arrays read-only views
+    values, firsts = np.unique(lengths, return_index=True)
+    bounds = np.append(firsts, lengths.size)
+    windows = tuple(_WindowGroup(rows=slice(int(lo), int(hi)), sets=sets[lo:hi],
+                                 starts=starts[lo:hi], length=int(length))
+                    for length, lo, hi in zip(values, bounds[:-1], bounds[1:]))
+    return _FamilyPlan(joint_sets=joint_sets, sets=sets, starts=starts, lengths=lengths,
+                       windows=windows, second=tuple(second))
 
 
 def _branch_family_forward(kind, size, feats, branches, eps, ridge):
     """Shared forward of both families; ``size`` is as for `_family_plan`."""
     feats = np.asarray(feats, dtype=np.float64)
     _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
-    n_frames, n_joints, d = feats.shape
+    n_frames, n_joints, _ = feats.shape
     single = branches is None
     if single:
         branches = [(0, n_frames, range(n_joints))]
@@ -480,14 +524,10 @@ def _branch_family_forward(kind, size, feats, branches, eps, ridge):
         (int(start), int(stop), tuple(int(j) for j in joints))
         for start, stop, joints in branches))
 
-    # first stage: embed every distinct window once, grouped by length
+    # first stage: every distinct window once, a piece of the table at a time
     by_set = feats[:, plan.joint_sets].swapaxes(0, 1)
-    mats = np.empty((plan.entries, d + 1, d + 1))
-    for group in plan.windows:
-        mats[group.ids], _ = _gauss_embed_stack(
-            _window_samples(by_set, group.sets, group.starts, group.length), ridge)
-    vecs, cache = _rect_log_vec_stack(mats, eps)
-    del mats
+    vecs, *cache = _split_stack(partial(_first_stage_rows, by_set=by_set, ridge=ridge, eps=eps),
+                                plan.sets, plan.starts, plan.lengths)
 
     # second stage: one Gaussian over each branch's rows
     m = vecs.shape[1] + 1
@@ -498,7 +538,7 @@ def _branch_family_forward(kind, size, feats, branches, eps, ridge):
         out = out[0]
     ctx = BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
                         joint_sets=plan.joint_sets, by_set=by_set, windows=plan.windows,
-                        spectral_cache=cache, vecs=vecs, second=plan.second)
+                        spectral_cache=tuple(cache), vecs=vecs, second=plan.second)
     return out, ctx
 
 
@@ -560,13 +600,14 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
     n_sets, set_size = ctx.joint_sets.shape
     by_set = np.zeros((n_sets, n_frames, set_size, d))
     for group in ctx.windows:
-        grad_samples = np.empty((group.ids.size, group.length * set_size, d))
-        for lo in range(0, group.ids.size, WINDOW_CHUNK):
+        n, group_dmats = group.sets.size, dmats[group.rows]
+        grad_samples = np.empty((n, group.length * set_size, d))
+        for lo in range(0, n, WINDOW_CHUNK):
             part = slice(lo, lo + WINDOW_CHUNK)
             samples = _window_samples(ctx.by_set, group.sets[part], group.starts[part],
                                       group.length)
-            grad_samples[part] = _gauss_grad_stack(_augment(samples), dmats[group.ids[part]])
-        grad_samples = grad_samples.reshape(group.ids.size, group.length, set_size, d)
+            grad_samples[part] = _gauss_grad_stack(_augment(samples), group_dmats[part])
+        grad_samples = grad_samples.reshape(n, group.length, set_size, d)
         # within one offset every (set, frame) pair occurs at most once
         for k in range(group.length):
             by_set[group.sets, group.starts + k] += grad_samples[:, k]

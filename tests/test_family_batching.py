@@ -17,7 +17,7 @@ from spdhgr.layers import (
     _gauss_embed_stack,
     _gauss_grad_stack,
     _rect_log_vec_grad_stack,
-    _rect_log_vec_stack,
+    _rect_log_vec_rows,
     conv_backward,
     conv_forward,
     gauss_agg_backward,
@@ -78,7 +78,7 @@ def ref_st_branch(feats, t0, eps, ridge):
         y, x_aug = _gauss_embed_stack(feats[idx].reshape(rows.size, length * n_joints, d), ridge)
         mats[rows] = y
         groups.append(_SampleGroup(rows, starts, length, None, x_aug))
-    vec_rows, cache = _rect_log_vec_stack(mats, eps)
+    vec_rows, *cache = _rect_log_vec_rows(mats, eps)
     out, second = gauss_agg_forward(vec_rows, ridge)
     return out, _RefBranch(feats.shape, eps, groups, cache, second)
 
@@ -100,7 +100,7 @@ def ref_ts_branch(feats, n_chunks, eps, ridge):
         y, x_aug = _gauss_embed_stack(feats[idx, joints[:, None], :], ridge)
         mats[rows] = y
         groups.append(_SampleGroup(rows, all_starts, length, joints, x_aug))
-    vec_rows, cache = _rect_log_vec_stack(mats, eps)
+    vec_rows, *cache = _rect_log_vec_rows(mats, eps)
     out, second = gauss_agg_forward(vec_rows, ridge)
     return out, _RefBranch(feats.shape, eps, groups, cache, second)
 
@@ -157,6 +157,13 @@ def ref_forward_backward(coords, params, config, label):
     return probs, agg_ctx.xs, contexts, grads
 
 
+PAPER_FAMILIES = {"st": (layers.st_branch_forward, 1), "ts": (layers.ts_branch_forward, 15)}
+
+
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def rel(a, b):
     scale = np.max(np.abs(b))
     return np.max(np.abs(a - b)) / scale if scale > 0 else np.max(np.abs(a))
@@ -198,12 +205,11 @@ def test_batched_families_match_per_branch_loop(n_frames, t0, grid_mode, variant
         assert rel(getattr(grads, name), ref) <= 1e-12, name
 
 
-def stored_copy_branch_backward(bctx, x_augs, grad_out):
-    """The family backward over the [X 1] sample copies the forward made, in
-    its call order (window groups, then second stages), instead of the
+def stored_copy_branch_backward(bctx, window_x, second_x, grad_out):
+    """The family backward over the [X 1] sample copies the forward made
+    (one per table entry, and one stack per second stage) instead of the
     samples the context re-gathers. The upstream gradient is symmetrized
     once on entry, as `branch_backward` does."""
-    window_x, second_x = x_augs[:len(bctx.windows)], x_augs[len(bctx.windows):]
     grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
     grad_table = np.zeros(bctx.vecs.shape)
     for stage, x_aug in zip(bctx.second, second_x):
@@ -213,9 +219,9 @@ def stored_copy_branch_backward(bctx, x_augs, grad_out):
     n_frames, _, d = bctx.shape
     n_sets, set_size = bctx.joint_sets.shape
     by_set = np.zeros((n_sets, n_frames, set_size, d))
-    for group, x_aug in zip(bctx.windows, window_x):
-        grad_samples = _gauss_grad_stack(x_aug, dmats[group.ids])
-        grad_samples = grad_samples.reshape(group.ids.size, group.length, set_size, d)
+    for group in bctx.windows:
+        grad_samples = _gauss_grad_stack(np.stack(window_x[group.rows]), dmats[group.rows])
+        grad_samples = grad_samples.reshape(group.sets.size, group.length, set_size, d)
         for k in range(group.length):
             by_set[group.sets, group.starts + k] += grad_samples[:, k]
     grad_feats = np.zeros(bctx.shape)
@@ -242,20 +248,64 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
         return y, x_aug
 
     monkeypatch.setattr(layers, "_gauss_embed_stack", recording)
-    layer, size = {"st": (layers.st_branch_forward, 1),
-                   "ts": (layers.ts_branch_forward, 15)}[family]
+    _usable_cores(monkeypatch, 1)  # the caller embeds the pieces in table order
+    layer, size = PAPER_FAMILIES[family]
     out, bctx = layer(feats, size, 1e-4, 1e-6, branches=branches)
     monkeypatch.setattr(layers, "WINDOW_CHUNK", chunk)
-    assert len(x_augs) == len(bctx.windows) + len(bctx.second)
-    assert max(group.ids.size for group in bctx.windows) > chunk
+    # first-stage calls embed runs of table entries, then one call per second stage
+    first = len(x_augs) - len(bctx.second)
+    window_x = [x_aug for stack in x_augs[:first] for x_aug in stack]
+    assert len(window_x) == bctx.vecs.shape[0]
+    assert max(group.sets.size for group in bctx.windows) > chunk
     grad_out = rng.standard_normal(out.shape)
     got = layers.branch_backward(bctx, grad_out)
-    assert got.tobytes() == stored_copy_branch_backward(bctx, x_augs, grad_out).tobytes()
+    want = stored_copy_branch_backward(bctx, window_x, x_augs[first:], grad_out)
+    assert got.tobytes() == want.tobytes()
+
+
+def unfused_first_stage(plan, feats, eps, ridge):
+    """Every window of the table embedded first, then one ReEig -> LogEig
+    call over the whole (entries, d+1, d+1) stack."""
+    d = feats.shape[-1]
+    by_set = feats[:, plan.joint_sets].swapaxes(0, 1)
+    mats = np.empty((plan.lengths.size, d + 1, d + 1))
+    for group in plan.windows:
+        mats[group.rows], _ = _gauss_embed_stack(
+            layers._window_samples(by_set, group.sets, group.starts, group.length), ridge)
+    return _rect_log_vec_rows(mats, eps)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("family", ("st", "ts"))
+def test_fused_first_stage_matches_unfused_table(family, threads, monkeypatch):
+    """Each piece embedding its own windows gives bitwise the table of
+    embedding every window before one spectral call."""
+    rng = np.random.default_rng(11)
+    n_frames, eps, ridge = 500, 1e-4, 1e-6
+    feats = rng.standard_normal((n_frames, N_GRID_NODES, 9))
+    layer, size = PAPER_FAMILIES[family]
+    _usable_cores(monkeypatch, threads)
+    out, bctx = layer(feats, size, eps, ridge, branches=build_branch_plan(n_frames))
+    plan = layers._family_plan(family, size, n_frames, N_GRID_NODES, _int_branches(n_frames))
+    vecs, *cache = unfused_first_stage(plan, feats, eps, ridge)
+    want = np.empty(out.shape)
+    for stage in plan.second:
+        want[stage.branches], _ = _gauss_embed_stack(vecs[stage.rows], ridge)
+    assert bctx.vecs.tobytes() == vecs.tobytes()
+    for got, ref in zip(bctx.spectral_cache, cache, strict=True):
+        assert got.tobytes() == ref.tobytes()
+    assert out.tobytes() == want.tobytes()
+
+
+def test_window_samples_of_no_windows_are_empty():
+    by_set = np.zeros((3, 10, 4, 2))  # (sets, frames, set size, d)
+    none = np.zeros(0, dtype=np.intp)
+    assert layers._window_samples(by_set, none, none, 3).shape == (0, 12, 2)
 
 
 def _plan_arrays(plan):
-    arrays = [plan.joint_sets]
-    arrays += [a for g in plan.windows for a in (g.ids, g.sets, g.starts)]
+    arrays = [plan.joint_sets, plan.sets, plan.starts, plan.lengths]
+    arrays += [a for g in plan.windows for a in (g.sets, g.starts)]
     arrays += [a for s in plan.second for a in (s.branches, s.rows)]
     return arrays
 
@@ -284,7 +334,7 @@ class TestFamilyPlan:
     def test_plan_arrays_are_read_only(self):
         plan = layers._family_plan("st", 1, 31, N_GRID_NODES, _int_branches(31))
         arrays = _plan_arrays(plan)
-        assert len(arrays) == 1 + 3 * len(plan.windows) + 2 * len(plan.second)
+        assert len(arrays) == 4 + 2 * len(plan.windows) + 2 * len(plan.second)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -297,8 +347,8 @@ class TestFamilyPlan:
             plan = layers._family_plan(family, size, n_frames, N_GRID_NODES, branches)
             fresh = layers._family_plan.__wrapped__(family, size, n_frames, N_GRID_NODES,
                                                     branches)
-            assert plan.entries == fresh.entries
-            assert [g.length for g in plan.windows] == [g.length for g in fresh.windows]
+            assert ([(g.rows, g.length) for g in plan.windows]
+                    == [(g.rows, g.length) for g in fresh.windows])
             for a, b in zip(_plan_arrays(plan), _plan_arrays(fresh), strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()

@@ -7,7 +7,7 @@ from spdhgr.errors import InvalidInput, NotSPD, NumericalFailure
 from spdhgr.gradcheck import fd_gradient
 from spdhgr.layers import (
     _rect_log_vec_grad_stack,
-    _rect_log_vec_stack,
+    _rect_log_vec_rows,
     block_diagonal,
     branch_output_dim,
     conv_backward,
@@ -145,7 +145,7 @@ class TestSpectralLayers:
 
     def test_reeig_matches_rectify(self, rng):
         mats = np.stack([random_sym(rng, 5) for _ in range(4)])
-        rows, (_, _, rect) = _rect_log_vec_stack(mats, 1e-2)
+        rows, _, _, rect = _rect_log_vec_rows(mats, 1e-2)
         for a, row in zip(mats, rows):
             expected = sym_vectorize(spd_log(rectify_eigs(a, 1e-2)))
             np.testing.assert_allclose(row, expected, atol=1e-12)
@@ -167,7 +167,7 @@ class TestSpectralLayers:
 
     def test_backward_zero(self, rng):
         mats = np.stack([random_spd(rng, 4) for _ in range(3)])
-        _, cache = _rect_log_vec_stack(mats, 1e-3)
+        _, *cache = _rect_log_vec_rows(mats, 1e-3)
         grad = _rect_log_vec_grad_stack(cache, 1e-3, np.zeros((3, tri_length(4))))
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -178,9 +178,9 @@ class TestSpectralLayers:
         probe = rng.standard_normal(tri_length(4))
 
         def loss(m):
-            return float(_rect_log_vec_stack(m[None], 0.5)[0][0] @ probe)
+            return float(_rect_log_vec_rows(m[None], 0.5)[0][0] @ probe)
 
-        _, cache = _rect_log_vec_stack(a[None], 0.5)
+        _, *cache = _rect_log_vec_rows(a[None], 0.5)
         analytic = _rect_log_vec_grad_stack(cache, 0.5, probe[None])[0]
         fd = fd_gradient(loss, a, symmetric=True)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
@@ -188,12 +188,42 @@ class TestSpectralLayers:
     def test_reeig_chain_through_clamped_directions_is_zero(self, rng):
         # every eigenvalue below eps: the output is constant
         mats = np.stack([random_spd(rng, 4, lo=0.01, hi=0.05) for _ in range(3)])
-        _, cache = _rect_log_vec_stack(mats, 1.0)
+        _, *cache = _rect_log_vec_rows(mats, 1.0)
         grad = _rect_log_vec_grad_stack(cache, 1.0, rng.standard_normal((3, tri_length(4))))
         np.testing.assert_array_equal(grad, 0.0)
 
 
+def conv_loop_reference(coords, weights, grid_mode, grad_out):
+    """The lattice convolution and its backward as one small product per
+    (node, neighbour, filter) triple, the form before the lattice kernel."""
+    grid = JointGrid(grid_mode)
+    out = np.zeros(coords.shape[:2] + (weights.shape[1],))
+    grad_coords, grad_weights = np.zeros_like(coords), np.zeros_like(weights)
+    for node in grid.node_ids:
+        for j, label in grid_neighbors(grid, node):
+            i, j, l = node - 3, j - 3, label - 1
+            out[:, i] += coords[:, j] @ weights[l].T
+            grad_weights[l] += grad_out[:, i].T @ coords[:, j]
+            grad_coords[:, j] += grad_out[:, i] @ weights[l]
+    return out, grad_coords, grad_weights
+
+
 class TestConv:
+    @pytest.mark.parametrize("n_frames", [1, 7, 500])
+    @pytest.mark.parametrize("d_out", [1, 4, 9])
+    @pytest.mark.parametrize("grid_mode", ["full", "physical"])
+    def test_kernel_product_matches_per_triple_loop(self, grid_mode, d_out, n_frames):
+        rng = np.random.default_rng(n_frames * 10 + d_out)
+        coords = rng.standard_normal((n_frames, 20, 3))
+        weights = rng.standard_normal((9, d_out, 3))
+        grad_out = rng.standard_normal((n_frames, 20, d_out))
+        out, ctx = conv_forward(coords, weights, JointGrid(grid_mode))
+        grad_coords, grad_weights = conv_backward(ctx, grad_out)
+        refs = conv_loop_reference(coords, weights, grid_mode, grad_out)
+        for got, ref in zip((out, grad_coords, grad_weights), refs, strict=True):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_zero_weights(self, rng):
         coords = rng.standard_normal((3, 20, 3))
         out, _ = conv_forward(coords, np.zeros((9, 4, 3)), JointGrid())
