@@ -4,12 +4,13 @@ nonlinearities, branch pipelines, SPD aggregation, and the classifier head.
 Every forward returns (output, context) for the matching hand-written
 backward. A context keeps the layer's inputs and the forward's
 eigendecompositions, so forward and backward always agree, but not
-intermediates the backward can rebuild cheaply: a branch family keeps
-its features per joint set and the table's vector rows, from which the
-backward re-gathers each window's samples and each branch's rows with
-the forward's own indexing, so its gradients are bitwise those of
-stored copies; the SPD aggregation keeps no W_i X_i. Loss gradients
-with respect to symmetric matrices use the Frobenius pairing and are
+intermediates the backward can rebuild cheaply: a Gaussian embedding
+keeps its samples, not [X 1]; a branch family keeps its features per
+joint set and the table's vector rows, from which the backward
+re-gathers each window's samples and each branch's rows with the
+forward's own indexing, so its gradients are bitwise those of stored
+copies; the SPD aggregation keeps no W_i X_i. Loss gradients with
+respect to symmetric matrices use the Frobenius pairing and are
 symmetrized on entry to each backward.
 
 The aggregation and head backwards add their weight gradients into a
@@ -25,13 +26,13 @@ and eigendecomposed once, in one split call over the table (below),
 and branches index their rows from it. The sub-sequences are a temporal
 pyramid over the same frames, so at t0=1 the 30 spatial-temporal
 branches of a 500-frame sequence need 506 windows per finger instead of
-1,500.
-Branches with equally many rows share one stacked second-stage
+1,500. Branches with equally many rows share one stacked second-stage
 embedding, and the backward sums each window's row gradients before one
 spectral backward over the table. A single branch is the one-branch
-case of the same code. The table's layout (joint sets, windows, length
-groups, second-stage rows) depends only on the branches and sizes, so
-`_family_plan` builds it once per layout and every call shares it.
+case of the same code. The table's layout (joint sets, windows sorted by
+length, second-stage rows) depends only on the branches and sizes, so
+`_family_plan` builds it once per layout, every call shares it, and the
+call's context carries it to the backward.
 
 Rectification followed by the logarithm (ReEig then LogEig) is one
 spectral function, f = log(max(v, eps)), and the head's LogEig is
@@ -45,18 +46,19 @@ cuts such a stack into the same pieces at any thread count, and on two
 or more usable cores shares them between the caller and one worker
 thread. The caller allocates the outputs and each thread writes the
 pieces it computed into their rows, so results are bitwise the same on
-one thread and two. A table's entries are sorted by window length, and
-each first-stage piece gathers its own windows' samples, embeds each run
-of one length as one stack, then rectifies, log-maps and vectorizes the
-piece, so the table's embedded matrices are never all held at once. A
-window's embedding and eigendecomposition do not depend on the stack it
-is in, so the pieces give bitwise the table of one call. The split stays
-inside the calling layer, so timing a layer from outside still covers
-its work.
+one thread and two. Each first-stage piece gathers its own windows'
+samples, embeds each run of one length (`_length_runs`, which the
+backward walks over the whole table) as one stack, then rectifies,
+log-maps and vectorizes the piece, so the table's embedded matrices are
+never all held at once. A window's embedding and eigendecomposition do
+not depend on the stack it is in, so the pieces give bitwise the table
+of one call. The split stays inside the calling layer, so timing a
+layer from outside still covers its work.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -201,23 +203,22 @@ def _gauss_embed_stack(samples: np.ndarray, ridge: float):
     y = symmetrize(y)
     idx = np.arange(d)
     y[..., idx, idx] += ridge
-    return y, x_aug
+    return y
 
 
-def _gauss_grad_stack(x_aug: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the sample matrix: (2/n) [X 1] G restricted to the
-    first d columns, for a symmetric G (callers symmetrize on entry). The
-    ridge is constant and drops out."""
-    n, d1 = x_aug.shape[-2:]
-    grad = x_aug @ grad_out[..., :, : d1 - 1]
+def _gauss_grad_stack(samples: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the (..., n, d) samples: (2/n) [X 1] G restricted to
+    the first d columns, for a symmetric G (callers symmetrize on entry).
+    The ridge is constant and drops out."""
+    n, d = samples.shape[-2:]
+    grad = _augment(samples) @ grad_out[..., :, :d]
     grad *= 2.0 / n
     return grad
 
 
 @dataclass
 class GaussAggContext:
-    output: np.ndarray
-    x_aug: np.ndarray  # samples with a column of ones appended
+    samples: np.ndarray  # (n, d)
 
 
 def gauss_agg_forward(samples: np.ndarray, ridge: float = DEFAULT_RIDGE):
@@ -229,16 +230,15 @@ def gauss_agg_forward(samples: np.ndarray, ridge: float = DEFAULT_RIDGE):
     samples = np.asarray(samples, dtype=np.float64)
     _require(samples.ndim == 2 and samples.shape[0] >= 1 and samples.shape[1] >= 1,
              f"samples must be a non-empty (n, d) matrix, got {samples.shape}")
-    y, x_aug = _gauss_embed_stack(samples, ridge)
-    return y, GaussAggContext(output=y, x_aug=x_aug)
+    return _gauss_embed_stack(samples, ridge), GaussAggContext(samples=samples)
 
 
 def gauss_agg_backward(ctx: GaussAggContext, grad_out: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the (n, d) sample matrix."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    m = ctx.output.shape[0]
+    m = ctx.samples.shape[1] + 1
     _require(grad_out.shape == (m, m), f"gradient must be {m}x{m}, got {grad_out.shape}")
-    return _gauss_grad_stack(ctx.x_aug, symmetrize(grad_out))
+    return _gauss_grad_stack(ctx.samples, symmetrize(grad_out))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +367,10 @@ def _rect_log_vec_grad_stack(cache, eps: float, grad_vecs_flat: np.ndarray) -> n
 # module docstring)
 
 
-@dataclass(frozen=True)
-class _WindowGroup:
-    """Table windows of one length, a contiguous range of table entries."""
-
-    rows: slice  # table entries
-    sets: np.ndarray  # joint set of each entry
-    starts: np.ndarray  # first frame of each entry
-    length: int  # frames per window
+def _length_runs(lengths: np.ndarray):
+    """(length, first, stop) ints of each run of one length in ascending ``lengths``."""
+    values, firsts = np.unique(lengths, return_index=True)
+    return zip(values.tolist(), firsts.tolist(), firsts[1:].tolist() + [lengths.size])
 
 
 def _window_samples(by_set: np.ndarray, sets: np.ndarray, starts: np.ndarray,
@@ -390,10 +386,9 @@ def _first_stage_rows(sets, starts, lengths, by_set, ridge, eps):
     entries are rectified, log-mapped and vectorized together."""
     d = by_set.shape[-1]
     mats = np.empty((sets.size, d + 1, d + 1))
-    values, firsts = np.unique(lengths, return_index=True)
-    for length, lo, hi in zip(values, firsts, np.append(firsts[1:], sets.size)):
-        mats[lo:hi], _ = _gauss_embed_stack(
-            _window_samples(by_set, sets[lo:hi], starts[lo:hi], int(length)), ridge)
+    for length, lo, hi in _length_runs(lengths):
+        mats[lo:hi] = _gauss_embed_stack(
+            _window_samples(by_set, sets[lo:hi], starts[lo:hi], length), ridge)
     return _rect_log_vec_rows(mats, eps)
 
 
@@ -408,34 +403,31 @@ class _SecondStage:
     rows: np.ndarray  # (branches, rows) table entry of each row
 
 
-@dataclass
-class BranchContext:
-    kind: str  # "st" | "ts"
-    shape: tuple[int, int, int]  # input (n_frames, n_joints, feat_dim)
-    out_shape: tuple[int, ...]  # (m, m) for one branch, else (branches, m, m)
-    eps: float
-    joint_sets: np.ndarray  # (sets, set size) joint indices of the table
-    by_set: np.ndarray  # (sets, frames, set size, d) features of each joint set
-    windows: tuple[_WindowGroup, ...]  # shared with the call's `_FamilyPlan`
-    spectral_cache: tuple  # of the window table, one entry per window
-    vecs: np.ndarray  # (entries, m - 1) vector row of each window, the second stage's samples
-    second: tuple[_SecondStage, ...]  # shared with the call's `_FamilyPlan`
-
-
 @dataclass(frozen=True)
 class _FamilyPlan:
     """The window-table layout of one family call; its arrays are read-only.
 
     Table entries are ordered by length, then joint set, then first frame,
-    so each length group is a contiguous range of entries.
+    so the windows of one length are a run of entries (`_length_runs`).
     """
 
     joint_sets: np.ndarray  # (sets, set size) joint indices of the table
     sets: np.ndarray  # (entries,) joint set of each window
     starts: np.ndarray  # (entries,) first frame of each window
     lengths: np.ndarray  # (entries,) frames of each window, ascending
-    windows: tuple[_WindowGroup, ...]  # views of the entry arrays, one per length
     second: tuple[_SecondStage, ...]
+
+
+@dataclass
+class BranchContext:
+    kind: str  # "st" | "ts"
+    shape: tuple[int, int, int]  # input (n_frames, n_joints, feat_dim)
+    out_shape: tuple[int, ...]  # (m, m) for one branch, else (branches, m, m)
+    eps: float
+    plan: _FamilyPlan  # the call's layout, shared with every call of it
+    by_set: np.ndarray  # (sets, frames, set size, d) features of each joint set
+    spectral_cache: tuple  # of the window table, one entry per window
+    vecs: np.ndarray  # (entries, m - 1) vector row of each window, the second stage's samples
 
 
 def _st_rows(t0, n_frames, joints):
@@ -464,17 +456,18 @@ _ROWS_OF = {"st": _st_rows, "ts": _ts_rows}
 @lru_cache(maxsize=16)
 def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
                  branches: tuple) -> _FamilyPlan:
-    """The joint sets, window table, length groups and second-stage rows
-    of a family call, built once per layout.
+    """The joint sets, window table and second-stage rows of a family
+    call, built once per layout.
 
     ``size`` is t0 (st) or the chunk count (ts), and ``branches`` holds
     (first frame, stop frame, joint tuple) per branch, all ints.
     """
     set_index: dict[tuple, int] = {}
     rows, n_rows = [], []
-    for start, stop, joints in branches:
+    for k, (start, stop, joints) in enumerate(branches):
         _require(0 <= start < stop <= n_frames,
                  f"branch frames [{start}, {stop}) outside [0, {n_frames})")
+        _require(len(joints) >= 1, f"branch {k} (frames [{start}, {stop})) has no joints")
         _require(len(set(joints)) == len(joints), f"branch joints {list(joints)} repeat")
         sets, row_set, lo, hi = _ROWS_OF[kind](size, stop - start, joints)
         ids = np.array([set_index.setdefault(tuple(s), len(set_index)) for s in sets])
@@ -501,14 +494,8 @@ def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
     frozen += [a for s in second for a in (s.branches, s.rows)]
     for a in frozen:  # every call of this layout shares them
         a.flags.writeable = False
-    # each length group is a range of entries, its arrays read-only views
-    values, firsts = np.unique(lengths, return_index=True)
-    bounds = np.append(firsts, lengths.size)
-    windows = tuple(_WindowGroup(rows=slice(int(lo), int(hi)), sets=sets[lo:hi],
-                                 starts=starts[lo:hi], length=int(length))
-                    for length, lo, hi in zip(values, bounds[:-1], bounds[1:]))
     return _FamilyPlan(joint_sets=joint_sets, sets=sets, starts=starts, lengths=lengths,
-                       windows=windows, second=tuple(second))
+                       second=tuple(second))
 
 
 def _branch_family_forward(kind, size, feats, branches, eps, ridge):
@@ -520,9 +507,12 @@ def _branch_family_forward(kind, size, feats, branches, eps, ridge):
     if single:
         branches = [(0, n_frames, range(n_joints))]
     _require(len(branches) >= 1, "no branches given")
-    plan = _family_plan(kind, size, n_frames, n_joints, tuple(
-        (int(start), int(stop), tuple(int(j) for j in joints))
-        for start, stop, joints in branches))
+    try:  # operator.index refuses a float that int() would truncate
+        key = tuple((operator.index(start), operator.index(stop), tuple(map(operator.index, js)))
+                    for start, stop, js in branches)
+    except TypeError as error:
+        raise InvalidInput(f"branch frames and joints must be integers: {error}") from None
+    plan = _family_plan(kind, size, n_frames, n_joints, key)
 
     # first stage: every distinct window once, a piece of the table at a time
     by_set = feats[:, plan.joint_sets].swapaxes(0, 1)
@@ -533,13 +523,11 @@ def _branch_family_forward(kind, size, feats, branches, eps, ridge):
     m = vecs.shape[1] + 1
     out = np.empty((len(branches), m, m))
     for stage in plan.second:
-        out[stage.branches], _ = _gauss_embed_stack(vecs[stage.rows], ridge)
+        out[stage.branches] = _gauss_embed_stack(vecs[stage.rows], ridge)
     if single:
         out = out[0]
-    ctx = BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
-                        joint_sets=plan.joint_sets, by_set=by_set, windows=plan.windows,
-                        spectral_cache=tuple(cache), vecs=vecs, second=plan.second)
-    return out, ctx
+    return out, BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
+                              plan=plan, by_set=by_set, spectral_cache=tuple(cache), vecs=vecs)
 
 
 def st_branch_forward(feats: np.ndarray, t0: int, eps: float, ridge: float = DEFAULT_RIDGE,
@@ -588,31 +576,31 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
     _require(grad_out.shape == ctx.out_shape,
              f"branch gradient must be {ctx.out_shape}, got {grad_out.shape}")
     grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
+    plan = ctx.plan
     grad_table = np.zeros(ctx.vecs.shape)
-    for stage in ctx.second:
-        grad_rows = _gauss_grad_stack(_augment(ctx.vecs[stage.rows]), grads[stage.branches])
+    for stage in plan.second:
+        grad_rows = _gauss_grad_stack(ctx.vecs[stage.rows], grads[stage.branches])
         for rows, grad in zip(stage.rows, grad_rows):  # one branch's rows never repeat
             grad_table[rows] += grad
     dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_table)
     del grad_table
 
     n_frames, _, d = ctx.shape
-    n_sets, set_size = ctx.joint_sets.shape
+    n_sets, set_size = plan.joint_sets.shape
     by_set = np.zeros((n_sets, n_frames, set_size, d))
-    for group in ctx.windows:
-        n, group_dmats = group.sets.size, dmats[group.rows]
-        grad_samples = np.empty((n, group.length * set_size, d))
-        for lo in range(0, n, WINDOW_CHUNK):
-            part = slice(lo, lo + WINDOW_CHUNK)
-            samples = _window_samples(ctx.by_set, group.sets[part], group.starts[part],
-                                      group.length)
-            grad_samples[part] = _gauss_grad_stack(_augment(samples), group_dmats[part])
-        grad_samples = grad_samples.reshape(n, group.length, set_size, d)
-        # within one offset every (set, frame) pair occurs at most once
-        for k in range(group.length):
-            by_set[group.sets, group.starts + k] += grad_samples[:, k]
+    for length, lo, hi in _length_runs(plan.lengths):
+        sets, starts, run_dmats = plan.sets[lo:hi], plan.starts[lo:hi], dmats[lo:hi]
+        grad_samples = np.empty((hi - lo, length * set_size, d))
+        for first in range(0, hi - lo, WINDOW_CHUNK):
+            part = slice(first, first + WINDOW_CHUNK)
+            samples = _window_samples(ctx.by_set, sets[part], starts[part], length)
+            grad_samples[part] = _gauss_grad_stack(samples, run_dmats[part])
+        grad_samples = grad_samples.reshape(hi - lo, length, set_size, d)
+        # within one run and offset every (set, frame) pair occurs at most once
+        for k in range(length):
+            by_set[sets, starts + k] += grad_samples[:, k]
     grad_feats = np.zeros(ctx.shape)
-    for joints, grad in zip(ctx.joint_sets, by_set):
+    for joints, grad in zip(plan.joint_sets, by_set):
         grad_feats[:, joints] += grad
     return grad_feats
 

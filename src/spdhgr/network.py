@@ -35,7 +35,7 @@ from .layers import (
     branch_output_dim,
     conv_backward,
     conv_forward,
-    extract_representation,
+    extract_representation,  # not called here; perfbench traces it under this module
     head_backward,
     head_forward,
     spd_agg_backward,
@@ -55,7 +55,7 @@ from .skeleton import (
     build_branch_plan,
     grid_joint_coords,
 )
-from .symmat import tri_length
+from .symmat import sym_vectorize, tri_length
 
 # variant -> the branch families it runs, in weight-block order
 FAMILIES = {"st_ts": ("st", "ts"), "st_only": ("st",), "ts_only": ("ts",)}
@@ -352,6 +352,7 @@ def backward(ctx: ForwardContext, true_label: int,
 
 
 def extract_features(seq, params: NetworkParams, config: NetworkConfig) -> np.ndarray:
-    """Log-Euclidean feature vector of the final SPD matrix."""
-    _, ctx, y_final = forward(seq, params, config)
-    return extract_representation(y_final, ctx.agg.out_eig)
+    """Log-Euclidean feature vector of the final SPD matrix, vectorized
+    from the head's log map (`extract_representation` of Y, bitwise)."""
+    _, ctx, _ = forward(seq, params, config)
+    return sym_vectorize(ctx.head.log_flat.reshape(ctx.head.eig.dim, -1))

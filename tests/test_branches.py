@@ -6,9 +6,12 @@ numpy eigendecompositions, sharing no code with the batched pipeline.
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spdhgr.errors import InvalidInput
 from spdhgr.layers import (
+    _length_runs,
     branch_backward,
     gauss_agg_forward,
     st_branch_forward,
@@ -18,6 +21,8 @@ from spdhgr.symmat import assert_spd
 
 EPS = 1e-4
 RIDGE = 1e-6
+FAMILIES = {"st": st_branch_forward, "ts": ts_branch_forward}
+N_FRAMES, N_JOINTS = 12, 4
 
 
 def embed_gaussian(samples, ridge):
@@ -46,7 +51,7 @@ def rect_log_vec(mat, eps):
 
 def second_samples(ctx):
     """Per-row vectors of a one-branch call: its second-stage samples."""
-    (stage,) = ctx.second
+    (stage,) = ctx.plan.second
     return ctx.vecs[stage.rows[0]]
 
 
@@ -77,6 +82,27 @@ def ts_branch_reference(feats, n_chunks, eps, ridge):
             track = feats[lo:hi, j, :]
             vecs.append(rect_log_vec(embed_gaussian(track, ridge), eps))
     return embed_gaussian(np.stack(vecs), ridge)
+
+
+@st.composite
+def family_calls(draw):
+    """(family, size, branches) over a (12, 4, d) input: 1-4 random
+    branches of one joint-set size, some at the shortest window (st) or
+    chunk (ts) length; joint sets overlap or repeat, and a branch may
+    repeat."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    size = draw(st.sampled_from((1, 2) if family == "st" else (2, 3)))
+    shortest = 2 * size + 1 if family == "st" else 2 * size
+    set_size = draw(st.integers(1, 3))
+    branches = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(shortest, N_FRAMES))
+        start = draw(st.integers(0, N_FRAMES - length))
+        joints = draw(st.permutations(range(N_JOINTS)))[:set_size]
+        branches.append((start, start + length, joints))
+    if draw(st.booleans()):
+        branches.append(branches[draw(st.integers(0, len(branches) - 1))])
+    return family, size, branches
 
 
 class TestStBranch:
@@ -127,23 +153,46 @@ class TestStBranch:
 
     def test_bad_branch_lists_rejected(self, rng):
         feats = rng.standard_normal((9, 4, 2))
-        for branches in ([(0, 9, [0, 0])], [(4, 12, [0, 1])], [(0, 9, [0]), (0, 9, [1, 2])]):
+        for branches in ([(0, 9, [0, 0])], [(4, 12, [0, 1])], [(0, 9, [0]), (0, 9, [1, 2])],
+                         [(0.5, 9, [0, 1])], [(0, 9, [0, 1.0])]):
             with pytest.raises(InvalidInput):
                 st_branch_forward(feats, 1, EPS, branches=branches)
 
-    def test_branch_list_matches_single_calls(self, rng):
-        feats = rng.standard_normal((12, 4, 2))
-        branches = [(0, 12, [0, 1]), (0, 6, [0, 1]), (6, 12, [2, 3]), (3, 9, [1, 3])]
-        for forward, arg in ((st_branch_forward, 1), (ts_branch_forward, 2)):
-            out, ctx = forward(feats, arg, EPS, RIDGE, branches=branches)
-            g = rng.standard_normal(out.shape)
-            grads = branch_backward(ctx, g)
-            want = np.zeros_like(feats)
-            for k, (lo, hi, joints) in enumerate(branches):
-                single, sctx = forward(feats[lo:hi][:, joints], arg, EPS, RIDGE)
-                assert np.max(np.abs(out[k] - single)) <= 1e-12
-                want[lo:hi, joints] += branch_backward(sctx, g[k])
-            assert np.max(np.abs(grads - want)) <= 1e-12 * np.max(np.abs(want))
+    def test_numpy_integer_branches_accepted(self, rng):
+        feats = rng.standard_normal((9, 4, 2))
+        out, _ = st_branch_forward(feats, 1, EPS, branches=[(0, 9, [0, 1])])
+        again, _ = st_branch_forward(feats, 1, EPS,
+                                     branches=[(np.int64(0), np.intp(9), np.array([0, 1]))])
+        assert again.tobytes() == out.tobytes()
+
+    @given(family_calls(), st.integers(0, 2**32 - 1))
+    @example(("st", 2, [(0, 5, [0, 1]), (0, 5, [0, 1]), (7, 12, [1, 0]), (2, 12, [0, 1])]), 0)
+    @example(("st", 1, [(0, 12, [0, 1]), (0, 6, [0, 1]), (6, 12, [2, 3]), (3, 9, [1, 3])]), 1)
+    @example(("ts", 3, [(0, 6, [2]), (6, 12, [2]), (0, 6, [2]), (3, 12, [3])]), 2)
+    @example(("ts", 2, [(0, 12, [0, 1]), (0, 6, [0, 1]), (6, 12, [2, 3]), (3, 9, [1, 3])]), 3)
+    def test_branch_list_matches_single_calls(self, call, seed):
+        """A family call over a branch list gives each branch's single-call
+        output, and its backward the sum of the single-call backwards."""
+        family, size, branches = call
+        forward = FAMILIES[family]
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((N_FRAMES, N_JOINTS, 2))
+        out, ctx = forward(feats, size, EPS, RIDGE, branches=branches)
+        plan = ctx.plan
+        # what the backward's run walk relies on: within one run and one
+        # offset, each (set, frame) pair occurs at most once
+        for length, lo, hi in _length_runs(plan.lengths):
+            for k in range(length):
+                pairs = plan.sets[lo:hi] * N_FRAMES + plan.starts[lo:hi] + k
+                assert np.unique(pairs).size == hi - lo
+        g = rng.standard_normal(out.shape)
+        grads = branch_backward(ctx, g)
+        want = np.zeros_like(feats)
+        for k, (lo, hi, joints) in enumerate(branches):
+            single, sctx = forward(feats[lo:hi][:, joints], size, EPS, RIDGE)
+            assert np.max(np.abs(out[k] - single)) <= 1e-12
+            want[lo:hi, joints] += branch_backward(sctx, g[k])
+        assert np.max(np.abs(grads - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_window_accumulation_in_backward(self, rng):
         feats = rng.standard_normal((6, 4, 2))
@@ -157,6 +206,15 @@ class TestStBranch:
         feats = rng.standard_normal((5, 4, 2))
         out, ctx = st_branch_forward(feats, 1, EPS)
         np.testing.assert_array_equal(branch_backward(ctx, np.zeros_like(out)), 0.0)
+
+
+@pytest.mark.parametrize("forward, size", [(st_branch_forward, 1), (ts_branch_forward, 2)])
+def test_empty_joint_set_rejected_naming_the_branch(forward, size, rng):
+    feats = rng.standard_normal((9, 4, 2))
+    with pytest.raises(InvalidInput, match="branch 1 .* has no joints"):
+        forward(feats, size, EPS, branches=[(0, 9, [0]), (0, 9, [])])
+    with pytest.raises(InvalidInput, match="branch 0 .* has no joints"):
+        forward(feats[:, :0], size, EPS)  # one branch over no joints
 
 
 class TestTsBranch:

@@ -43,7 +43,7 @@ class _SampleGroup:
     starts: np.ndarray
     length: int
     joints: np.ndarray | None
-    x_aug: np.ndarray
+    samples: np.ndarray
 
 
 @dataclass
@@ -64,9 +64,8 @@ def ref_st_branch(feats, t0, eps, ridge):
     if interior.size:
         windows = np.lib.stride_tricks.sliding_window_view(feats, width, axis=0)
         samples = windows.transpose(0, 3, 1, 2).reshape(interior.size, width * n_joints, d)
-        y, x_aug = _gauss_embed_stack(samples, ridge)
-        mats[interior] = y
-        groups.append(_SampleGroup(interior, interior - t0, width, None, x_aug))
+        mats[interior] = _gauss_embed_stack(samples, ridge)
+        groups.append(_SampleGroup(interior, interior - t0, width, None, samples))
     edge = {}
     for t in list(range(t0)) + list(range(n_frames - t0, n_frames)):
         lo, hi = max(0, t - t0), min(n_frames - 1, t + t0)
@@ -75,9 +74,9 @@ def ref_st_branch(feats, t0, eps, ridge):
         rows = np.array(ts)
         starts = np.maximum(rows - t0, 0)
         idx = starts[:, None] + np.arange(length)[None, :]
-        y, x_aug = _gauss_embed_stack(feats[idx].reshape(rows.size, length * n_joints, d), ridge)
-        mats[rows] = y
-        groups.append(_SampleGroup(rows, starts, length, None, x_aug))
+        samples = feats[idx].reshape(rows.size, length * n_joints, d)
+        mats[rows] = _gauss_embed_stack(samples, ridge)
+        groups.append(_SampleGroup(rows, starts, length, None, samples))
     vec_rows, *cache = _rect_log_vec_rows(mats, eps)
     out, second = gauss_agg_forward(vec_rows, ridge)
     return out, _RefBranch(feats.shape, eps, groups, cache, second)
@@ -97,9 +96,9 @@ def ref_ts_branch(feats, n_chunks, eps, ridge):
         rows = joints * n_chunks + np.tile(ks, n_joints)
         all_starts = np.tile(starts, n_joints)
         idx = all_starts[:, None] + np.arange(length)[None, :]
-        y, x_aug = _gauss_embed_stack(feats[idx, joints[:, None], :], ridge)
-        mats[rows] = y
-        groups.append(_SampleGroup(rows, all_starts, length, joints, x_aug))
+        samples = feats[idx, joints[:, None], :]
+        mats[rows] = _gauss_embed_stack(samples, ridge)
+        groups.append(_SampleGroup(rows, all_starts, length, joints, samples))
     vec_rows, *cache = _rect_log_vec_rows(mats, eps)
     out, second = gauss_agg_forward(vec_rows, ridge)
     return out, _RefBranch(feats.shape, eps, groups, cache, second)
@@ -111,7 +110,7 @@ def ref_branch_backward(ctx, grad_out):
     dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_vecs)
     grad_feats = np.zeros((n_frames, n_joints, d))
     for group in ctx.groups:
-        grad_samples = _gauss_grad_stack(group.x_aug, dmats[group.rows])
+        grad_samples = _gauss_grad_stack(group.samples, dmats[group.rows])
         idx = group.starts[:, None] + np.arange(group.length)[None, :]
         if group.joints is None:
             contrib = grad_samples.reshape(len(group.rows), group.length, n_joints, d)
@@ -172,7 +171,7 @@ def rel(a, b):
 def st_rows_by_branch(bctx):
     """Per st branch, in branch order, the table rows it took."""
     rows = {}
-    for stage in bctx.second:
+    for stage in bctx.plan.second:
         for entries, k in zip(stage.rows, stage.branches):
             rows[int(k)] = bctx.vecs[entries]
     return [rows[k] for k in range(len(rows))]
@@ -200,32 +199,40 @@ def test_batched_families_match_per_branch_loop(n_frames, t0, grid_mode, variant
     assert rel(probs, ref_probs) <= 1e-12
     if variant != "ts_only":
         for got, ref in zip(st_rows_by_branch(ctx.branches[0]), ref_ctxs[:30]):
-            np.testing.assert_array_equal(got, ref.second.x_aug[:, :-1])
+            np.testing.assert_array_equal(got, ref.second.samples)
     for name, ref in ref_grads.items():
         assert rel(getattr(grads, name), ref) <= 1e-12, name
 
 
+def entries_by_length(plan):
+    """(length, table entries of that length) per distinct window length,
+    found without the run walk the layer uses."""
+    return [(int(length), np.flatnonzero(plan.lengths == length))
+            for length in np.unique(plan.lengths)]
+
+
 def stored_copy_branch_backward(bctx, window_x, second_x, grad_out):
-    """The family backward over the [X 1] sample copies the forward made
+    """The family backward over the sample copies the forward embedded
     (one per table entry, and one stack per second stage) instead of the
     samples the context re-gathers. The upstream gradient is symmetrized
     once on entry, as `branch_backward` does."""
+    plan = bctx.plan
     grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
     grad_table = np.zeros(bctx.vecs.shape)
-    for stage, x_aug in zip(bctx.second, second_x):
-        for rows, grad in zip(stage.rows, _gauss_grad_stack(x_aug, grads[stage.branches])):
+    for stage, samples in zip(plan.second, second_x):
+        for rows, grad in zip(stage.rows, _gauss_grad_stack(samples, grads[stage.branches])):
             grad_table[rows] += grad
     dmats = _rect_log_vec_grad_stack(bctx.spectral_cache, bctx.eps, grad_table)
     n_frames, _, d = bctx.shape
-    n_sets, set_size = bctx.joint_sets.shape
+    n_sets, set_size = plan.joint_sets.shape
     by_set = np.zeros((n_sets, n_frames, set_size, d))
-    for group in bctx.windows:
-        grad_samples = _gauss_grad_stack(np.stack(window_x[group.rows]), dmats[group.rows])
-        grad_samples = grad_samples.reshape(group.sets.size, group.length, set_size, d)
-        for k in range(group.length):
-            by_set[group.sets, group.starts + k] += grad_samples[:, k]
+    for length, rows in entries_by_length(plan):
+        grad_samples = _gauss_grad_stack(np.stack([window_x[r] for r in rows]), dmats[rows])
+        grad_samples = grad_samples.reshape(rows.size, length, set_size, d)
+        for k in range(length):
+            by_set[plan.sets[rows], plan.starts[rows] + k] += grad_samples[:, k]
     grad_feats = np.zeros(bctx.shape)
-    for joints, grad in zip(bctx.joint_sets, by_set):
+    for joints, grad in zip(plan.joint_sets, by_set):
         grad_feats[:, joints] += grad
     return grad_feats
 
@@ -239,13 +246,12 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
     n_frames, d = 500, 9
     branches = build_branch_plan(n_frames)
     feats = rng.standard_normal((n_frames, N_GRID_NODES, d))
-    x_augs = []
+    embedded = []  # the samples of every `_gauss_embed_stack` call, in call order
     embed = layers._gauss_embed_stack
 
     def recording(samples, ridge):
-        y, x_aug = embed(samples, ridge)
-        x_augs.append(x_aug)
-        return y, x_aug
+        embedded.append(samples.copy())
+        return embed(samples, ridge)
 
     monkeypatch.setattr(layers, "_gauss_embed_stack", recording)
     _usable_cores(monkeypatch, 1)  # the caller embeds the pieces in table order
@@ -253,13 +259,13 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
     out, bctx = layer(feats, size, 1e-4, 1e-6, branches=branches)
     monkeypatch.setattr(layers, "WINDOW_CHUNK", chunk)
     # first-stage calls embed runs of table entries, then one call per second stage
-    first = len(x_augs) - len(bctx.second)
-    window_x = [x_aug for stack in x_augs[:first] for x_aug in stack]
+    first = len(embedded) - len(bctx.plan.second)
+    window_x = [samples for stack in embedded[:first] for samples in stack]
     assert len(window_x) == bctx.vecs.shape[0]
-    assert max(group.sets.size for group in bctx.windows) > chunk
+    assert max(rows.size for _, rows in entries_by_length(bctx.plan)) > chunk
     grad_out = rng.standard_normal(out.shape)
     got = layers.branch_backward(bctx, grad_out)
-    want = stored_copy_branch_backward(bctx, window_x, x_augs[first:], grad_out)
+    want = stored_copy_branch_backward(bctx, window_x, embedded[first:], grad_out)
     assert got.tobytes() == want.tobytes()
 
 
@@ -269,9 +275,9 @@ def unfused_first_stage(plan, feats, eps, ridge):
     d = feats.shape[-1]
     by_set = feats[:, plan.joint_sets].swapaxes(0, 1)
     mats = np.empty((plan.lengths.size, d + 1, d + 1))
-    for group in plan.windows:
-        mats[group.rows], _ = _gauss_embed_stack(
-            layers._window_samples(by_set, group.sets, group.starts, group.length), ridge)
+    for length, rows in entries_by_length(plan):
+        mats[rows] = _gauss_embed_stack(
+            layers._window_samples(by_set, plan.sets[rows], plan.starts[rows], length), ridge)
     return _rect_log_vec_rows(mats, eps)
 
 
@@ -290,7 +296,7 @@ def test_fused_first_stage_matches_unfused_table(family, threads, monkeypatch):
     vecs, *cache = unfused_first_stage(plan, feats, eps, ridge)
     want = np.empty(out.shape)
     for stage in plan.second:
-        want[stage.branches], _ = _gauss_embed_stack(vecs[stage.rows], ridge)
+        want[stage.branches] = _gauss_embed_stack(vecs[stage.rows], ridge)
     assert bctx.vecs.tobytes() == vecs.tobytes()
     for got, ref in zip(bctx.spectral_cache, cache, strict=True):
         assert got.tobytes() == ref.tobytes()
@@ -305,7 +311,6 @@ def test_window_samples_of_no_windows_are_empty():
 
 def _plan_arrays(plan):
     arrays = [plan.joint_sets, plan.sets, plan.starts, plan.lengths]
-    arrays += [a for g in plan.windows for a in (g.sets, g.starts)]
     arrays += [a for s in plan.second for a in (s.branches, s.rows)]
     return arrays
 
@@ -328,13 +333,13 @@ class TestFamilyPlan:
         again, again_ctx = layer(2.0 * feats, size, 1e-4, branches=branches)
         after = layers._family_plan.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert again_ctx.windows is ctx.windows and again_ctx.second is ctx.second
+        assert again_ctx.plan is ctx.plan
         assert again.tobytes() != out.tobytes()
 
     def test_plan_arrays_are_read_only(self):
         plan = layers._family_plan("st", 1, 31, N_GRID_NODES, _int_branches(31))
         arrays = _plan_arrays(plan)
-        assert len(arrays) == 4 + 2 * len(plan.windows) + 2 * len(plan.second)
+        assert len(arrays) == 4 + 2 * len(plan.second)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -347,8 +352,6 @@ class TestFamilyPlan:
             plan = layers._family_plan(family, size, n_frames, N_GRID_NODES, branches)
             fresh = layers._family_plan.__wrapped__(family, size, n_frames, N_GRID_NODES,
                                                     branches)
-            assert ([(g.rows, g.length) for g in plan.windows]
-                    == [(g.rows, g.length) for g in fresh.windows])
             for a, b in zip(_plan_arrays(plan), _plan_arrays(fresh), strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()

@@ -101,9 +101,9 @@ class TestGaussAgg:
         samples = rng.standard_normal((7, 3))
         y, ctx = gauss_agg_forward(samples, 1e-6)
         assert y[3, 3] == 1.0
-        np.testing.assert_array_equal(ctx.x_aug[:, :3], samples)
-        mu = ctx.x_aug[:, :3].mean(axis=0)
-        centered = ctx.x_aug[:, :3] - mu
+        np.testing.assert_array_equal(ctx.samples, samples)
+        mu = samples.mean(axis=0)
+        centered = samples - mu
         sigma = centered.T @ centered / 7 + 1e-6 * np.eye(3)
         np.testing.assert_allclose(y[:3, :3], sigma + np.outer(mu, mu), atol=1e-12)
         np.testing.assert_array_equal(y, y.T)

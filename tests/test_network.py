@@ -357,6 +357,26 @@ class TestFeaturesAndIo:
         features = extract_features(coords, params, TINY)
         assert np.array_equal(features, sym_vectorize(spd_log(y_final)))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_extraction_log_maps_y_once(self, variant, rng, monkeypatch):
+        """The features are the head's log map of Y, vectorized: byte for
+        byte `extract_representation` of Y, with one `spd_log` call."""
+        config = dataclasses.replace(TINY, variant=variant).validate()
+        params = init_params(config, 4)
+        coords = tiny_coords(rng, config)
+        _, ctx, y_final = forward(coords, params, config)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spd_log(*args)
+
+        monkeypatch.setattr(layers, "spd_log", counting)
+        features = extract_features(coords, params, config)
+        assert len(calls) == 1
+        want = layers.extract_representation(y_final, ctx.agg.out_eig)
+        assert features.tobytes() == want.tobytes()
+
     def test_params_roundtrip(self, tmp_path):
         params = init_params(TINY, 9)
         path = tmp_path / "p.ckpt"
