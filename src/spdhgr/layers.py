@@ -26,13 +26,14 @@ and eigendecomposed once, in one split call over the table (below),
 and branches index their rows from it. The sub-sequences are a temporal
 pyramid over the same frames, so at t0=1 the 30 spatial-temporal
 branches of a 500-frame sequence need 506 windows per finger instead of
-1,500. Branches with equally many rows share one stacked second-stage
-embedding, and the backward sums each window's row gradients before one
-spectral backward over the table. A single branch is the one-branch
-case of the same code. The table's layout (joint sets, windows sorted by
-length, second-stage rows) depends only on the branches and sizes, so
-`_family_plan` builds it once per layout, every call shares it, and the
-call's context carries it to the backward.
+1,500. Each branch then embeds its own rows as one second-stage
+Gaussian, in branch order; the backward sums each window's row
+gradients over the branches before one spectral backward over the
+table. A single branch is the one-branch case of the same code. The
+table's layout (joint sets, windows sorted by length, each branch's
+rows) depends only on the branches and sizes, so `_family_plan` builds
+it once per layout, every call shares it, and the call's context
+carries it to the backward.
 
 Rectification followed by the logarithm (ReEig then LogEig) is one
 spectral function, f = log(max(v, eps)), and the head's LogEig is
@@ -230,6 +231,7 @@ def gauss_agg_forward(samples: np.ndarray, ridge: float = DEFAULT_RIDGE):
     samples = np.asarray(samples, dtype=np.float64)
     _require(samples.ndim == 2 and samples.shape[0] >= 1 and samples.shape[1] >= 1,
              f"samples must be a non-empty (n, d) matrix, got {samples.shape}")
+    _require(np.isfinite(ridge) and ridge >= 0, f"ridge must be finite and >= 0, got {ridge}")
     return _gauss_embed_stack(samples, ridge), GaussAggContext(samples=samples)
 
 
@@ -396,14 +398,6 @@ WINDOW_CHUNK = 512  # windows whose sample gradients a backward forms at once
 
 
 @dataclass(frozen=True)
-class _SecondStage:
-    """Branches with equally many rows, embedded as one stack."""
-
-    branches: np.ndarray  # positions in the call's branch order
-    rows: np.ndarray  # (branches, rows) table entry of each row
-
-
-@dataclass(frozen=True)
 class _FamilyPlan:
     """The window-table layout of one family call; its arrays are read-only.
 
@@ -415,7 +409,7 @@ class _FamilyPlan:
     sets: np.ndarray  # (entries,) joint set of each window
     starts: np.ndarray  # (entries,) first frame of each window
     lengths: np.ndarray  # (entries,) frames of each window, ascending
-    second: tuple[_SecondStage, ...]
+    rows: tuple[np.ndarray, ...]  # in branch order, the table entry of each branch row
 
 
 @dataclass
@@ -456,8 +450,8 @@ _ROWS_OF = {"st": _st_rows, "ts": _ts_rows}
 @lru_cache(maxsize=16)
 def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
                  branches: tuple) -> _FamilyPlan:
-    """The joint sets, window table and second-stage rows of a family
-    call, built once per layout.
+    """The joint sets, window table and each branch's rows (in branch
+    order) of a family call, built once per layout.
 
     ``size`` is t0 (st) or the chunk count (ts), and ``branches`` holds
     (first frame, stop frame, joint tuple) per branch, all ints.
@@ -484,24 +478,19 @@ def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
     table, row_entry = np.unique(keys, return_inverse=True)
     rest, starts = np.divmod(table, n_frames)
     lengths, sets = np.divmod(rest, len(joint_sets))
-    offsets = np.cumsum([0] + n_rows)
-    second = []
-    for count in sorted(set(n_rows)):
-        members = np.array([k for k, c in enumerate(n_rows) if c == count])
-        second.append(_SecondStage(
-            branches=members, rows=row_entry[offsets[members][:, None] + np.arange(count)]))
-    frozen = [joint_sets, sets, starts, lengths]
-    frozen += [a for s in second for a in (s.branches, s.rows)]
-    for a in frozen:  # every call of this layout shares them
+    branch_rows = tuple(np.split(row_entry, np.cumsum(n_rows[:-1])))
+    for a in (joint_sets, sets, starts, lengths, *branch_rows):  # every call shares them
         a.flags.writeable = False
     return _FamilyPlan(joint_sets=joint_sets, sets=sets, starts=starts, lengths=lengths,
-                       second=tuple(second))
+                       rows=branch_rows)
 
 
 def _branch_family_forward(kind, size, feats, branches, eps, ridge):
     """Shared forward of both families; ``size`` is as for `_family_plan`."""
     feats = np.asarray(feats, dtype=np.float64)
     _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
+    _require(np.isfinite(eps) and eps > 0, f"eps must be finite and > 0, got {eps}")
+    _require(np.isfinite(ridge) and ridge >= 0, f"ridge must be finite and >= 0, got {ridge}")
     n_frames, n_joints, _ = feats.shape
     single = branches is None
     if single:
@@ -522,8 +511,8 @@ def _branch_family_forward(kind, size, feats, branches, eps, ridge):
     # second stage: one Gaussian over each branch's rows
     m = vecs.shape[1] + 1
     out = np.empty((len(branches), m, m))
-    for stage in plan.second:
-        out[stage.branches] = _gauss_embed_stack(vecs[stage.rows], ridge)
+    for k, rows in enumerate(plan.rows):
+        out[k] = _gauss_embed_stack(vecs[rows], ridge)
     if single:
         out = out[0]
     return out, BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
@@ -567,10 +556,11 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
 
     ``grad_out`` has the forward output's shape. The first stage is
     linear in its upstream gradient, so the row gradients of each
-    distinct window are summed before one spectral backward over the
-    table; overlapping windows then accumulate additively. Each stage's
-    samples are re-gathered from the context just before their gradient,
-    window samples `WINDOW_CHUNK` windows at a time.
+    distinct window are summed over the branches, in branch order, before
+    one spectral backward over the table; overlapping windows then
+    accumulate additively. Each stage's samples are re-gathered from the
+    context just before their gradient, window samples `WINDOW_CHUNK`
+    windows at a time.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     _require(grad_out.shape == ctx.out_shape,
@@ -578,10 +568,8 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
     grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
     plan = ctx.plan
     grad_table = np.zeros(ctx.vecs.shape)
-    for stage in plan.second:
-        grad_rows = _gauss_grad_stack(ctx.vecs[stage.rows], grads[stage.branches])
-        for rows, grad in zip(stage.rows, grad_rows):  # one branch's rows never repeat
-            grad_table[rows] += grad
+    for rows, grad in zip(plan.rows, grads):  # one branch's rows never repeat
+        grad_table[rows] += _gauss_grad_stack(ctx.vecs[rows], grad)
     dmats = _rect_log_vec_grad_stack(ctx.spectral_cache, ctx.eps, grad_table)
     del grad_table
 

@@ -51,8 +51,7 @@ def rect_log_vec(mat, eps):
 
 def second_samples(ctx):
     """Per-row vectors of a one-branch call: its second-stage samples."""
-    (stage,) = ctx.plan.second
-    return ctx.vecs[stage.rows[0]]
+    return ctx.vecs[ctx.plan.rows[0]]
 
 
 def st_branch_reference(feats, t0, eps, ridge):
@@ -215,6 +214,19 @@ def test_empty_joint_set_rejected_naming_the_branch(forward, size, rng):
         forward(feats, size, EPS, branches=[(0, 9, [0]), (0, 9, [])])
     with pytest.raises(InvalidInput, match="branch 0 .* has no joints"):
         forward(feats[:, :0], size, EPS)  # one branch over no joints
+
+
+@pytest.mark.parametrize("name, value", [("eps", np.nan), ("eps", np.inf), ("eps", 0.0),
+                                         ("eps", -EPS), ("ridge", -5.0), ("ridge", np.nan),
+                                         ("ridge", np.inf)])
+@pytest.mark.parametrize("forward, size", [(st_branch_forward, 1), (ts_branch_forward, 2)])
+def test_eps_or_ridge_outside_its_domain_rejected(forward, size, name, value, rng):
+    """The rule of `NetworkConfig.validate`: eps finite and > 0, ridge
+    finite and >= 0."""
+    feats = rng.standard_normal((N_FRAMES, N_JOINTS, 2))
+    kwargs = {"eps": EPS, "ridge": RIDGE, name: value}
+    with pytest.raises(InvalidInput, match=f"{name} must be finite and >=? 0, got {value}"):
+        forward(feats, size, **kwargs)
 
 
 class TestTsBranch:

@@ -170,11 +170,7 @@ def rel(a, b):
 
 def st_rows_by_branch(bctx):
     """Per st branch, in branch order, the table rows it took."""
-    rows = {}
-    for stage in bctx.plan.second:
-        for entries, k in zip(stage.rows, stage.branches):
-            rows[int(k)] = bctx.vecs[entries]
-    return [rows[k] for k in range(len(rows))]
+    return [bctx.vecs[rows] for rows in bctx.plan.rows]
 
 
 @pytest.mark.parametrize("variant", ("st_ts", "st_only", "ts_only"))
@@ -213,15 +209,14 @@ def entries_by_length(plan):
 
 def stored_copy_branch_backward(bctx, window_x, second_x, grad_out):
     """The family backward over the sample copies the forward embedded
-    (one per table entry, and one stack per second stage) instead of the
-    samples the context re-gathers. The upstream gradient is symmetrized
-    once on entry, as `branch_backward` does."""
+    (one per table entry, and one per branch's second stage) instead of
+    the samples the context re-gathers. The upstream gradient is
+    symmetrized once on entry, as `branch_backward` does."""
     plan = bctx.plan
     grads = symmetrize(grad_out).reshape((-1,) + grad_out.shape[-2:])
     grad_table = np.zeros(bctx.vecs.shape)
-    for stage, samples in zip(plan.second, second_x):
-        for rows, grad in zip(stage.rows, _gauss_grad_stack(samples, grads[stage.branches])):
-            grad_table[rows] += grad
+    for rows, samples, grad in zip(plan.rows, second_x, grads, strict=True):
+        grad_table[rows] += _gauss_grad_stack(samples, grad)
     dmats = _rect_log_vec_grad_stack(bctx.spectral_cache, bctx.eps, grad_table)
     n_frames, _, d = bctx.shape
     n_sets, set_size = plan.joint_sets.shape
@@ -258,8 +253,8 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
     layer, size = PAPER_FAMILIES[family]
     out, bctx = layer(feats, size, 1e-4, 1e-6, branches=branches)
     monkeypatch.setattr(layers, "WINDOW_CHUNK", chunk)
-    # first-stage calls embed runs of table entries, then one call per second stage
-    first = len(embedded) - len(bctx.plan.second)
+    # first-stage calls embed runs of table entries, then one call per branch
+    first = len(embedded) - len(bctx.plan.rows)
     window_x = [samples for stack in embedded[:first] for samples in stack]
     assert len(window_x) == bctx.vecs.shape[0]
     assert max(rows.size for _, rows in entries_by_length(bctx.plan)) > chunk
@@ -295,8 +290,8 @@ def test_fused_first_stage_matches_unfused_table(family, threads, monkeypatch):
     plan = layers._family_plan(family, size, n_frames, N_GRID_NODES, _int_branches(n_frames))
     vecs, *cache = unfused_first_stage(plan, feats, eps, ridge)
     want = np.empty(out.shape)
-    for stage in plan.second:
-        want[stage.branches] = _gauss_embed_stack(vecs[stage.rows], ridge)
+    for k, rows in enumerate(plan.rows):
+        want[k] = _gauss_embed_stack(vecs[rows], ridge)
     assert bctx.vecs.tobytes() == vecs.tobytes()
     for got, ref in zip(bctx.spectral_cache, cache, strict=True):
         assert got.tobytes() == ref.tobytes()
@@ -310,9 +305,7 @@ def test_window_samples_of_no_windows_are_empty():
 
 
 def _plan_arrays(plan):
-    arrays = [plan.joint_sets, plan.sets, plan.starts, plan.lengths]
-    arrays += [a for s in plan.second for a in (s.branches, s.rows)]
-    return arrays
+    return [plan.joint_sets, plan.sets, plan.starts, plan.lengths, *plan.rows]
 
 
 def _int_branches(n_frames):
@@ -339,7 +332,7 @@ class TestFamilyPlan:
     def test_plan_arrays_are_read_only(self):
         plan = layers._family_plan("st", 1, 31, N_GRID_NODES, _int_branches(31))
         arrays = _plan_arrays(plan)
-        assert len(arrays) == 4 + 2 * len(plan.second)
+        assert len(arrays) == 4 + len(plan.rows)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0

@@ -83,6 +83,11 @@ class TestGaussAgg:
         sigma = y[:4, :4] - np.outer(y[:4, 4], y[:4, 4])
         np.testing.assert_allclose(sigma, ridge * np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("ridge", [-5.0, np.nan, np.inf])
+    def test_ridge_outside_its_domain_rejected_naming_the_value(self, ridge, rng):
+        with pytest.raises(InvalidInput, match=f"ridge must be finite and >= 0, got {ridge}"):
+            gauss_agg_forward(rng.standard_normal((6, 3)), ridge)
+
     def test_two_point_closed_form(self):
         samples = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y, _ = gauss_agg_forward(samples, ridge=0.0)

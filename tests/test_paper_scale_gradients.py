@@ -22,16 +22,26 @@ from spdhgr.skeleton import N_GRID_NODES
 STEP = 1e-5
 
 
-@pytest.fixture(scope="module")
-def paper_pass():
-    config = NetworkConfig(n_classes=14).validate()
+@pytest.fixture(scope="module", params=["st_ts", "st_only", "ts_only", "still"])
+def paper_pass(request):
+    """Each variant on one random sequence, and (``still``) ``st_ts`` with the
+    hand held still over frames [100, 300), where 41% of the windows clamp
+    at eps."""
+    still = request.param == "still"
+    config = NetworkConfig(n_classes=14, variant="st_ts" if still else request.param).validate()
     rng = np.random.default_rng(0)
     params = init_params(config, 0)
     # a zero FC layer, as initialized, makes the conv and w_hat gradients exactly zero
     params.fc_weight = 0.01 * rng.standard_normal(params.fc_weight.shape)
     coords = rng.standard_normal((config.n_frames, N_GRID_NODES, 3))
+    if still:
+        coords[100:300] = coords[100]
     label = int(rng.integers(config.n_classes))
     _, ctx, _ = forward(coords, params, config)
+    if still:  # the check below then runs through clamped spectra
+        for branch in ctx.branches:
+            vals = branch.spectral_cache[1]
+            assert np.mean(np.any(vals < config.epsilon, axis=1)) >= 0.3, branch.kind
     return config, params, coords, label, backward(ctx, label)
 
 
