@@ -1,4 +1,5 @@
-"""Run numpy's OpenBLAS on one thread from the first network pass on.
+"""Run numpy's OpenBLAS on one thread from the first weight draw or
+network pass on.
 
 A network pass is thousands of small products and eigendecompositions,
 and it spreads its window tables over two threads of its own (`layers`).
@@ -6,9 +7,10 @@ A multi-threaded OpenBLAS only competes with them: its worker threads
 spin on the other core after every threaded product. The first forward
 pass therefore sets OpenBLAS to one thread for the rest of the process,
 so network passes do not depend on ``OPENBLAS_NUM_THREADS``.
-``network.init_params`` does not hold it: its QR would take about a
-third less time on one thread, but for some weight shapes (210x420, not
-200x3360) one thread gives another initial ``w_hat`` than two.
+``network.init_params`` sets it too, before it draws: the CholeskyQR2
+behind the initial ``w_hat`` gives other bits on two threads than on one
+for many weight shapes, 200x3360 among them, so holding one thread makes
+the initial weights independent of the thread count and the core count.
 
 numpy's wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``,
 which exports ``scipy_openblas_set_num_threads64_`` and
@@ -56,5 +58,5 @@ def hold_one_thread() -> None:
 
 
 def held() -> bool:
-    """Whether a network pass has set OpenBLAS to one thread."""
+    """Whether a weight draw or network pass has set OpenBLAS to one thread."""
     return bool(_held)

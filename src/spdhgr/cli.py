@@ -176,24 +176,18 @@ def cmd_ablate(args) -> int:
             f"unknown ablation knob {args.knob!r}; choices: {sorted(ABLATION_KNOBS)}"
         )
     out_root = Path(args.out)
-    # every value's weights are drawn before the first network pass holds
-    # OpenBLAS at one thread, as `spdhgr train` draws them
-    runs = []
-    for value in args.values:
-        config = load_config(args.config, overrides={**_config_overrides(args),
-                                                     field: value})
-        runs.append((value, config, init_params(config, args.seed)))
+    # every value's config is checked before the first run writes anything
+    configs = [load_config(args.config, overrides={**_config_overrides(args), field: value})
+               for value in args.values]
     # no knob changes n_frames, so every value runs on the same resampled splits
-    n_frames = runs[0][1].n_frames
-    splits = {split: _resample_all(_load_dataset(args.data_root, args.dataset, split), n_frames)
+    splits = {split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
+                                   configs[0].n_frames)
               for split in ("train", "test")}
     rows = []
-    while runs:
-        # a value's initial weights are not held past its own run
-        value, config, params = runs.pop(0)
+    for value, config in zip(args.values, configs):
         run_dir = out_root / f"{args.knob}_{value}"
         result = train_network(
-            splits["train"], params, config,
+            splits["train"], init_params(config, args.seed), config,
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
             seed=args.seed, workers=args.workers, out_dir=run_dir, log=None,
         )

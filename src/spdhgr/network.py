@@ -236,8 +236,13 @@ PARAM_TENSORS = {
 
 
 def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
-    """Seeded init: fan-scaled uniform filters, Stiefel weight, zero FC."""
+    """Seeded init: fan-scaled uniform filters, Stiefel weight, zero FC.
+
+    Holds OpenBLAS at one thread first (`blas`), so the initial ``w_hat``
+    has the same bits at any ``OPENBLAS_NUM_THREADS`` and core count.
+    """
     config.validate()
+    blas.hold_one_thread()
     ss = np.random.SeedSequence(seed)
     conv_seed, stiefel_seed = ss.generate_state(2)
     rng = np.random.default_rng(conv_seed)

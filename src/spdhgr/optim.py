@@ -23,8 +23,14 @@ from .errors import ConfigError, InvalidInput, NumericalFailure
 from .symmat import qr_orthonormalize
 
 
+def _check_lr(lr: float) -> None:
+    if not np.isfinite(lr):
+        raise InvalidInput(f"lr must be finite, got {lr}")
+
+
 def euclid_sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     """One plain gradient step: param - lr * grad."""
+    _check_lr(lr)
     param = np.asarray(param, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if param.shape != grad.shape:
@@ -36,8 +42,8 @@ def euclid_sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarra
 
 def stiefel_init(rows: int, cols: int, seed: int) -> np.ndarray:
     """Row-orthonormal matrix from a seeded Gaussian, deterministic per seed."""
-    if rows > cols:
-        raise InvalidInput(f"need rows <= cols, got {rows}x{cols}")
+    if not 1 <= rows <= cols:
+        raise InvalidInput(f"need 1 <= rows <= cols, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
     return qr_orthonormalize(rng.standard_normal((rows, cols)))
 
@@ -49,6 +55,7 @@ def project_tangent(w: np.ndarray, egrad: np.ndarray) -> np.ndarray:
 
 def stiefel_step(w: np.ndarray, egrad: np.ndarray, lr: float) -> np.ndarray:
     """Tangent-projected gradient step followed by QR retraction."""
+    _check_lr(lr)
     w = np.asarray(w, dtype=np.float64)
     egrad = np.asarray(egrad, dtype=np.float64)
     if w.shape != egrad.shape:

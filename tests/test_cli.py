@@ -6,7 +6,7 @@ import pytest
 
 from spdhgr import cli, gradcheck
 from spdhgr.cli import main
-from spdhgr.network import NetworkConfig, init_params, save_config
+from spdhgr.network import PARAM_TENSORS, NetworkConfig, init_params, save_config
 from spdhgr.skeleton import write_synthetic_dataset
 from spdhgr.optim import load_checkpoint
 from spdhgr.svm import load_features, save_features
@@ -367,12 +367,12 @@ class TestAblate:
                    "--knob", "N_S", "--values", 2, "--epochs", 1) == 0
 
     def test_every_value_draws_its_weights_before_training(self, workspace, roomy_config,
-                                                            monkeypatch):
-        """Each value's weights are drawn before any network pass, as
-        `spdhgr train` draws them, and each split is loaded once for all
-        values."""
+                                                            monkeypatch, draw_in_subprocess):
+        """Each value's weights are drawn just before its own run, bitwise
+        equal to the weights `spdhgr train` draws in a fresh process, and
+        each split is loaded once for all values."""
         root, data, _ = workspace
-        calls = []
+        calls, received = [], []
 
         def init(*args):
             calls.append("init")
@@ -382,9 +382,11 @@ class TestAblate:
             calls.append("load")
             return load_dataset(*args)
 
-        def train(*args, **kwargs):
+        def train(sequences, params, config, **kwargs):
             calls.append("train")
-            return train_network(*args, **kwargs)
+            received.append((config, {field: getattr(params, field).copy()
+                                      for field in PARAM_TENSORS}))
+            return train_network(sequences, params, config, **kwargs)
 
         load_dataset = cli._load_dataset
         monkeypatch.setattr(cli, "init_params", init)
@@ -392,8 +394,13 @@ class TestAblate:
         monkeypatch.setattr(cli, "train_network", train)
         assert run("ablate", "--config", roomy_config, "--data-root", data,
                    "--out", root / "ablate_order", "--knob", "t0", "--values", 1, 2,
-                   "--epochs", 1) == 0
-        assert calls == ["init", "init", "load", "load", "train", "train"]
+                   "--epochs", 1, "--seed", 3) == 0
+        assert calls == ["load", "load", "init", "train", "init", "train"]
+        assert [config.t0 for config, _ in received] == [1, 2]
+        for config, params in received:
+            (fresh,) = draw_in_subprocess(config, 3)
+            for field, tensor in params.items():
+                assert tensor.tobytes() == getattr(fresh, field).tobytes(), field
 
     def test_invalid_knob(self, workspace):
         root, data, config = workspace

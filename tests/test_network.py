@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdhgr import blas, layers, network, symmat
+from spdhgr import blas, layers, network, optim, symmat
 from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
 from spdhgr.gradcheck import TINY_CONFIG, rel_error
 from spdhgr.layers import cross_entropy
@@ -200,6 +200,23 @@ class TestInitParams:
     def test_seed_changes_params(self):
         p1, p2 = init_params(TINY, seed=1), init_params(TINY, seed=2)
         assert not np.array_equal(p1.conv, p2.conv)
+
+    @pytest.mark.parametrize("config", [
+        NetworkConfig(n_classes=14),
+        NetworkConfig(n_classes=2, d_out_c=2, d_out_s=210, n_frames=16, t0=1, n_chunks=2),
+    ], ids=["200x3360", "210x420"])
+    def test_same_bits_at_any_openblas_threads_and_after_a_pass(self, config,
+                                                                  draw_in_subprocess):
+        """The paper's weight and the overfit fixture's: the draws at one
+        OpenBLAS thread and at two, before and after a network pass, and
+        in this process are bitwise equal."""
+        draws = [*draw_in_subprocess(config, 0, threads=1, pass_between=True),
+                 *draw_in_subprocess(config, 0, threads=2, pass_between=True),
+                 init_params(config, 0)]
+        assert draws[0].w_hat.shape == (config.d_out_s, config.n_inputs * config.d_in_s)
+        for draw in draws[1:]:
+            for field in PARAM_TENSORS:
+                assert getattr(draw, field).tobytes() == getattr(draws[0], field).tobytes()
 
 
 class TestForward:
@@ -728,6 +745,29 @@ class TestTableThreads:
             monkeypatch.setattr(network, "head_forward", recording)
             assert not blas.held()
             extract_features(tiny_coords(rng), init_params(TINY, 0), TINY)
+            assert inside == [1] and get() == 1 and blas.held()
+        finally:
+            set_(original)
+
+    def test_init_params_sets_openblas_to_one_thread(self, monkeypatch):
+        controls = blas._find_controls()
+        if controls is None:
+            pytest.skip("numpy's OpenBLAS exports no thread controls")
+        get, set_ = controls
+        original = get()
+        monkeypatch.setattr(blas, "_held", None)
+        set_(2)
+        try:
+            inside = []
+            qr_orthonormalize = optim.qr_orthonormalize
+
+            def recording(m):
+                inside.append(get())
+                return qr_orthonormalize(m)
+
+            monkeypatch.setattr(optim, "qr_orthonormalize", recording)
+            assert not blas.held()
+            init_params(TINY, 0)
             assert inside == [1] and get() == 1 and blas.held()
         finally:
             set_(original)

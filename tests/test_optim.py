@@ -14,6 +14,7 @@ from spdhgr.optim import (
     stiefel_init,
     stiefel_step,
 )
+from test_symmat import householder
 
 
 class TestEuclidSgd:
@@ -42,6 +43,11 @@ class TestEuclidSgd:
         with pytest.raises(InvalidInput):
             euclid_sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_rejected_naming_it(self, lr):
+        with pytest.raises(InvalidInput, match=f"lr must be finite, got {lr}"):
+            euclid_sgd_step(np.zeros(2), np.ones(2), lr)
+
 
 class TestStiefelInit:
     def test_square_orthogonal(self):
@@ -59,6 +65,19 @@ class TestStiefelInit:
     def test_rows_exceed_cols(self):
         with pytest.raises(InvalidInput):
             stiefel_init(10, 5, seed=0)
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_no_rows_rejected_naming_the_shape(self, rows):
+        with pytest.raises(InvalidInput, match=f"need 1 <= rows <= cols, got {rows}x5"):
+            stiefel_init(rows, 5, seed=0)
+
+    def test_paper_scale_draw_is_cholesky_qr2_and_matches_householder(self,
+                                                                       householder_calls):
+        w = stiefel_init(200, 3360, seed=0)
+        assert householder_calls == []
+        want = householder(np.random.default_rng(0).standard_normal((200, 3360)))
+        assert np.max(np.abs(w - want)) <= 1e-15
+        assert stiefel_error(w) <= stiefel_error(want)
 
 
 class TestStiefelStep:
@@ -112,6 +131,23 @@ class TestStiefelStep:
         bad = np.full(w.shape, np.nan)
         with pytest.raises(NumericalFailure):
             stiefel_step(w, bad, 0.01)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lr_rejected_naming_it(self, lr):
+        w = stiefel_init(2, 4, seed=0)
+        with pytest.raises(InvalidInput, match=f"lr must be finite, got {lr}"):
+            stiefel_step(w, np.ones_like(w), lr)
+
+    def test_paper_scale_retraction_is_cholesky_qr2_and_matches_householder(
+            self, householder_calls):
+        w = stiefel_init(200, 3360, seed=1)
+        egrad = np.random.default_rng(2).standard_normal(w.shape)
+        householder_calls.clear()
+        out = stiefel_step(w, egrad, 0.01)
+        assert householder_calls == []
+        want = householder(w - 0.01 * project_tangent(w, egrad))
+        assert np.max(np.abs(out - want)) <= 1e-15
+        assert stiefel_error(out) <= stiefel_error(want)
 
 
 class TestCheckpointIo:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spdhgr import symmat
 from spdhgr.errors import InvalidInput, NotSPD, RankDeficient
 from spdhgr.gradcheck import fd_gradient
 from spdhgr.symmat import (
@@ -351,6 +354,74 @@ class TestQrOrthonormalize:
     def test_rows_exceed_cols(self):
         with pytest.raises(InvalidInput):
             qr_orthonormalize(np.ones((4, 2)))
+
+
+def householder(m):
+    """Householder QR of M^T with the positive-diagonal sign convention:
+    the fallback's lines, and qr_orthonormalize's only path before
+    CholeskyQR2."""
+    q, r = np.linalg.qr(m.T)
+    return (q * np.sign(np.diagonal(r))).T
+
+
+def conditioned(shape, kappa, seed=0):
+    """U diag(s) V^T with singular values log-spaced from 1 to 1/kappa."""
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+    return (u * np.logspace(0, -np.log10(kappa), rows)) @ v.T
+
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+class TestCholeskyQr2:
+    @pytest.mark.parametrize("shape", [(3, 8), (5, 5), (200, 3360)], ids=str)
+    @pytest.mark.parametrize("kappa", [1, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_condition_sweep(self, shape, kappa, householder_calls):
+        m = conditioned(shape, kappa)
+        want = householder(m)
+        fast = symmat._cholesky_qr2(m)
+        falls_back = fast is None or fast[1] > symmat.CHOLQR2_DELTA
+        householder_calls.clear()
+        q = qr_orthonormalize(m)
+        # the fallback runs exactly when CholeskyQR2 fails or exceeds delta
+        assert householder_calls == ([shape[::-1]] if falls_back else [])
+        # and delta sits between the swept kappa = 1e6 and 1e8
+        assert falls_back == (kappa >= 1e8)
+        assert np.linalg.norm(q @ q.T - np.eye(shape[0])) <= 1e-12
+        assert np.linalg.norm(m - (m @ q.T) @ q) <= 1e-10 * np.linalg.norm(m)
+        # both are backward stable, so they agree to the forward error
+        # O(kappa u) of any QR
+        assert np.max(np.abs(q - want)) <= 10 * kappa * UNIT_ROUNDOFF
+        if falls_back:
+            assert q.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 8), (200, 3360)], ids=str)
+    @pytest.mark.parametrize("defect", ["ones", "repeated row", "zero row"])
+    def test_rank_deficient_takes_the_fallback(self, shape, defect, householder_calls):
+        m = np.ones(shape) if defect == "ones" else conditioned(shape, 10.0)
+        if defect == "repeated row":
+            m[-1] = m[0]
+        elif defect == "zero row":
+            m[1] = 0.0
+        householder_calls.clear()
+        with pytest.raises(RankDeficient, match=f"{shape[0]}x{shape[1]}"):
+            qr_orthonormalize(m)
+        assert householder_calls == [shape[::-1]]
+
+    def test_lower_triangular_factor_with_positive_diagonal(self, rng):
+        m = rng.standard_normal((4, 9))
+        q = qr_orthonormalize(m)
+        factor = m @ q.T
+        np.testing.assert_allclose(np.triu(factor, 1), 0.0, atol=1e-14)
+        assert np.all(np.diagonal(factor) > 0)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 0)])
+    def test_no_rows_rejected_naming_the_shape(self, shape):
+        with pytest.raises(InvalidInput, match=re.escape(f"rows >= 1, got shape {shape}")):
+            qr_orthonormalize(np.empty(shape))
 
 
 class TestAssertSpd:
