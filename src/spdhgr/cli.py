@@ -17,18 +17,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError
 from .gradcheck import run_all
-from .network import (
-    VARIANTS,
-    extract_features,
-    init_params,
-    load_config,
-    load_params,
-    save_config,
-)
+from .network import extract_features, init_params, load_config, load_params, save_config
 from .optim import write_atomic
-from .skeleton import GRID_MODES, load_dhg, load_fpha, resample
+from .skeleton import load_dhg, load_fpha, resample
 from .svm import load_features, save_features, svm_predict_batch, svm_train
-from .training import train_network
+from .training import prepare_run, train_network
 
 DATASETS = ("dhg14", "dhg28", "fpha")
 ABLATION_KNOBS = {"t0": "t0", "N_S": "n_chunks", "grid_mode": "grid_mode",
@@ -52,28 +45,22 @@ def _resample_all(sequences, n_frames: int):
     return [resample(s, n_frames) if s.n_frames != n_frames else s for s in sequences]
 
 
-def _config_overrides(args) -> dict:
-    overrides = {}
-    if args.variant:
-        overrides["variant"] = args.variant
-    if args.grid_mode:
-        overrides["grid_mode"] = args.grid_mode
-    return overrides
-
-
 def _write_json(path, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     write_atomic(path, lambda fh: fh.write(text))
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config, overrides=_config_overrides(args))
+    config = load_config(args.config)
     sequences = _resample_all(
         _load_dataset(args.data_root, args.dataset, args.split), config.n_frames
     )
     if not sequences:
         raise ConfigError(f"split {args.split!r} of {args.data_root} is empty")
-    out_dir = Path(args.out)
+    out_dir = prepare_run(sequences, config, epochs=args.epochs, batch_size=args.batch_size,
+                          workers=args.workers, lr=args.lr, out_dir=args.out)
+    # written first, so an interrupted run's checkpoints can be extracted with it
+    save_config(out_dir / "config.snapshot", config)
     params = init_params(config, args.seed)
     t_start = time.perf_counter()
     result = train_network(
@@ -87,7 +74,6 @@ def cmd_train(args) -> int:
         total_wall_time_s=time.perf_counter() - t_start,
     )
     _write_json(out_dir / "manifest.json", manifest)
-    save_config(out_dir / "config.snapshot", config)
     print(f"FINAL loss={result.final_loss!r} acc={result.final_accuracy!r}")
     print(f"wrote {out_dir / 'manifest.json'}")
     return 0
@@ -101,7 +87,7 @@ def _write_features(path, sequences, params, config) -> None:
 
 
 def cmd_extract(args) -> int:
-    config = load_config(args.config, overrides=_config_overrides(args))
+    config = load_config(args.config)
     params = load_params(args.checkpoint, config)
     sequences = _resample_all(
         _load_dataset(args.data_root, args.dataset, args.split), config.n_frames
@@ -175,10 +161,13 @@ def cmd_ablate(args) -> int:
         raise ConfigError(
             f"unknown ablation knob {args.knob!r}; choices: {sorted(ABLATION_KNOBS)}"
         )
+    repeated = sorted({value for value in args.values if args.values.count(value) > 1})
+    if repeated:
+        raise ConfigError(f"--values repeats {', '.join(repeated)}; each value's run "
+                          f"writes its own {args.knob}_<value> directory")
     out_root = Path(args.out)
     # every value's config is checked before the first run writes anything
-    configs = [load_config(args.config, overrides={**_config_overrides(args), field: value})
-               for value in args.values]
+    configs = [load_config(args.config, overrides={field: value}) for value in args.values]
     # no knob changes n_frames, so every value runs on the same resampled splits
     splits = {split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
                                    configs[0].n_frames)
@@ -216,14 +205,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=15)
     parser.add_argument("--batch-size", type=int, default=30)
     parser.add_argument("--lr", type=float, default=0.01)
-    _add_model_and_data(parser)
-
-
-def _add_model_and_data(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--variant", choices=VARIANTS, default=None,
-                        help="override the config variant")
-    parser.add_argument("--grid-mode", choices=GRID_MODES, default=None,
-                        help="override the config grid mode")
     parser.add_argument("--dataset", choices=DATASETS, default="dhg14")
 
 
@@ -248,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-root", required=True)
     p.add_argument("--split", default="train")
     p.add_argument("--out", required=True)
-    _add_model_and_data(p)
+    p.add_argument("--dataset", choices=DATASETS, default="dhg14")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("classify", help="train/evaluate the linear SVM on feature files")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +59,6 @@ from .symmat import sym_vectorize, tri_length
 # variant -> the branch families it runs, in weight-block order
 FAMILIES = {"st_ts": ("st", "ts"), "st_only": ("st",), "ts_only": ("ts",)}
 VARIANTS = tuple(FAMILIES)
-ENV_PREFIX = "SPDHGR_"
 
 
 @dataclass
@@ -141,8 +139,8 @@ def config_from_mapping(mapping: dict[str, str],
                         sources: dict[str, str] | None = None) -> NetworkConfig:
     """Parse and validate key=value strings.
 
-    ``sources`` names where each key was set (``file:line``, an
-    environment variable); an error for a key starts with it.
+    ``sources`` names where each key was set (``file:line`` or
+    ``override``); an error for a key starts with it.
     """
     parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(NetworkConfig)}
     kwargs = {}
@@ -159,13 +157,13 @@ def config_from_mapping(mapping: dict[str, str],
     return NetworkConfig(**kwargs).validate()
 
 
-def load_config(path, overrides: dict[str, str] | None = None, env=None) -> NetworkConfig:
-    """Parse a key=value config file.
+def load_config(path, overrides: dict[str, str] | None = None) -> NetworkConfig:
+    """Parse a key=value config file, the one place a run's network is set.
 
-    '#' starts a comment. Environment variables SPDHGR_<KEY> override the
-    file; explicit ``overrides`` (e.g. CLI flags) override both. A value
-    that does not parse is reported with its key and where it was set:
-    the file and line, the environment variable, or "override".
+    '#' starts a comment, and a key may be set once. ``overrides`` (the
+    ablation knob's value) replace file values. A value that does not
+    parse is reported with its key and where it was set: the file and
+    line, or "override".
     """
     path = Path(path)
     if not path.is_file():
@@ -180,15 +178,10 @@ def load_config(path, overrides: dict[str, str] | None = None, env=None) -> Netw
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
+        if key in sources:
+            raise ConfigError(f"{path}:{lineno}: {key!r} set again, first at {sources[key]}")
         mapping[key] = value.strip()
         sources[key] = f"{path}:{lineno}"
-    env = os.environ if env is None else env
-    for field in dataclasses.fields(NetworkConfig):
-        name = ENV_PREFIX + field.name.upper()
-        env_val = env.get(name)
-        if env_val is not None:
-            mapping[field.name] = env_val
-            sources[field.name] = name
     for key, value in (overrides or {}).items():
         mapping[key] = str(value)
         sources[key] = "override"

@@ -129,23 +129,12 @@ def evaluate(sequences, params: NetworkParams, config: NetworkConfig,
     return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)
 
 
-def train_network(
-    sequences: list[SkeletonSequence],
-    params: NetworkParams,
-    config: NetworkConfig,
-    *,
-    epochs: int = 15,
-    batch_size: int = 30,
-    lr: float = 0.01,
-    seed: int = 0,
-    workers: int = 1,
-    out_dir=None,
-    log=None,
-) -> TrainResult:
-    """Train in place for ``epochs`` epochs of shuffled mini-batches.
+def prepare_run(sequences, config: NetworkConfig, *, epochs: int, batch_size: int,
+                workers: int, lr: float, out_dir=None) -> Path | None:
+    """Check `train_network`'s arguments, then create ``out_dir``.
 
-    Sequences must already be resampled to ``config.n_frames``. A NaN
-    batch loss aborts with the offending batch's sequence indices.
+    Nothing is written before every check has passed; returns ``out_dir``
+    as a Path, or None.
     """
     if not sequences:
         raise ConfigError("training set is empty")
@@ -165,7 +154,29 @@ def train_network(
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: "
                               f"{exc.strerror or exc}") from None
+    return out_dir
 
+
+def train_network(
+    sequences: list[SkeletonSequence],
+    params: NetworkParams,
+    config: NetworkConfig,
+    *,
+    epochs: int = 15,
+    batch_size: int = 30,
+    lr: float = 0.01,
+    seed: int = 0,
+    workers: int = 1,
+    out_dir=None,
+    log=None,
+) -> TrainResult:
+    """Train in place for ``epochs`` epochs of shuffled mini-batches.
+
+    Sequences must already be resampled to ``config.n_frames``. A NaN
+    batch loss aborts with the offending batch's sequence indices.
+    """
+    out_dir = prepare_run(sequences, config, epochs=epochs, batch_size=batch_size,
+                          workers=workers, lr=lr, out_dir=out_dir)
     rng = np.random.default_rng(seed)
     records = []
     checkpoints = []

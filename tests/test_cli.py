@@ -117,6 +117,32 @@ class TestTrain:
         assert code == 2
         assert want in err and "Traceback" not in err
 
+    def test_config_snapshot_is_written_before_the_first_epoch(self, workspace, tmp_path,
+                                                              monkeypatch):
+        """An interrupted run's checkpoints can be extracted with its snapshot."""
+        _, data, config = workspace
+        out = tmp_path / "run"
+        found = []
+
+        def train(sequences, params, config, **kwargs):
+            found.append((out / "config.snapshot").read_bytes())
+            return train_network(sequences, params, config, **kwargs)
+
+        monkeypatch.setattr(cli, "train_network", train)
+        assert run("train", "--config", config, "--data-root", data, "--out", out,
+                   "--epochs", 1) == 0
+        assert found == [config.read_bytes()] == [(out / "config.snapshot").read_bytes()]
+
+    def test_key_set_twice_exits_2(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_classes=2\nt0=1\nd_out_s=8\nt0=2\n")
+        assert run("train", "--config", bad, "--data-root", data,
+                   "--out", tmp_path / "o", "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:4: 't0' set again, first at {bad}:2" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     def test_unparsable_config_value_exits_2(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
         bad = tmp_path / "bad.cfg"
@@ -222,20 +248,23 @@ class TestExtract:
                    "--data-root", data, "--split", "train",
                    "--out", tmp_path / "x.features") == 2
 
-    def test_variant_and_grid_mode_flags_reach_the_config(self, workspace, tmp_path,
-                                                          capsys):
+    def test_variant_and_grid_mode_come_from_the_config_file(self, workspace, tmp_path,
+                                                             capsys, monkeypatch):
         root, data, config = workspace
-        flags = ("--variant", "ts_only", "--grid-mode", "physical")
+        ts_config = tmp_path / "ts.cfg"
+        save_config(ts_config, dataclasses.replace(TINY, variant="ts_only",
+                                                   grid_mode="physical"))
+        monkeypatch.setenv("SPDHGR_VARIANT", "st_only")  # sets nothing
         run_dir = tmp_path / "ts_physical"
-        assert run("train", "--config", config, "--data-root", data, "--out", run_dir,
-                   "--epochs", 1, *flags) == 0
+        assert run("train", "--config", ts_config, "--data-root", data, "--out", run_dir,
+                   "--epochs", 1) == 0
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["config"]["variant"] == "ts_only"
         assert manifest["config"]["grid_mode"] == "physical"
         ckpt = run_dir / "epoch_01.ckpt"
         out = tmp_path / "ts.features"
-        assert run("extract", "--checkpoint", ckpt, "--config", config,
-                   "--data-root", data, "--split", "test", "--out", out, *flags) == 0
+        assert run("extract", "--checkpoint", ckpt, "--config", run_dir / "config.snapshot",
+                   "--data-root", data, "--split", "test", "--out", out) == 0
         assert load_features(out)[1].shape == (4, TINY.feature_dim)
         capsys.readouterr()
         # the config file's st_ts weight is twice as wide as the checkpoint's
@@ -402,6 +431,16 @@ class TestAblate:
             for field, tensor in params.items():
                 assert tensor.tobytes() == getattr(fresh, field).tobytes(), field
 
+    def test_repeated_value_exits_2_before_any_run_writes(self, workspace, roomy_config,
+                                                          tmp_path, capsys):
+        _, data, _ = workspace
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", roomy_config, "--data-root", data, "--out", out,
+                   "--knob", "t0", "--values", 1, 2, 1, "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert "--values repeats 1;" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_invalid_knob(self, workspace):
         root, data, config = workspace
         assert run("ablate", "--config", config, "--data-root", data,
@@ -459,6 +498,16 @@ class TestUsage:
         ("gradcheck", "--corrupt", "gauss_agg"),
         ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d",
          "--out", "o", "--seed", "1"),
+        ("train", "--config", "c", "--data-root", "d", "--out", "o", "--variant", "ts_only"),
+        ("train", "--config", "c", "--data-root", "d", "--out", "o", "--grid-mode", "physical"),
+        ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d",
+         "--out", "o", "--variant", "ts_only"),
+        ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d",
+         "--out", "o", "--grid-mode", "physical"),
+        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
+         "--values", "1", "--variant", "ts_only"),
+        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
+         "--values", "1", "--grid-mode", "physical"),
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

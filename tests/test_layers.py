@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from spdhgr.errors import InvalidInput, NotSPD, NumericalFailure
 from spdhgr.gradcheck import fd_gradient
 from spdhgr.layers import (
+    _rect_log_vec_grad_rows,
     _rect_log_vec_grad_stack,
     _rect_log_vec_rows,
     block_diagonal,
@@ -189,6 +190,40 @@ class TestSpectralLayers:
         analytic = _rect_log_vec_grad_stack(cache, 0.5, probe[None])[0]
         fd = fd_gradient(loss, a, symmetric=True)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_rect_log_matches_fd_across_eps(self, eps, seed):
+        """The fused log(max(v, eps)) the branches run, against central
+        differences on spectra that straddle eps: clamped values (their
+        divided differences are zero), values within 1e-3 of eps but many
+        steps from it, and a near-tied pair above eps. A pair straddling
+        the kink at distance d curves the map on the scale d, so the step
+        stays far below d."""
+        rng = np.random.default_rng(seed)
+        clamped = eps * rng.uniform(0.1, 0.8, rng.integers(2, 4))
+        tied = eps * rng.uniform(2.0, 5.0)
+        near = eps + rng.choice([-1.0, 1.0], 3) * rng.uniform(1e-4, 1e-3, 3)
+        spectra = np.concatenate([clamped, near, [tied, tied * (1 + 1e-9)],
+                                  eps * rng.uniform(1.5, 8.0, 2)])
+        step = 1e-8 * max(1.0, spectra.max())
+        m = spectra.size
+        mats = []
+        for _ in range(3):
+            q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            mats.append((q * rng.permutation(spectra)) @ q.T)
+        mats = np.stack(mats)
+        probes = rng.standard_normal((len(mats), tri_length(m)))
+        _, *cache = _rect_log_vec_rows(mats, eps)
+        analytic = _rect_log_vec_grad_rows(*cache, probes, eps)
+        for a, probe, grad in zip(mats, probes, analytic):
+            fd = np.zeros((m, m))
+            for i, j in zip(*np.triu_indices(m)):
+                e = np.zeros((m, m))
+                e[i, j] = e[j, i] = step
+                up, down = _rect_log_vec_rows(np.stack([a + e, a - e]), eps)[0] @ probe
+                fd[i, j] = fd[j, i] = (up - down) / (2 * step) / (1 if i == j else 2)
+            assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
     def test_reeig_chain_through_clamped_directions_is_zero(self, rng):
         # every eigenvalue below eps: the output is constant

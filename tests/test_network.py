@@ -133,14 +133,16 @@ class TestConfig:
         config = load_config(path)
         assert config.n_classes == 3 and config.d_out_c == 2
 
-    def test_env_and_cli_overrides(self, tmp_path):
+    def test_env_and_cli_overrides(self, tmp_path, monkeypatch):
+        """The environment sets nothing; an explicit override (`ablate
+        --knob`) replaces the file's value."""
         path = tmp_path / "net.cfg"
         save_config(path, TINY)
-        config = load_config(path, env={"SPDHGR_T0": "2", "SPDHGR_N_FRAMES": "21"})
-        assert config.t0 == 2 and config.n_frames == 21
-        config = load_config(path, overrides={"t0": "3", "n_frames": "24"},
-                             env={"SPDHGR_T0": "2"})
-        assert config.t0 == 3 and config.n_frames == 24
+        monkeypatch.setenv("SPDHGR_T0", "2")
+        monkeypatch.setenv("SPDHGR_EPSILON", "0.5")
+        assert load_config(path) == TINY
+        config = load_config(path, overrides={"t0": "3", "n_frames": "24"})
+        assert config == dataclasses.replace(TINY, t0=3, n_frames=24)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "net.cfg"
@@ -160,19 +162,26 @@ class TestConfig:
         ("n_classes=2\nt0=abc\n", {}, {},
          "{cfg}:2: t0: invalid literal for int() with base 10: 'abc'"),
         ("n_classes=2\n\nwidth=9\n", {}, {}, "{cfg}:3: unknown config key 'width'"),
-        ("n_classes=2\n", {"SPDHGR_RIDGE": "x"}, {},
-         "SPDHGR_RIDGE: ridge: could not convert string to float: 'x'"),
+        ("n_classes=2\n", {"SPDHGR_RIDGE": "x"}, {"ridge": "y"},
+         "override: ridge: could not convert string to float: 'y'"),
         ("n_classes=2\nt0=abc\n", {"SPDHGR_T0": "2.5"}, {},
-         "SPDHGR_T0: t0: invalid literal for int() with base 10: '2.5'"),
+         "{cfg}:2: t0: invalid literal for int() with base 10: 'abc'"),
         ("n_classes=2\n", {}, {"n_chunks": "many"},
          "override: n_chunks: invalid literal for int() with base 10: 'many'"),
+        ("n_classes=2\nt0=1\nt0=2\n", {}, {}, "{cfg}:3: 't0' set again, first at {cfg}:2"),
+        ("n_classes=2\nridge=1e-6  # a comment\n\n ridge = 1e-6\n", {}, {},
+         "{cfg}:4: 'ridge' set again, first at {cfg}:2"),
     ])
-    def test_unparsable_value_names_key_and_source(self, tmp_path, text, env, overrides,
-                                                   want):
+    def test_unparsable_value_names_key_and_source(self, tmp_path, monkeypatch, text, env,
+                                                   overrides, want):
+        """``env`` is set in the process environment, which sets no
+        config value: the error names the file line or the override."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ConfigError) as info:
-            load_config(path, overrides=overrides, env=env)
+            load_config(path, overrides=overrides)
         assert str(info.value) == want.format(cfg=path)
 
     def test_unparsable_mapping_value_names_key(self):
