@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError
 from .gradcheck import run_all
-from .network import extract_features, init_params, load_config, load_params, save_config
+from .network import extract_features, init_params, load_config, load_params
 from .optim import write_atomic
-from .skeleton import load_dhg, load_fpha, resample
+from .skeleton import check_resamplable, load_dhg, load_fpha
 from .svm import load_features, save_features, svm_predict_batch, svm_train
-from .training import prepare_run, train_network
+from .training import train_network
 
 DATASETS = ("dhg14", "dhg28", "fpha")
 ABLATION_KNOBS = {"t0": "t0", "N_S": "n_chunks", "grid_mode": "grid_mode",
@@ -41,26 +41,17 @@ def _load_dataset(data_root, dataset: str, split: str):
     raise ConfigError(f"unknown dataset {dataset!r}; choices: {DATASETS}")
 
 
-def _resample_all(sequences, n_frames: int):
-    return [resample(s, n_frames) if s.n_frames != n_frames else s for s in sequences]
-
-
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     write_atomic(path, lambda fh: fh.write(text))
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    sequences = _resample_all(
-        _load_dataset(args.data_root, args.dataset, args.split), config.n_frames
-    )
+    sequences = _load_dataset(args.data_root, args.dataset, args.split)
     if not sequences:
         raise ConfigError(f"split {args.split!r} of {args.data_root} is empty")
-    out_dir = prepare_run(sequences, config, epochs=args.epochs, batch_size=args.batch_size,
-                          workers=args.workers, lr=args.lr, out_dir=args.out)
-    # written first, so an interrupted run's checkpoints can be extracted with it
-    save_config(out_dir / "config.snapshot", config)
+    out_dir = Path(args.out)
     params = init_params(config, args.seed)
     t_start = time.perf_counter()
     result = train_network(
@@ -89,9 +80,7 @@ def _write_features(path, sequences, params, config) -> None:
 def cmd_extract(args) -> int:
     config = load_config(args.config)
     params = load_params(args.checkpoint, config)
-    sequences = _resample_all(
-        _load_dataset(args.data_root, args.dataset, args.split), config.n_frames
-    )
+    sequences = _load_dataset(args.data_root, args.dataset, args.split)
     _write_features(args.out, sequences, params, config)
     print(f"wrote {len(sequences)} feature rows to {args.out}")
     return 0
@@ -109,7 +98,7 @@ def _classify(train_file, test_file, c: float, tol: float, seed: int,
     if test_labels.size:
         predictions = svm_predict_batch(model, test_x)
         accuracy = float(np.mean(predictions == test_labels))
-    else:
+    else:  # printed as nan, written as null
         predictions = np.zeros(0, dtype=np.int64)
         accuracy = float("nan")
     classes = sorted(set(model.class_ids.tolist()) | set(test_labels.tolist()))
@@ -123,7 +112,7 @@ def _classify(train_file, test_file, c: float, tol: float, seed: int,
     for row in confusion:
         print(" ".join(str(v) for v in row))
     report = {
-        "accuracy": accuracy,
+        "accuracy": accuracy if test_labels.size else None,
         "n_train": int(train_labels.size),
         "n_test": int(test_labels.size),
         "classes": classes,
@@ -168,10 +157,10 @@ def cmd_ablate(args) -> int:
     out_root = Path(args.out)
     # every value's config is checked before the first run writes anything
     configs = [load_config(args.config, overrides={field: value}) for value in args.values]
-    # no knob changes n_frames, so every value runs on the same resampled splits
-    splits = {split: _resample_all(_load_dataset(args.data_root, args.dataset, split),
-                                   configs[0].n_frames)
+    splits = {split: _load_dataset(args.data_root, args.dataset, split)
               for split in ("train", "test")}
+    for seq in splits["test"]:  # train_network checks the train split
+        check_resamplable(seq)
     rows = []
     for value, config in zip(args.values, configs):
         run_dir = out_root / f"{args.knob}_{value}"
@@ -194,8 +183,8 @@ def cmd_ablate(args) -> int:
         print(f"{value:>12}  {accuracy:.4f}")
     for value, accuracy in rows:
         print(f"ABLATE {args.knob}={value} acc={accuracy:.4f}")
-    _write_json(out_root / "ablation.json",
-                {"knob": args.knob, "rows": [{"value": v, "accuracy": a} for v, a in rows]})
+    _write_json(out_root / "ablation.json", {"knob": args.knob, "rows": [
+        {"value": v, "accuracy": None if np.isnan(a) else a} for v, a in rows]})
     return 0
 
 

@@ -53,6 +53,7 @@ from .skeleton import (
     _read_text,
     build_branch_plan,
     grid_joint_coords,
+    resample,
 )
 from .symmat import sym_vectorize, tri_length
 
@@ -285,17 +286,22 @@ class ForwardContext:
 
 
 def _as_grid_coords(seq, config: NetworkConfig) -> np.ndarray:
+    """A pass's lattice coordinates: the one place a sequence is resampled."""
+    if isinstance(seq, SkeletonSequence) and seq.n_frames != config.n_frames:
+        seq = resample(seq, config.n_frames)
     coords = grid_joint_coords(seq) if isinstance(seq, SkeletonSequence) else np.asarray(seq)
     if coords.ndim != 3 or coords.shape[0] != config.n_frames:
         raise InvalidInput(
             f"expected coordinates of shape ({config.n_frames}, 20, 3), got {coords.shape}; "
-            "resample sequences before the forward pass"
+            "pass a SkeletonSequence to have it resampled"
         )
     return np.asarray(coords, dtype=np.float64)
 
 
 def forward(seq, params: NetworkParams, config: NetworkConfig):
-    """Run the full pipeline; returns (probs, context, final SPD matrix)."""
+    """Run the full pipeline on a `SkeletonSequence` (resampled to
+    ``config.n_frames`` if it differs) or an (n_frames, 20, 3) array;
+    returns (probs, context, final SPD matrix)."""
     blas.hold_one_thread()
     coords = _as_grid_coords(seq, config)
     grid = JointGrid(config.grid_mode)

@@ -127,6 +127,13 @@ def grid_joint_coords(seq: SkeletonSequence) -> np.ndarray:
     raise InvalidInput(f"expected 20 or 22 joints per frame, got {seq.joints_per_frame}")
 
 
+def check_resamplable(seq: SkeletonSequence) -> None:
+    """Raise `resample`'s error for a sequence of fewer than 2 frames."""
+    if seq.n_frames < 2:
+        where = f"{seq.source}: " if seq.source else ""
+        raise InvalidInput(f"{where}cannot resample a sequence with fewer than 2 frames")
+
+
 def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
     """Linearly resample a sequence to ``n_frames`` uniformly spaced frames.
 
@@ -137,9 +144,7 @@ def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
     """
     if n_frames < 2:
         raise InvalidInput(f"n_frames must be >= 2, got {n_frames}")
-    if seq.n_frames < 2:
-        where = f"{seq.source}: " if seq.source else ""
-        raise InvalidInput(f"{where}cannot resample a sequence with fewer than 2 frames")
+    check_resamplable(seq)
     src_t = np.linspace(0.0, 1.0, seq.n_frames)
     dst_t = np.linspace(0.0, 1.0, n_frames)
     flat = seq.frames.reshape(seq.n_frames, -1)

@@ -23,9 +23,9 @@ import numpy as np
 from . import blas
 from .errors import ConfigError, NumericalFailure
 from .layers import cross_entropy, table_threads
-from .network import NetworkConfig, NetworkParams, backward, forward, save_params
+from .network import NetworkConfig, NetworkParams, backward, forward, save_config, save_params
 from .optim import euclid_sgd_step, stiefel_step
-from .skeleton import SkeletonSequence
+from .skeleton import SkeletonSequence, check_resamplable
 
 
 @dataclass
@@ -129,15 +129,31 @@ def evaluate(sequences, params: NetworkParams, config: NetworkConfig,
     return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)
 
 
-def prepare_run(sequences, config: NetworkConfig, *, epochs: int, batch_size: int,
-                workers: int, lr: float, out_dir=None) -> Path | None:
-    """Check `train_network`'s arguments, then create ``out_dir``.
+def train_network(
+    sequences: list[SkeletonSequence],
+    params: NetworkParams,
+    config: NetworkConfig,
+    *,
+    epochs: int = 15,
+    batch_size: int = 30,
+    lr: float = 0.01,
+    seed: int = 0,
+    workers: int = 1,
+    out_dir=None,
+    log=None,
+) -> TrainResult:
+    """Train in place for ``epochs`` epochs of shuffled mini-batches.
 
-    Nothing is written before every check has passed; returns ``out_dir``
-    as a Path, or None.
+    Sequences may have any frame count: each pass resamples its sequence
+    (`network.forward`). The arguments are checked before anything is
+    written; then ``out_dir`` gets ``config.snapshot``, so an interrupted
+    run's checkpoints can be extracted with it. A NaN batch loss aborts
+    with the offending batch's sequence indices.
     """
     if not sequences:
         raise ConfigError("training set is empty")
+    for seq in sequences:
+        check_resamplable(seq)
     _check_labels(sequences, config)
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -154,29 +170,7 @@ def prepare_run(sequences, config: NetworkConfig, *, epochs: int, batch_size: in
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: "
                               f"{exc.strerror or exc}") from None
-    return out_dir
-
-
-def train_network(
-    sequences: list[SkeletonSequence],
-    params: NetworkParams,
-    config: NetworkConfig,
-    *,
-    epochs: int = 15,
-    batch_size: int = 30,
-    lr: float = 0.01,
-    seed: int = 0,
-    workers: int = 1,
-    out_dir=None,
-    log=None,
-) -> TrainResult:
-    """Train in place for ``epochs`` epochs of shuffled mini-batches.
-
-    Sequences must already be resampled to ``config.n_frames``. A NaN
-    batch loss aborts with the offending batch's sequence indices.
-    """
-    out_dir = prepare_run(sequences, config, epochs=epochs, batch_size=batch_size,
-                          workers=workers, lr=lr, out_dir=out_dir)
+        save_config(out_dir / "config.snapshot", config)
     rng = np.random.default_rng(seed)
     records = []
     checkpoints = []

@@ -6,7 +6,8 @@ import pytest
 
 from spdhgr import cli, gradcheck
 from spdhgr.cli import main
-from spdhgr.network import PARAM_TENSORS, NetworkConfig, init_params, save_config
+from spdhgr.network import (PARAM_TENSORS, NetworkConfig, extract_features, init_params,
+                            save_config)
 from spdhgr.skeleton import write_synthetic_dataset
 from spdhgr.optim import load_checkpoint
 from spdhgr.svm import load_features, save_features
@@ -28,6 +29,13 @@ def workspace(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def strict_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestTrain:
@@ -116,6 +124,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert code == 2
         assert want in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_config_snapshot_is_written_before_the_first_epoch(self, workspace, tmp_path,
                                                               monkeypatch):
@@ -124,14 +133,42 @@ class TestTrain:
         out = tmp_path / "run"
         found = []
 
-        def train(sequences, params, config, **kwargs):
-            found.append((out / "config.snapshot").read_bytes())
-            return train_network(sequences, params, config, **kwargs)
+        def log(line):
+            if line.startswith("EPOCH 1 "):
+                found.append((out / "config.snapshot").read_bytes())
 
-        monkeypatch.setattr(cli, "train_network", train)
+        monkeypatch.setattr(cli, "print", log, raising=False)
         assert run("train", "--config", config, "--data-root", data, "--out", out,
-                   "--epochs", 1) == 0
+                   "--epochs", 2) == 0
         assert found == [config.read_bytes()] == [(out / "config.snapshot").read_bytes()]
+
+    def test_sequences_reach_the_network_at_their_file_frame_counts(self, workspace, trained,
+                                                                    tmp_path, monkeypatch):
+        """train, extract and ablate hand the loaded 15-frame sequences on;
+        the network resamples each one to the config's 12 frames."""
+        _, data, config = workspace
+        frames = {}
+
+        def spy(command, fn):
+            def wrapped(sequence_or_list, *args, **kwargs):
+                seqs = (sequence_or_list if isinstance(sequence_or_list, list)
+                        else [sequence_or_list])
+                frames.setdefault(command, set()).update(s.n_frames for s in seqs)
+                return fn(sequence_or_list, *args, **kwargs)
+            return wrapped
+
+        for command, argv in (
+            ("train", ("--config", config, "--out", tmp_path / "run")),
+            ("extract", ("--checkpoint", trained, "--config", config,
+                         "--out", tmp_path / "x.features")),
+            ("ablate", ("--config", config, "--out", tmp_path / "ablate",
+                        "--knob", "t0", "--values", 1)),
+        ):
+            monkeypatch.setattr(cli, "train_network", spy(command, train_network))
+            monkeypatch.setattr(cli, "extract_features", spy(command, extract_features))
+            extra = () if command == "extract" else ("--epochs", 1)
+            assert run(command, "--data-root", data, *argv, *extra) == 0
+        assert frames == {"train": {15}, "extract": {15}, "ablate": {15}}
 
     def test_key_set_twice_exits_2(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
@@ -325,6 +362,16 @@ class TestClassify:
                    "--test-features", tmp_path / "te.features", "--out", report) == 0
         assert json.loads(report.read_text())["accuracy"] >= 0.95
 
+    def test_empty_test_file_writes_null_accuracy(self, tmp_path, capsys):
+        save_features(tmp_path / "train.features", [0, 1], np.eye(2))
+        save_features(tmp_path / "test.features", [], np.zeros((0, 2)))
+        report = tmp_path / "report.json"
+        assert run("classify", "--train-features", tmp_path / "train.features",
+                   "--test-features", tmp_path / "test.features", "--out", report) == 0
+        assert capsys.readouterr().out.startswith("ACCURACY nan\n")
+        payload = strict_json(report)
+        assert payload["accuracy"] is None and payload["n_test"] == 0
+
     def test_dim_mismatch(self, tmp_path, rng):
         save_features(tmp_path / "a.features", [0, 1], rng.standard_normal((2, 3)))
         save_features(tmp_path / "b.features", [0, 1], rng.standard_normal((2, 4)))
@@ -388,6 +435,9 @@ class TestAblate:
         assert rows[1].startswith("ABLATE t0=2 acc=")
         payload = json.loads((out / "ablation.json").read_text())
         assert [r["value"] for r in payload["rows"]] == ["1", "2"]
+        for t0 in (1, 2):
+            snapshot = out / f"t0_{t0}" / "config.snapshot"
+            assert snapshot.read_text() == roomy_config.read_text().replace("t0=1", f"t0={t0}")
 
     def test_chunk_knob_named_like_the_tables(self, workspace):
         root, data, config = workspace
@@ -440,6 +490,31 @@ class TestAblate:
         err = capsys.readouterr().err
         assert "--values repeats 1;" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_one_frame_test_sequence_exits_2_before_any_run_writes(self, roomy_config,
+                                                                   tmp_path, capsys):
+        data = tmp_path / "data"
+        write_synthetic_dataset(data, n_classes=2, train_per_class=2, test_per_class=1,
+                                n_frames=15, seed=5)
+        seq = data / "sequences" / "test_c1_00.txt"
+        seq.write_bytes(seq.read_bytes().splitlines(keepends=True)[0])
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", roomy_config, "--data-root", data, "--out", out,
+                   "--knob", "t0", "--values", 1, "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert "test_c1_00.txt: cannot resample a sequence with fewer than 2 frames" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_empty_test_split_writes_null_accuracy(self, roomy_config, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_synthetic_dataset(data, n_classes=2, train_per_class=2, test_per_class=0,
+                                n_frames=15, seed=5)
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", roomy_config, "--data-root", data, "--out", out,
+                   "--knob", "t0", "--values", 1, "--epochs", 1) == 0
+        assert "ABLATE t0=1 acc=nan" in capsys.readouterr().out
+        assert strict_json(out / "ablation.json")["rows"] == [{"value": "1", "accuracy": None}]
+        assert strict_json(out / "t0_1" / "report.json")["accuracy"] is None
 
     def test_invalid_knob(self, workspace):
         root, data, config = workspace

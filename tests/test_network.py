@@ -31,7 +31,7 @@ from spdhgr.network import (
     save_params,
 )
 from spdhgr.optim import load_checkpoint, save_checkpoint, stiefel_error
-from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence, build_branch_plan
+from spdhgr.skeleton import N_GRID_NODES, SkeletonSequence, build_branch_plan, resample
 from spdhgr.symmat import spd_log, spectral_grad, sym_vectorize
 
 TINY = TINY_CONFIG
@@ -256,6 +256,17 @@ class TestForward:
         params = init_params(TINY, 0)
         with pytest.raises(InvalidInput, match="resample"):
             forward(rng.standard_normal((9, N_GRID_NODES, 3)), params, TINY)
+
+    def test_sequence_of_any_length_is_resampled_bitwise(self, rng):
+        params = init_params(TINY, 0)
+        seq = SkeletonSequence(frames=rng.standard_normal((20, 22, 3)), label=1)
+        probs, _, y = forward(seq, params, TINY)
+        want_probs, _, want_y = forward(resample(seq, TINY.n_frames), params, TINY)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+        one_frame = SkeletonSequence(frames=seq.frames[:1], label=1, source="s.txt")
+        with pytest.raises(InvalidInput, match="s.txt: cannot resample"):
+            forward(one_frame, params, TINY)
 
     def test_variant_input_counts(self, rng):
         coords = tiny_coords(rng)
