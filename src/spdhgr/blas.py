@@ -45,10 +45,7 @@ def _find_controls():
 
 
 def hold_one_thread() -> None:
-    """Set OpenBLAS to one thread, once per process.
-
-    Two first passes racing on threads both set one thread, which is harmless.
-    """
+    """Set OpenBLAS to one thread, once per process."""
     global _held
     if _held is None:
         controls = _find_controls()

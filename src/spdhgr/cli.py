@@ -1,8 +1,7 @@
 """Command-line harness: train, extract, classify, gradcheck, ablate.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 usage/config/data
-error. All commands are deterministic for a given seed, at any
-``--workers`` count: gradients are reduced in submission order.
+error. All commands are deterministic for a given seed, at any core count.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def cmd_train(args) -> int:
     result = train_network(
         sequences, params, config,
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, workers=args.workers, out_dir=out_dir, log=print,
+        seed=args.seed, out_dir=out_dir, log=print,
     )
     manifest = result.manifest(
         config=config, seed=args.seed, dataset_id=f"{args.dataset}:{args.split}",
@@ -71,10 +70,12 @@ def cmd_train(args) -> int:
 
 
 def _write_features(path, sequences, params, config) -> None:
-    """Extract every sequence's features and write them as one feature file."""
-    feats = [extract_features(s, params, config) for s in sequences]
-    save_features(path, [s.label for s in sequences],
-                  np.stack(feats) if feats else np.zeros((0, config.feature_dim)))
+    """Extract every sequence's features into one matrix and write it as one
+    feature file."""
+    feats = np.empty((len(sequences), config.feature_dim))
+    for row, seq in zip(feats, sequences):
+        row[:] = extract_features(seq, params, config)
+    save_features(path, [s.label for s in sequences], feats)
 
 
 def cmd_extract(args) -> int:
@@ -167,7 +168,7 @@ def cmd_ablate(args) -> int:
         result = train_network(
             splits["train"], init_params(config, args.seed), config,
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-            seed=args.seed, workers=args.workers, out_dir=run_dir, log=None,
+            seed=args.seed, out_dir=run_dir, log=None,
         )
         for split, sequences in splits.items():
             _write_features(run_dir / f"{split}.features", sequences, result.params,
@@ -190,7 +191,6 @@ def cmd_ablate(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--epochs", type=int, default=15)
     parser.add_argument("--batch-size", type=int, default=30)
     parser.add_argument("--lr", type=float, default=0.01)

@@ -1,20 +1,15 @@
 """Mini-batch SGD training loop with per-epoch checkpoints and a manifest.
 
-Serial and pooled runs share one pass loop, `_passes`. Each sequence runs
-its forward, then waits for its turn and hands the batch's running
-gradient total to `network.backward` as ``into``, so each layer adds its
-gradient straight into it. The turns follow submission order, so the sum
-is bitwise the serial one at any worker count, and no sequence's
-gradient set is ever held apart from the total. A pool of ``workers``
-threads keeps at most ``workers`` forward contexts alive; the final
-evaluation runs on the same pool, with no backward and so no turns.
+Sequences run one at a time, in batch order: each forward is followed by
+its backward, which adds its gradients straight into the batch's running
+total (`network.backward`'s ``into``), so no sequence's gradient set is
+held apart from the total, and its forward context is dropped before the
+next forward. The second core works inside the layers (`layers`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,7 +38,6 @@ class TrainResult:
     final_loss: float
     final_accuracy: float
     checkpoints: list[str] = field(default_factory=list)
-    workers: int = 1  # sequence workers the run used
 
     def manifest(self, *, config: NetworkConfig, seed: int, dataset_id: str,
                  n_sequences: int, batch_size: int, lr: float,
@@ -59,8 +53,7 @@ class TrainResult:
             "final": {"mean_loss": self.final_loss, "accuracy": self.final_accuracy},
             "checkpoints": self.checkpoints,
             "total_wall_time_s": total_wall_time_s,
-            "threads": {"workers": self.workers, "window_tables": table_threads(),
-                        "blas_held": blas.held()},
+            "threads": {"window_tables": table_threads(), "blas_held": blas.held()},
         }
 
 
@@ -73,44 +66,16 @@ def _check_labels(sequences: list[SkeletonSequence], config: NetworkConfig) -> N
 
 
 def _passes(sequences, params: NetworkParams, config: NetworkConfig,
-            pool: ThreadPoolExecutor | None = None, total: NetworkParams | None = None):
-    """Yield (loss, whether correct) per sequence, in order.
-
-    With a ``total``, the backwards take turns in sequence order adding into
-    it, so a pool sums as the calling thread does. No pooled pass is ever
-    cancelled: after an error the rest skip their work but pass their turns
-    on, and the error is raised once all have ended."""
-    turns = [threading.Event() for _ in range(len(sequences) + 1)]
-    turns[0].set()
-    stop = threading.Event()
-
-    def one(i):
-        try:
-            if stop.is_set():
-                return None
-            seq = sequences[i]
-            probs, ctx, _ = forward(seq, params, config)
-            result = cross_entropy(probs, seq.label), int(np.argmax(probs)) == seq.label
-            if total is not None:
-                turns[i].wait()
-                if not stop.is_set():
-                    backward(ctx, seq.label, into=total)
-            return result
-        finally:
-            if total is not None:
-                # a failed sequence also passes the turn on, after its own
-                turns[i].wait()
-                turns[i + 1].set()
-
-    if pool is None:
-        yield from map(one, range(len(sequences)))
-        return
-    futures = [pool.submit(one, i) for i in range(len(sequences))]
-    try:
-        yield from (future.result() for future in futures)
-    finally:
-        stop.set()
-        wait(futures)
+            total: NetworkParams | None = None):
+    """Yield (loss, whether correct) per sequence, in order; with a
+    ``total``, each backward adds into it."""
+    for seq in sequences:
+        probs, ctx = forward(seq, params, config)[:2]
+        result = cross_entropy(probs, seq.label), int(np.argmax(probs)) == seq.label
+        if total is not None:
+            backward(ctx, seq.label, into=total)
+        del ctx  # not held through the next forward
+        yield result
 
 
 def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
@@ -122,10 +87,9 @@ def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> Ne
     )
 
 
-def evaluate(sequences, params: NetworkParams, config: NetworkConfig,
-             pool: ThreadPoolExecutor | None = None):
+def evaluate(sequences, params: NetworkParams, config: NetworkConfig):
     """Mean loss and accuracy of fixed parameters over a sequence list."""
-    losses, hits = zip(*_passes(sequences, params, config, pool)) if sequences else ((), ())
+    losses, hits = zip(*_passes(sequences, params, config)) if sequences else ((), ())
     return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)
 
 
@@ -138,7 +102,6 @@ def train_network(
     batch_size: int = 30,
     lr: float = 0.01,
     seed: int = 0,
-    workers: int = 1,
     out_dir=None,
     log=None,
 ) -> TrainResult:
@@ -159,8 +122,6 @@ def train_network(
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     if not np.isfinite(lr):
         raise ConfigError(f"lr must be finite, got {lr}")
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -174,46 +135,41 @@ def train_network(
     rng = np.random.default_rng(seed)
     records = []
     checkpoints = []
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for epoch in range(1, epochs + 1):
-            t_start = time.perf_counter()
-            order = rng.permutation(len(sequences))
-            epoch_losses = []
-            epoch_correct = 0
-            for batch_lo in range(0, len(order), batch_size):
-                batch = order[batch_lo : batch_lo + batch_size]
-                items = [sequences[i] for i in batch]
-                total = params.zeros_like()
-                losses, hits = zip(*_passes(items, params, config, pool, total))
-                epoch_correct += sum(hits)
-                if not np.all(np.isfinite(losses)):
-                    raise NumericalFailure(
-                        f"non-finite loss in epoch {epoch}, batch of sequences "
-                        f"{sorted(int(i) for i in batch)}"
-                    )
-                total.scale_(1.0 / len(items))
-                epoch_losses.extend(losses)
-                params = _apply_updates(params, total, lr)
-                del total  # not held through the next batch or the evaluation
-            record = EpochRecord(
-                epoch=epoch,
-                mean_loss=float(np.mean(epoch_losses)),
-                accuracy=epoch_correct / len(sequences),
-                wall_time_s=time.perf_counter() - t_start,
-            )
-            records.append(record)
-            if out_dir is not None:
-                ckpt = out_dir / f"epoch_{epoch:02d}.ckpt"
-                save_params(ckpt, params)
-                checkpoints.append(ckpt.name)
-            if log is not None:
-                log(f"EPOCH {epoch} loss={record.mean_loss!r} "
-                    f"acc={record.accuracy!r} time={record.wall_time_s:.3f}")
-        final_loss, final_acc = evaluate(sequences, params, config, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(1, epochs + 1):
+        t_start = time.perf_counter()
+        order = rng.permutation(len(sequences))
+        epoch_losses = []
+        epoch_correct = 0
+        for batch_lo in range(0, len(order), batch_size):
+            batch = order[batch_lo : batch_lo + batch_size]
+            items = [sequences[i] for i in batch]
+            total = params.zeros_like()
+            losses, hits = zip(*_passes(items, params, config, total))
+            epoch_correct += sum(hits)
+            if not np.all(np.isfinite(losses)):
+                raise NumericalFailure(
+                    f"non-finite loss in epoch {epoch}, batch of sequences "
+                    f"{sorted(int(i) for i in batch)}"
+                )
+            total.scale_(1.0 / len(items))
+            epoch_losses.extend(losses)
+            params = _apply_updates(params, total, lr)
+            del total  # not held through the next batch or the evaluation
+        record = EpochRecord(
+            epoch=epoch,
+            mean_loss=float(np.mean(epoch_losses)),
+            accuracy=epoch_correct / len(sequences),
+            wall_time_s=time.perf_counter() - t_start,
+        )
+        records.append(record)
+        if out_dir is not None:
+            ckpt = out_dir / f"epoch_{epoch:02d}.ckpt"
+            save_params(ckpt, params)
+            checkpoints.append(ckpt.name)
+        if log is not None:
+            log(f"EPOCH {epoch} loss={record.mean_loss!r} "
+                f"acc={record.accuracy!r} time={record.wall_time_s:.3f}")
+    final_loss, final_acc = evaluate(sequences, params, config)
 
     return TrainResult(params=params, epochs=records, final_loss=final_loss,
-                       final_accuracy=final_acc, checkpoints=checkpoints, workers=workers)
+                       final_accuracy=final_acc, checkpoints=checkpoints)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from spdhgr import cli, gradcheck
 from spdhgr.cli import main
 from spdhgr.network import (PARAM_TENSORS, NetworkConfig, extract_features, init_params,
                             save_config)
-from spdhgr.skeleton import write_synthetic_dataset
+from spdhgr.skeleton import SkeletonSequence, write_synthetic_dataset
 from spdhgr.optim import load_checkpoint
 from spdhgr.svm import load_features, save_features
 from spdhgr.training import train_network
@@ -43,7 +44,7 @@ class TestTrain:
         root, data, config = workspace
         out = root / "run1"
         code = run("train", "--config", config, "--data-root", data, "--out", out,
-                   "--epochs", 2, "--seed", 0, "--workers", 1)
+                   "--epochs", 2, "--seed", 0)
         assert code == 0
         captured = capsys.readouterr().out
         assert "EPOCH 1 loss=" in captured and "FINAL" in captured
@@ -65,33 +66,10 @@ class TestTrain:
         for name in ("detA", "detB"):
             out = root / name
             assert run("train", "--config", config, "--data-root", data, "--out", out,
-                       "--epochs", 2, "--seed", 3, "--workers", 1) == 0
+                       "--epochs", 2, "--seed", 3) == 0
             manifests.append(json.loads((out / "manifest.json").read_text()))
         losses = [[e["mean_loss"] for e in m["epochs"]] for m in manifests]
         assert losses[0] == losses[1]
-
-    def test_two_workers_match_serial_run(self, workspace):
-        root, data, config = workspace
-        manifests = {}
-        for workers in (1, 2):
-            out = root / f"workers{workers}"
-            assert run("train", "--config", config, "--data-root", data, "--out", out,
-                       "--epochs", 2, "--seed", 3, "--batch-size", 4,
-                       "--workers", workers) == 0
-            manifests[workers] = json.loads((out / "manifest.json").read_text())
-        for manifest in manifests.values():
-            assert "deterministic" not in manifest
-            for epoch in manifest["epochs"]:
-                del epoch["wall_time_s"]
-        assert manifests[2]["epochs"] == manifests[1]["epochs"]
-        assert manifests[2]["final"] == manifests[1]["final"]
-
-    def test_manifest_records_the_workers(self, workspace):
-        root, data, config = workspace
-        out = root / "workers_recorded"
-        assert run("train", "--config", config, "--data-root", data, "--out", out,
-                   "--epochs", 1, "--seed", 3, "--batch-size", 4, "--workers", 2) == 0
-        assert json.loads((out / "manifest.json").read_text())["threads"]["workers"] == 2
 
     def test_bad_config_value(self, workspace, tmp_path):
         root, data, _ = workspace
@@ -275,6 +253,44 @@ class TestExtract:
         labels, feats = load_features(out)
         assert labels.shape == (0,)
         assert feats.shape == (0, TINY.feature_dim)
+
+    @staticmethod
+    def _stub_rows(monkeypatch, dim):
+        """Make `cli.extract_features` return a new row of ``dim`` values
+        from ``default_rng(0)`` per call, keeping none of them."""
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(cli, "extract_features",
+                            lambda seq, params, config: rng.standard_normal(dim))
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_write_features_bytes_equal_the_stacked_rows(self, tmp_path, monkeypatch, n):
+        self._stub_rows(monkeypatch, TINY.feature_dim)
+        seqs = [SkeletonSequence(frames=np.zeros((2, 20, 3)), label=k % 3) for k in range(n)]
+        cli._write_features(tmp_path / "a.features", seqs, None, TINY)
+        rng = np.random.default_rng(0)
+        rows = [rng.standard_normal(TINY.feature_dim) for _ in range(n)]
+        save_features(tmp_path / "b.features", [s.label for s in seqs],
+                      np.stack(rows) if rows else np.zeros((0, TINY.feature_dim)))
+        assert (tmp_path / "a.features").read_bytes() == (tmp_path / "b.features").read_bytes()
+
+    def test_write_features_peak_is_the_matrix_and_a_few_rows(self, tmp_path, monkeypatch):
+        """Rows go straight into one (n, feature_dim) matrix; a list of rows
+        and its `np.stack` copy took twice the matrix."""
+        config = NetworkConfig(n_classes=14)
+        n, row_bytes = 60, config.feature_dim * 8
+        self._stub_rows(monkeypatch, config.feature_dim)
+        seqs = [SkeletonSequence(frames=np.zeros((2, 20, 3)), label=0)] * n
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cli._write_features(tmp_path / "x.features", seqs, None, config)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= (n + 4) * row_bytes, f"peak {peak / row_bytes:.1f} rows"
 
     def test_checkpoint_config_mismatch(self, workspace, trained, tmp_path):
         root, data, _ = workspace
@@ -531,7 +547,6 @@ class TestAblate:
     ("train", "--batch-size", "0", "batch_size must be >= 1, got 0"),
     ("train", "--batch-size", "-3", "batch_size must be >= 1, got -3"),
     ("train", "--epochs", "-2", "epochs must be >= 0, got -2"),
-    ("train", "--workers", "0", "workers must be >= 1, got 0"),
     ("train", "--lr", "nan", "lr must be finite, got nan"),
     ("ablate", "--batch-size", "0", "batch_size must be >= 1, got 0"),
     ("ablate", "--lr", "nan", "lr must be finite, got nan"),
@@ -583,6 +598,9 @@ class TestUsage:
          "--values", "1", "--variant", "ts_only"),
         ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
          "--values", "1", "--grid-mode", "physical"),
+        ("train", "--config", "c", "--data-root", "d", "--out", "o", "--workers", "2"),
+        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
+         "--values", "1", "--workers", "2"),
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,3 @@
-import concurrent.futures
-import sys
-import threading
-import time
 import tracemalloc
 import weakref
 
@@ -26,24 +22,6 @@ def dataset(tmp_path_factory):
     return [resample(s, CONFIG.n_frames) for s in load_dhg(root, "train")]
 
 
-def _run_bounded(fn, timeout=60.0):
-    """Run ``fn`` on a thread for at most ``timeout`` seconds; the errors it
-    raised."""
-    errors = []
-
-    def target():
-        try:
-            fn()
-        except Exception as exc:
-            errors.append(exc)
-
-    runner = threading.Thread(target=target, daemon=True)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), f"still running after {timeout} s"
-    return errors
-
-
 class TestTrainLoop:
     def test_loss_decreases_and_records(self, dataset, tmp_path):
         params = init_params(CONFIG, 0)
@@ -66,41 +44,21 @@ class TestTrainLoop:
         assert [r.mean_loss for r in r1.epochs] == [r.mean_loss for r in r2.epochs]
         assert np.array_equal(r1.params.w_hat, r2.params.w_hat)
 
-    def test_workers_do_not_change_result(self, dataset):
-        serial = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=2,
-                               batch_size=4, lr=0.01, seed=7, workers=1)
-        pooled = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=2,
-                               batch_size=4, lr=0.01, seed=7, workers=3)
-        assert [r.mean_loss for r in serial.epochs] == [r.mean_loss for r in pooled.epochs]
-        assert serial.final_loss == pooled.final_loss
-        assert serial.final_accuracy == pooled.final_accuracy
-        for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
-            assert np.array_equal(getattr(serial.params, name), getattr(pooled.params, name))
-
-    def test_pool_holds_at_most_workers_contexts_and_adds_into_the_batch_total(
-            self, dataset, monkeypatch):
-        """With the batch's first item slow, the items behind it wait for
-        their turn holding their forward contexts, so no more than
-        ``workers`` are alive; every backward adds into the one batch total
-        that the update then reads."""
-        workers, seed = 2, 7
-        # train_network draws the batch order from default_rng(seed)
-        first = dataset[int(np.random.default_rng(seed).permutation(len(dataset))[0])]
+    def test_one_context_at_a_time_and_one_batch_total(self, dataset, monkeypatch):
+        """Each forward context is dropped before the next forward runs, so
+        at most one is alive at any forward; every backward adds into the
+        one batch total that the update then reads."""
         forward, backward = training.forward, training.backward
         euclid_sgd_step = training.euclid_sgd_step
-        lock = threading.Lock()
         contexts, most_alive, totals, conv_steps = [], [], [], []
 
-        def slow_first(seq, *args):
-            if seq is first:
-                time.sleep(0.3)
-            out = forward(seq, *args)
-            with lock:
-                contexts.append(weakref.ref(out[1]))
-                most_alive.append(sum(ref() is not None for ref in contexts))
+        def recording_forward(*args):
+            out = forward(*args)
+            contexts.append(weakref.ref(out[1]))
+            most_alive.append(sum(ref() is not None for ref in contexts))
             return out
 
-        def recording(ctx, label, into=None):
+        def recording_backward(ctx, label, into=None):
             totals.append(into)
             return backward(ctx, label, into=into)
 
@@ -108,135 +66,17 @@ class TestTrainLoop:
             conv_steps.append(grad)
             return euclid_sgd_step(param, grad, lr)
 
-        monkeypatch.setattr(training, "forward", slow_first)
-        monkeypatch.setattr(training, "backward", recording)
+        monkeypatch.setattr(training, "forward", recording_forward)
+        monkeypatch.setattr(training, "backward", recording_backward)
         monkeypatch.setattr(training, "euclid_sgd_step", step)
         train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=1,
-                      batch_size=len(dataset), lr=0.01, seed=seed, workers=workers)
+                      batch_size=len(dataset), lr=0.01, seed=7)
         # one batch: one backward per sequence, then the training passes'
         # forwards and the final evaluation's
         assert len(totals) == len(dataset) and len(contexts) == 2 * len(dataset)
-        assert max(most_alive) <= workers
+        assert max(most_alive) == 1
         assert totals[0] is not None and all(t is totals[0] for t in totals)
         assert conv_steps[0] is totals[0].conv
-
-    def test_failing_forward_in_a_pool_raises_and_leaves_no_thread(self, dataset,
-                                                                    monkeypatch):
-        """The third forward of a pooled batch raises; the sequences after
-        it still get their turns, so train_network raises that error and
-        its pool's threads all end."""
-        forward = training.forward
-        lock = threading.Lock()
-        calls = []
-
-        def third_fails(*args):
-            with lock:
-                calls.append(None)
-                if len(calls) == 3:
-                    raise NumericalFailure("third forward failed")
-            return forward(*args)
-
-        monkeypatch.setattr(training, "forward", third_fails)
-        before = set(threading.enumerate())
-        errors = _run_bounded(lambda: train_network(
-            dataset, init_params(CONFIG, 0), CONFIG, epochs=1, batch_size=len(dataset),
-            lr=0.01, seed=7, workers=2))
-        assert len(errors) == 1 and isinstance(errors[0], NumericalFailure)
-        assert str(errors[0]) == "third forward failed"
-        left = [t for t in threading.enumerate()
-                if t not in before and not t.name.startswith("spdhgr-table")]
-        assert left == []
-
-    def test_error_while_a_dequeued_item_is_not_yet_running(self, dataset,
-                                                             monkeypatch):
-        """A pool worker takes an item off its queue before marking it
-        running; an item cancelled in between never runs. Here the second
-        item is held in that gap while the third already waits for its
-        turn, and the first item's forward raises: the passes must not
-        cancel the second, or the third and all behind it wait forever."""
-        first = dataset[int(np.random.default_rng(7).permutation(len(dataset))[0])]
-        forward = training.forward
-        cancelled = []
-
-        class NotedFuture(concurrent.futures.Future):
-            def __init__(self):
-                super().__init__()
-                self.cancel_called = threading.Event()
-
-            def cancel(self):
-                done = super().cancel()
-                cancelled.append(done)
-                self.cancel_called.set()
-                return done
-
-        class HoldsSecondItem(concurrent.futures.Executor):
-            """Runs each item on its own thread at once, except the second:
-            that one is marked running only once it is cancelled or a
-            second has passed."""
-
-            def __init__(self, max_workers):
-                self.threads = []
-
-            def submit(self, fn, /, *args):
-                future = NotedFuture()
-                held = args[0] == 1
-                if not held:
-                    future.set_running_or_notify_cancel()
-
-                def run():
-                    if held:
-                        future.cancel_called.wait(1.0)
-                        if not future.set_running_or_notify_cancel():
-                            return
-                    try:
-                        future.set_result(fn(*args))
-                    except BaseException as exc:
-                        future.set_exception(exc)
-
-                thread = threading.Thread(target=run, daemon=True)
-                self.threads.append(thread)
-                thread.start()
-                return future
-
-            def shutdown(self, wait=True, **kwargs):
-                for thread in self.threads:
-                    thread.join()
-
-        def first_fails(seq, *args):
-            if seq is first:
-                raise NumericalFailure("first forward failed")
-            return forward(seq, *args)
-
-        monkeypatch.setattr(training, "forward", first_fails)
-        monkeypatch.setattr(training, "ThreadPoolExecutor", HoldsSecondItem)
-        errors = _run_bounded(lambda: train_network(
-            dataset, init_params(CONFIG, 0), CONFIG, epochs=1, batch_size=len(dataset),
-            lr=0.01, seed=7, workers=2), timeout=20.0)
-        assert len(errors) == 1 and str(errors[0]) == "first forward failed"
-        assert not any(cancelled)
-
-    def test_workers_under_fast_thread_switching(self, dataset):
-        """More workers than cores and a thread switch every microsecond
-        still give the serial run's bits."""
-        serial = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=1,
-                               batch_size=5, lr=0.01, seed=11)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            errors = _run_bounded(lambda: results.append(train_network(
-                dataset, init_params(CONFIG, 0), CONFIG, epochs=1, batch_size=5,
-                lr=0.01, seed=11, workers=4)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == [] and len(results) == 1
-        pooled = results[0]
-        assert [r.mean_loss for r in serial.epochs] == [r.mean_loss for r in pooled.epochs]
-        assert (serial.final_loss, serial.final_accuracy) == (pooled.final_loss,
-                                                              pooled.final_accuracy)
-        for name in ("conv", "w_hat", "fc_weight", "fc_bias"):
-            assert getattr(serial.params, name).tobytes() == getattr(pooled.params,
-                                                                     name).tobytes()
 
     def test_nan_loss_aborts_with_batch_ids(self, dataset):
         params = init_params(CONFIG, 0)
@@ -256,7 +96,7 @@ class TestTrainLoop:
         (dict(batch_size=0), "batch_size must be >= 1, got 0"),
         (dict(batch_size=-3), "batch_size must be >= 1, got -3"),
         (dict(epochs=-2), "epochs must be >= 0, got -2"),
-        (dict(workers=0), "workers must be >= 1, got 0"),
+        (dict(lr=float("-inf")), "lr must be finite, got -inf"),
         (dict(lr=float("nan")), "lr must be finite, got nan"),
         (dict(lr=float("inf")), "lr must be finite, got inf"),
     ])
@@ -295,6 +135,7 @@ class TestTrainLoop:
         assert manifest["dataset"]["id"] == "dhg14:train"
         assert "deterministic" not in manifest
         threads = manifest["threads"]
+        assert "workers" not in threads
         assert threads["window_tables"] in (1, 2)
         assert isinstance(threads["blas_held"], bool)
 
