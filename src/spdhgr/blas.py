@@ -11,6 +11,9 @@ so network passes do not depend on ``OPENBLAS_NUM_THREADS``.
 behind the initial ``w_hat`` gives other bits on two threads than on one
 for many weight shapes, 200x3360 among them, so holding one thread makes
 the initial weights independent of the thread count and the core count.
+``spdhgr classify`` sets it before the SVM fit, whose products also give
+other bits on two threads; called from Python, ``svm.svm_train`` runs on
+its caller's threads.
 
 numpy's wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``,
 which exports ``scipy_openblas_set_num_threads64_`` and
@@ -55,5 +58,5 @@ def hold_one_thread() -> None:
 
 
 def held() -> bool:
-    """Whether a weight draw or network pass has set OpenBLAS to one thread."""
+    """Whether this process has set OpenBLAS to one thread."""
     return bool(_held)

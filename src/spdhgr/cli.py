@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 numerical or check failure, 2 usage/config/data
 error. All commands are deterministic for a given seed, at any core count.
+Each command imports the modules it runs when it runs, so ``classify``
+starts without loading the network.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError
-from .gradcheck import run_all
-from .network import extract_features, init_params, load_config, load_params
+from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError, named
 from .optim import write_atomic
-from .skeleton import check_resamplable, load_dhg, load_fpha
 from .svm import load_features, save_features, svm_predict_batch, svm_train
-from .training import train_network
 
 DATASETS = ("dhg14", "dhg28", "fpha")
 ABLATION_KNOBS = {"t0": "t0", "N_S": "n_chunks", "grid_mode": "grid_mode",
@@ -28,6 +26,8 @@ ABLATION_KNOBS = {"t0": "t0", "N_S": "n_chunks", "grid_mode": "grid_mode",
 
 
 def _load_dataset(data_root, dataset: str, split: str):
+    from .skeleton import load_dhg, load_fpha
+
     root = Path(data_root)
     if not root.is_dir():
         raise ConfigError(f"data root does not exist: {root}")
@@ -46,6 +46,9 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_train(args) -> int:
+    from .network import init_params, load_config
+    from .training import train_network
+
     config = load_config(args.config)
     sequences = _load_dataset(args.data_root, args.dataset, args.split)
     if not sequences:
@@ -71,14 +74,19 @@ def cmd_train(args) -> int:
 
 def _write_features(path, sequences, params, config) -> None:
     """Extract every sequence's features into one matrix and write it as one
-    feature file."""
+    feature file. A package error from one sequence names its file."""
+    from .network import extract_features
+
     feats = np.empty((len(sequences), config.feature_dim))
     for row, seq in zip(feats, sequences):
-        row[:] = extract_features(seq, params, config)
+        with named(seq.source):
+            row[:] = extract_features(seq, params, config)
     save_features(path, [s.label for s in sequences], feats)
 
 
 def cmd_extract(args) -> int:
+    from .network import load_config, load_params
+
     config = load_config(args.config)
     params = load_params(args.checkpoint, config)
     sequences = _load_dataset(args.data_root, args.dataset, args.split)
@@ -89,12 +97,16 @@ def cmd_extract(args) -> int:
 
 def _classify(train_file, test_file, c: float, tol: float, seed: int,
               report_path=None):
+    from . import blas
+
     train_labels, train_x = load_features(train_file)
     test_labels, test_x = load_features(test_file)
     if train_x.shape[1] != test_x.shape[1]:
         raise InvalidInput(
             f"feature dims differ: train {train_x.shape[1]} vs test {test_x.shape[1]}"
         )
+    # the fit's products give other bits on two OpenBLAS threads than on one
+    blas.hold_one_thread()
     model = svm_train(train_x, train_labels, c=c, tol=tol, seed=seed)
     if test_labels.size:
         predictions = svm_predict_batch(model, test_x)
@@ -134,6 +146,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import run_all
+
     results = run_all(seed=args.seed, trials=args.trials,
                       include_end_to_end=args.end_to_end)
     failed = False
@@ -146,6 +160,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .network import init_params, load_config
+    from .skeleton import check_resamplable
+    from .training import train_network
+
     field = ABLATION_KNOBS.get(args.knob)
     if field is None:
         raise ConfigError(

@@ -4,6 +4,8 @@ Callers (in particular the CLI) map these onto exit codes: usage, config
 and data problems exit 2; numerical failures exit 1.
 """
 
+from contextlib import contextmanager
+
 
 class SpdHgrError(Exception):
     """Base class for all package errors."""
@@ -31,3 +33,17 @@ class NotSPD(NumericalFailure):
 
 class RankDeficient(NumericalFailure):
     """A matrix required to have full row rank does not."""
+
+
+@contextmanager
+def named(*where):
+    """Raise a package error from the block again as the same type, with
+    the non-empty parts of ``where`` (a file, a stage) in front of its
+    message."""
+    try:
+        yield
+    except SpdHgrError as exc:
+        prefix = ", ".join(w for w in where if w)
+        if not prefix:
+            raise
+        raise type(exc)(f"{prefix}: {exc}") from exc

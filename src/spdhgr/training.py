@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blas
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NumericalFailure, named
 from .layers import cross_entropy, table_threads
 from .network import NetworkConfig, NetworkParams, backward, forward, save_config, save_params
 from .optim import euclid_sgd_step, stiefel_step
@@ -65,15 +65,17 @@ def _check_labels(sequences: list[SkeletonSequence], config: NetworkConfig) -> N
         )
 
 
-def _passes(sequences, params: NetworkParams, config: NetworkConfig,
+def _passes(sequences, params: NetworkParams, config: NetworkConfig, stage: str,
             total: NetworkParams | None = None):
     """Yield (loss, whether correct) per sequence, in order; with a
-    ``total``, each backward adds into it."""
+    ``total``, each backward adds into it. A package error from one
+    sequence names its file and ``stage``."""
     for seq in sequences:
-        probs, ctx = forward(seq, params, config)[:2]
-        result = cross_entropy(probs, seq.label), int(np.argmax(probs)) == seq.label
-        if total is not None:
-            backward(ctx, seq.label, into=total)
+        with named(seq.source, stage):
+            probs, ctx = forward(seq, params, config)[:2]
+            result = cross_entropy(probs, seq.label), int(np.argmax(probs)) == seq.label
+            if total is not None:
+                backward(ctx, seq.label, into=total)
         del ctx  # not held through the next forward
         yield result
 
@@ -88,8 +90,10 @@ def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> Ne
 
 
 def evaluate(sequences, params: NetworkParams, config: NetworkConfig):
-    """Mean loss and accuracy of fixed parameters over a sequence list."""
-    losses, hits = zip(*_passes(sequences, params, config)) if sequences else ((), ())
+    """Mean loss and accuracy of fixed parameters over a sequence list
+    (`train_network`'s final evaluation)."""
+    passes = _passes(sequences, params, config, "final evaluation")
+    losses, hits = zip(*passes) if sequences else ((), ())
     return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)
 
 
@@ -144,7 +148,7 @@ def train_network(
             batch = order[batch_lo : batch_lo + batch_size]
             items = [sequences[i] for i in batch]
             total = params.zeros_like()
-            losses, hits = zip(*_passes(items, params, config, total))
+            losses, hits = zip(*_passes(items, params, config, f"epoch {epoch}", total))
             epoch_correct += sum(hits)
             if not np.all(np.isfinite(losses)):
                 raise NumericalFailure(

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdhgr import cli, gradcheck
+import spdhgr
+from spdhgr import cli, gradcheck, network, training
 from spdhgr.cli import main
 from spdhgr.network import (PARAM_TENSORS, NetworkConfig, extract_features, init_params,
                             save_config)
@@ -30,6 +35,16 @@ def workspace(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def python(*args, env=None):
+    """Run this interpreter on ``args`` with the package's source first on
+    the path; return its stdout."""
+    src = str(Path(spdhgr.__file__).resolve().parents[1])
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
 
 
 def strict_json(path):
@@ -142,8 +157,8 @@ class TestTrain:
             ("ablate", ("--config", config, "--out", tmp_path / "ablate",
                         "--knob", "t0", "--values", 1)),
         ):
-            monkeypatch.setattr(cli, "train_network", spy(command, train_network))
-            monkeypatch.setattr(cli, "extract_features", spy(command, extract_features))
+            monkeypatch.setattr(training, "train_network", spy(command, train_network))
+            monkeypatch.setattr(network, "extract_features", spy(command, extract_features))
             extra = () if command == "extract" else ("--epochs", 1)
             assert run(command, "--data-root", data, *argv, *extra) == 0
         assert frames == {"train": {15}, "extract": {15}, "ablate": {15}}
@@ -256,10 +271,10 @@ class TestExtract:
 
     @staticmethod
     def _stub_rows(monkeypatch, dim):
-        """Make `cli.extract_features` return a new row of ``dim`` values
+        """Make `network.extract_features` return a new row of ``dim`` values
         from ``default_rng(0)`` per call, keeping none of them."""
         rng = np.random.default_rng(0)
-        monkeypatch.setattr(cli, "extract_features",
+        monkeypatch.setattr(network, "extract_features",
                             lambda seq, params, config: rng.standard_normal(dim))
 
     @pytest.mark.parametrize("n", [0, 7])
@@ -337,6 +352,33 @@ class TestExtract:
         assert list(tmp_path.rglob("*")) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, epochs, where", [
+    ("train", 1, "sequences/train_c0_01.txt, epoch 1: "),
+    ("train", 0, "sequences/train_c0_01.txt, final evaluation: "),
+    ("extract", None, "sequences/train_c0_01.txt: "),
+], ids=["train", "train_epochs_0", "extract"])
+def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path, capsys,
+                                                   command, epochs, where):
+    """A sequence whose values are finite but overflow inside the network
+    fails the run with its own file named."""
+    _, _, config = workspace
+    data = tmp_path / "data"
+    write_synthetic_dataset(data, n_classes=2, train_per_class=2, n_frames=15, seed=5)
+    seq = data / "sequences" / "train_c0_01.txt"
+    seq.write_text("".join(" ".join(repr(float(v) * 1e160) for v in line.split()) + "\n"
+                           for line in seq.read_text().splitlines()))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ("--config", config, "--out", out, "--epochs", epochs)
+    else:
+        argv = ("--checkpoint", trained, "--config", config, "--out", out)
+    assert run(command, "--data-root", data, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {where}matrix has non-finite entries" in err
+    assert "Traceback" not in err
+
+
 class TestClassify:
     def test_separable_self_classification(self, tmp_path, capsys, rng):
         feats = np.vstack([np.ones((3, 4)), -np.ones((3, 4))])
@@ -357,6 +399,22 @@ class TestClassify:
         assert all(p >= 1 for p in payload["svm"]["passes"])
         assert all(0.0 <= v <= 0.1 for v in payload["svm"]["violation"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.features", "report.json"]
+
+    def test_report_is_the_same_at_any_blas_thread_count(self, tmp_path):
+        """135 rows of 45 classes: the fit's products give other bits on two
+        OpenBLAS threads than on one unless the fit holds one thread."""
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(45), 3)
+        feats = rng.standard_normal((45, 40))[labels] + 2.0 * rng.standard_normal((135, 40))
+        save_features(tmp_path / "f.features", labels, feats)
+        reports = []
+        for threads in ("1", "2"):
+            report = tmp_path / f"report{threads}.json"
+            python("-m", "spdhgr", "classify", "--train-features", tmp_path / "f.features",
+                   "--test-features", tmp_path / "f.features", "--out", report,
+                   env={"OPENBLAS_NUM_THREADS": threads})
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_report_in_missing_directory(self, tmp_path, capsys):
         path = tmp_path / "f.features"
@@ -484,9 +542,9 @@ class TestAblate:
             return train_network(sequences, params, config, **kwargs)
 
         load_dataset = cli._load_dataset
-        monkeypatch.setattr(cli, "init_params", init)
+        monkeypatch.setattr(network, "init_params", init)
         monkeypatch.setattr(cli, "_load_dataset", load)
-        monkeypatch.setattr(cli, "train_network", train)
+        monkeypatch.setattr(training, "train_network", train)
         assert run("ablate", "--config", roomy_config, "--data-root", data,
                    "--out", root / "ablate_order", "--knob", "t0", "--values", 1, 2,
                    "--epochs", 1, "--seed", 3) == 0
@@ -574,6 +632,22 @@ def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
     assert message in captured.err and "Traceback" not in captured.err
     assert "PASS" not in captured.out
     assert not (tmp_path / "run").exists()
+
+
+class TestImports:
+    @staticmethod
+    def _loaded(statement):
+        """The modules a fresh interpreter holds after ``statement``."""
+        return set(python("-c", f"import sys; {statement}; print(*sys.modules)").split())
+
+    def test_package_root_loads_no_submodule(self):
+        assert {m for m in self._loaded("import spdhgr") if m.startswith("spdhgr")} == {"spdhgr"}
+
+    def test_cli_loads_no_network_module_until_a_command_needs_it(self):
+        loaded = self._loaded("import spdhgr.cli")
+        assert "spdhgr.svm" in loaded
+        assert not loaded & {"concurrent.futures", *(f"spdhgr.{m}" for m in (
+            "network", "layers", "skeleton", "training", "gradcheck", "blas"))}
 
 
 class TestUsage:
