@@ -20,7 +20,7 @@ from .errors import InvalidInput
 from .layers import cross_entropy
 from .network import NetworkConfig, backward, forward, init_params
 from .optim import stiefel_init
-from .skeleton import JointGrid, N_FILTERS, N_GRID_NODES
+from .skeleton import N_FILTERS, N_GRID_NODES
 from .symmat import (
     eigh,
     rectify_eigs,
@@ -197,15 +197,15 @@ def _check_spd_agg(rng) -> float:
 def _check_conv(rng) -> float:
     n_frames = int(rng.integers(2, 5))
     d_out = int(rng.integers(2, 4))
-    grid = JointGrid("full" if rng.uniform() < 0.7 else "physical")
+    mode = "full" if rng.uniform() < 0.7 else "physical"
     coords = rng.standard_normal((n_frames, N_GRID_NODES, 3))
     weights = rng.standard_normal((N_FILTERS, d_out, 3))
     probe = rng.standard_normal((n_frames, N_GRID_NODES, d_out))
-    _, ctx = layers.conv_forward(coords, weights, grid)
+    _, ctx = layers.conv_forward(coords, weights, mode)
     grad_coords, grad_weights = layers.conv_backward(ctx, probe)
-    fd_c = fd_gradient(lambda c: float(np.sum(layers.conv_forward(c, weights, grid)[0] * probe)),
+    fd_c = fd_gradient(lambda c: float(np.sum(layers.conv_forward(c, weights, mode)[0] * probe)),
                        coords)
-    fd_w = fd_gradient(lambda w: float(np.sum(layers.conv_forward(coords, w, grid)[0] * probe)),
+    fd_w = fd_gradient(lambda w: float(np.sum(layers.conv_forward(coords, w, mode)[0] * probe)),
                        weights)
     return max(rel_error(grad_coords, fd_c), rel_error(grad_weights, fd_w))
 

@@ -69,13 +69,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import InvalidInput
-from .skeleton import (
-    JointGrid,
-    N_FILTERS,
-    N_GRID_NODES,
-    grid_neighbors,
-    split_range,
-)
+from .skeleton import GRID_NODE_IDS, N_FILTERS, N_GRID_NODES, grid_neighbors, split_range
 from .symmat import (
     EigPair,
     _eigh_stack,
@@ -107,9 +101,8 @@ def _require(cond: bool, message: str) -> None:
 def _conv_triples(mode: str) -> np.ndarray:
     """(triples, 3) read-only rows of (node index, neighbour index, filter
     index), all 0-based; no (node, neighbour) pair repeats."""
-    grid = JointGrid(mode)
-    triples = np.array([(node - 3, j - 3, label - 1) for node in grid.node_ids
-                        for j, label in grid_neighbors(grid, node)], dtype=np.intp)
+    triples = np.array([(node - 3, j - 3, label - 1) for node in GRID_NODE_IDS
+                        for j, label in grid_neighbors(mode, node)], dtype=np.intp)
     triples.flags.writeable = False
     return triples
 
@@ -132,12 +125,13 @@ class ConvContext:
     kernel: np.ndarray  # `_conv_kernel` of the weights
 
 
-def conv_forward(coords: np.ndarray, weights: np.ndarray, grid: JointGrid):
+def conv_forward(coords: np.ndarray, weights: np.ndarray, mode: str):
     """Lattice convolution: out_i = sum over neighbours j of W_{l(j,i)} p_j.
 
     Filter weights are shared across frames; coords is (n_frames, 20, 3)
-    and the output (n_frames, 20, d_out). All frames go through one
-    (n_frames, 60) by (60, 20 * d_out) product with the lattice kernel.
+    and the output (n_frames, 20, d_out); ``mode`` is one of `GRID_MODES`.
+    All frames go through one (n_frames, 60) by (60, 20 * d_out) product
+    with the lattice kernel.
     """
     coords = np.asarray(coords, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -150,7 +144,7 @@ def conv_forward(coords: np.ndarray, weights: np.ndarray, grid: JointGrid):
         f"weights must be ({N_FILTERS}, d_out, 3), got {weights.shape}",
     )
     _require(bool(np.all(np.isfinite(coords))), "coords has non-finite entries")
-    triples = _conv_triples(grid.mode)
+    triples = _conv_triples(mode)
     kernel = _conv_kernel(weights, triples)
     out = (coords.reshape(coords.shape[0], -1) @ kernel).reshape(
         coords.shape[0], N_GRID_NODES, weights.shape[1])
@@ -385,12 +379,16 @@ def _window_samples(by_set: np.ndarray, sets: np.ndarray, starts: np.ndarray,
 def _first_stage_rows(sets, starts, lengths, by_set, ridge, eps):
     """The first stage of table entries in ascending length order: each run
     of one length gathers and embeds its windows as one stack, then the
-    entries are rectified, log-mapped and vectorized together."""
+    entries are rectified, log-mapped and vectorized together. Features
+    whose squares overflow fail here, on any thread (numpy's error state is
+    per thread), before a warning or a non-finite value goes further."""
     d = by_set.shape[-1]
     mats = np.empty((sets.size, d + 1, d + 1))
-    for length, lo, hi in _length_runs(lengths):
-        mats[lo:hi] = _gauss_embed_stack(
-            _window_samples(by_set, sets[lo:hi], starts[lo:hi], length), ridge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for length, lo, hi in _length_runs(lengths):
+            mats[lo:hi] = _gauss_embed_stack(
+                _window_samples(by_set, sets[lo:hi], starts[lo:hi], length), ridge)
+    _require(bool(np.isfinite(mats).all()), "window Gaussian has non-finite entries")
     return _rect_log_vec_rows(mats, eps)
 
 

@@ -26,6 +26,7 @@ from . import blas
 from .errors import ConfigError, InvalidInput
 from .layers import (
     DEFAULT_RIDGE,
+    _ROWS_OF,
     BranchContext,
     ConvContext,
     HeadContext,
@@ -45,7 +46,6 @@ from .layers import (
 from .optim import load_checkpoint, save_checkpoint, stiefel_init, write_atomic
 from .skeleton import (
     GRID_MODES,
-    JointGrid,
     N_BRANCHES,
     N_FILTERS,
     SkeletonSequence,
@@ -112,17 +112,14 @@ class NetworkConfig:
             problems.append(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.n_frames < 6:
             problems.append(f"n_frames must be >= 6, got {self.n_frames}")
-        else:
-            shortest = min(stop - start for start, stop, _ in build_branch_plan(self.n_frames))
-            families = FAMILIES.get(self.variant, ())
-            if "st" in families and shortest < 2 * self.t0 + 1:
-                problems.append(
-                    f"shortest branch ({shortest} frames) cannot hold a window of {2 * self.t0 + 1}"
-                )
-            if "ts" in families and shortest < 2 * self.n_chunks:
-                problems.append(
-                    f"shortest branch ({shortest} frames) cannot hold {self.n_chunks} chunks"
-                )
+        elif self.t0 >= 1 and self.n_chunks >= 2:  # the layers' own row rule, shortest branch
+            start, stop, joints = min(build_branch_plan(self.n_frames), key=lambda b: b[1] - b[0])
+            sizes = {"st": self.t0, "ts": self.n_chunks}
+            for family in FAMILIES.get(self.variant, ()):
+                try:
+                    _ROWS_OF[family](sizes[family], stop - start, joints)
+                except InvalidInput as error:
+                    problems.append(str(error))
         if self.variant in VARIANTS and self.d_out_s > self.n_inputs * self.d_in_s:
             problems.append(
                 f"d_out_s {self.d_out_s} exceeds the aggregation width "
@@ -136,41 +133,18 @@ class NetworkConfig:
 _PARSERS = {"int": int, "float": float, "str": str}  # by annotation
 
 
-def config_from_mapping(mapping: dict[str, str],
-                        sources: dict[str, str] | None = None) -> NetworkConfig:
-    """Parse and validate key=value strings.
-
-    ``sources`` names where each key was set (``file:line`` or
-    ``override``); an error for a key starts with it.
-    """
-    parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(NetworkConfig)}
-    kwargs = {}
-    for key, value in mapping.items():
-        where = f"{sources[key]}: " if sources and key in sources else ""
-        if key not in parsers:
-            raise ConfigError(f"{where}unknown config key {key!r}")
-        try:
-            kwargs[key] = parsers[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}{key}: {exc}") from exc
-    if "n_classes" not in kwargs:
-        raise ConfigError("config must set n_classes")
-    return NetworkConfig(**kwargs).validate()
-
-
 def load_config(path, overrides: dict[str, str] | None = None) -> NetworkConfig:
-    """Parse a key=value config file, the one place a run's network is set.
+    """Parse and validate a key=value config file, the one place a run's
+    network is set.
 
     '#' starts a comment, and a key may be set once. ``overrides`` (the
-    ablation knob's value) replace file values. A value that does not
-    parse is reported with its key and where it was set: the file and
-    line, or "override".
+    ablation knob's value) replace file values. An error for a key starts
+    with where it was set: the file and line, or "override".
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file does not exist: {path}")
-    mapping: dict[str, str] = {}
-    sources: dict[str, str] = {}
+    values: dict[str, tuple[str, str]] = {}  # key -> (value, where it was set)
     for lineno, line in enumerate(_lines(_read_text(path, "config file")), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -179,14 +153,22 @@ def load_config(path, overrides: dict[str, str] | None = None) -> NetworkConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key in sources:
-            raise ConfigError(f"{path}:{lineno}: {key!r} set again, first at {sources[key]}")
-        mapping[key] = value.strip()
-        sources[key] = f"{path}:{lineno}"
-    for key, value in (overrides or {}).items():
-        mapping[key] = str(value)
-        sources[key] = "override"
-    return config_from_mapping(mapping, sources)
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key!r} set again, first at {values[key][1]}")
+        values[key] = (value.strip(), f"{path}:{lineno}")
+    values.update((key, (str(value), "override")) for key, value in (overrides or {}).items())
+    parsers = {f.name: _PARSERS[f.type] for f in dataclasses.fields(NetworkConfig)}
+    kwargs = {}
+    for key, (value, where) in values.items():
+        if key not in parsers:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            kwargs[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from exc
+    if "n_classes" not in kwargs:
+        raise ConfigError(f"{path}: config must set n_classes")
+    return NetworkConfig(**kwargs).validate()
 
 
 def save_config(path, config: NetworkConfig) -> None:
@@ -304,8 +286,7 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     returns (probs, context, final SPD matrix)."""
     blas.hold_one_thread()
     coords = _as_grid_coords(seq, config)
-    grid = JointGrid(config.grid_mode)
-    feats, conv_ctx = conv_forward(coords, params.conv, grid)
+    feats, conv_ctx = conv_forward(coords, params.conv, config.grid_mode)
     branches = build_branch_plan(config.n_frames)
 
     # each family's layer and window size (t0 or chunk count)

@@ -34,29 +34,7 @@ GRID_NODE_IDS = tuple(range(3, 3 + N_GRID_NODES))
 OFFSET_LABELS = ((0, 1), (4, 2), (5, 3), (1, 4), (-3, 5), (-4, 6), (-5, 7), (-1, 8), (3, 9))
 _OFFSET_STEPS = {4 * df + dl: (df, dl) for df in (-1, 0, 1) for dl in (-1, 0, 1)}
 N_FILTERS = len(OFFSET_LABELS)
-PHYSICAL_OFFSETS = frozenset((0, 1, -1))
-
 GRID_MODES = ("full", "physical")
-
-
-@dataclass(frozen=True)
-class JointGrid:
-    """The 5x4 finger-joint lattice.
-
-    ``full`` mode connects each node to its up-to-9 lattice neighbours
-    (itself included); ``physical`` keeps only same-finger neighbours
-    {i-1, i, i+1}.
-    """
-
-    mode: str = "full"
-
-    def __post_init__(self):
-        if self.mode not in GRID_MODES:
-            raise InvalidInput(f"grid mode must be one of {GRID_MODES}, got {self.mode!r}")
-
-    @property
-    def node_ids(self):
-        return GRID_NODE_IDS
 
 
 def node_finger_level(node_id: int) -> tuple[int, int]:
@@ -75,18 +53,23 @@ def finger_joints(finger: int) -> tuple[int, int, int, int]:
     return tuple(range(base, base + N_LEVELS))
 
 
-def grid_neighbors(grid: JointGrid, node_id: int) -> list[tuple[int, int]]:
-    """Valid (neighbour node id, filter index) pairs for a node.
+def grid_neighbors(mode: str, node_id: int) -> list[tuple[int, int]]:
+    """Valid (neighbour node id, filter index) pairs for a node of the 5x4
+    finger-joint lattice.
 
-    Offsets whose finger or level step leaves the lattice are excluded;
-    the node itself is always present with filter index 1.
+    ``full`` mode connects each node to its up-to-9 lattice neighbours;
+    ``physical`` keeps only same-finger neighbours {i-1, i, i+1}. Offsets
+    whose finger or level step leaves the lattice are excluded; the node
+    itself is always present with filter index 1.
     """
+    if mode not in GRID_MODES:
+        raise InvalidInput(f"grid mode must be one of {GRID_MODES}, got {mode!r}")
     finger, level = node_finger_level(node_id)
     pairs = []
     for offset, label in OFFSET_LABELS:
-        if grid.mode == "physical" and offset not in PHYSICAL_OFFSETS:
-            continue
         df, dl = _OFFSET_STEPS[offset]
+        if mode == "physical" and df != 0:
+            continue
         if 1 <= finger + df <= N_FINGERS and 1 <= level + dl <= N_LEVELS:
             pairs.append((node_id + offset, label))
     return pairs

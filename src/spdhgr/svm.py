@@ -30,8 +30,6 @@ from .optim import load_checkpoint, save_checkpoint
 class SvmModel:
     class_ids: np.ndarray  # (n_classes,) sorted ascending
     weights: np.ndarray  # (n_classes, dim)
-    c: float
-    tol: float
     passes: tuple[int, ...] = ()  # dual passes per class
     violation: tuple[float, ...] = ()  # last pass's largest violation per class
 
@@ -156,7 +154,7 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
     alpha, worst, _, passes = _dual_cd(gram, y_bins, c, tol,
                                        [np.random.default_rng(s) for s in seeds], max_passes)
     return SvmModel(class_ids=class_ids.astype(np.int64), weights=(alpha * y_bins) @ x,
-                    c=c, tol=tol, passes=tuple(int(p) for p in passes),
+                    passes=tuple(int(p) for p in passes),
                     violation=tuple(float(v) for v in worst))
 
 

@@ -114,8 +114,9 @@ def train_network(
     Sequences may have any frame count: each pass resamples its sequence
     (`network.forward`). The arguments are checked before anything is
     written; then ``out_dir`` gets ``config.snapshot``, so an interrupted
-    run's checkpoints can be extracted with it. A NaN batch loss aborts
-    with the offending batch's sequence indices.
+    run's checkpoints can be extracted with it. A non-finite loss aborts
+    the run after its batch, naming each such sequence's file (or, without
+    one, its index in ``sequences``).
     """
     if not sequences:
         raise ConfigError("training set is empty")
@@ -150,11 +151,11 @@ def train_network(
             total = params.zeros_like()
             losses, hits = zip(*_passes(items, params, config, f"epoch {epoch}", total))
             epoch_correct += sum(hits)
-            if not np.all(np.isfinite(losses)):
-                raise NumericalFailure(
-                    f"non-finite loss in epoch {epoch}, batch of sequences "
-                    f"{sorted(int(i) for i in batch)}"
-                )
+            bad = [seq.source or f"sequence {i}"
+                   for i, seq, loss in zip(batch, items, losses) if not np.isfinite(loss)]
+            if bad:
+                raise NumericalFailure(f"{', '.join(bad)}, epoch {epoch}: "
+                                       f"non-finite loss in a batch of {len(items)}")
             total.scale_(1.0 / len(items))
             epoch_losses.extend(losses)
             params = _apply_updates(params, total, lr)

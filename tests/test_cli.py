@@ -119,6 +119,29 @@ class TestTrain:
         assert want in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_loss_names_the_sequence_file(self, workspace, tmp_path, monkeypatch,
+                                                     capsys):
+        """A NaN loss exits 1 and names the file of the sequence it came
+        from, and no other."""
+        _, data, config = workspace
+        bad = "sequences/train_c1_01.txt"
+        current = []
+        forward, cross_entropy = training.forward, training.cross_entropy
+
+        def tracked_forward(seq, *args):
+            current.append(seq.source)
+            return forward(seq, *args)
+
+        monkeypatch.setattr(training, "forward", tracked_forward)
+        monkeypatch.setattr(training, "cross_entropy", lambda probs, label: (
+            float("nan") if current[-1] == bad else cross_entropy(probs, label)))
+        code = run("train", "--config", config, "--data-root", data,
+                   "--out", tmp_path / "run", "--epochs", 1)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"numerical failure: {bad}, epoch 1: non-finite loss in a batch of 6\n"
+        assert bad in current and not (tmp_path / "run" / "epoch_01.ckpt").exists()
+
     def test_config_snapshot_is_written_before_the_first_epoch(self, workspace, tmp_path,
                                                               monkeypatch):
         """An interrupted run's checkpoints can be extracted with its snapshot."""
@@ -352,7 +375,7 @@ class TestExtract:
         assert list(tmp_path.rglob("*")) == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, epochs, where", [
     ("train", 1, "sequences/train_c0_01.txt, epoch 1: "),
     ("train", 0, "sequences/train_c0_01.txt, final evaluation: "),
@@ -375,7 +398,7 @@ def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path,
         argv = ("--checkpoint", trained, "--config", config, "--out", out)
     assert run(command, "--data-root", data, *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {where}matrix has non-finite entries" in err
+    assert f"error: {where}window Gaussian has non-finite entries" in err
     assert "Traceback" not in err
 
 

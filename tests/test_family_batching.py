@@ -30,7 +30,6 @@ from spdhgr.layers import (
 from spdhgr.network import NetworkConfig, backward, forward, init_params
 from spdhgr.skeleton import (
     N_GRID_NODES,
-    JointGrid,
     build_branch_plan,
     split_range,
 )
@@ -123,7 +122,7 @@ def ref_branch_backward(ctx, grad_out):
 
 def ref_forward_backward(coords, params, config, label):
     """The per-branch network forward and backward loop."""
-    feats, conv_ctx = conv_forward(coords, params.conv, JointGrid(config.grid_mode))
+    feats, conv_ctx = conv_forward(coords, params.conv, config.grid_mode)
     branch_slices = [(slice(start, stop), list(joints))
                      for start, stop, joints in build_branch_plan(config.n_frames)]
     inputs, contexts = [], []

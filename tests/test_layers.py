@@ -23,7 +23,7 @@ from spdhgr.layers import (
     spd_agg_forward,
 )
 from spdhgr.optim import stiefel_init
-from spdhgr.skeleton import JointGrid, grid_neighbors
+from spdhgr.skeleton import GRID_NODE_IDS, grid_neighbors
 from spdhgr.symmat import (
     assert_spd,
     eigh,
@@ -236,11 +236,10 @@ class TestSpectralLayers:
 def conv_loop_reference(coords, weights, grid_mode, grad_out):
     """The lattice convolution and its backward as one small product per
     (node, neighbour, filter) triple, the form before the lattice kernel."""
-    grid = JointGrid(grid_mode)
     out = np.zeros(coords.shape[:2] + (weights.shape[1],))
     grad_coords, grad_weights = np.zeros_like(coords), np.zeros_like(weights)
-    for node in grid.node_ids:
-        for j, label in grid_neighbors(grid, node):
+    for node in GRID_NODE_IDS:
+        for j, label in grid_neighbors(grid_mode, node):
             i, j, l = node - 3, j - 3, label - 1
             out[:, i] += coords[:, j] @ weights[l].T
             grad_weights[l] += grad_out[:, i].T @ coords[:, j]
@@ -257,7 +256,7 @@ class TestConv:
         coords = rng.standard_normal((n_frames, 20, 3))
         weights = rng.standard_normal((9, d_out, 3))
         grad_out = rng.standard_normal((n_frames, 20, d_out))
-        out, ctx = conv_forward(coords, weights, JointGrid(grid_mode))
+        out, ctx = conv_forward(coords, weights, grid_mode)
         grad_coords, grad_weights = conv_backward(ctx, grad_out)
         refs = conv_loop_reference(coords, weights, grid_mode, grad_out)
         for got, ref in zip((out, grad_coords, grad_weights), refs, strict=True):
@@ -266,21 +265,21 @@ class TestConv:
 
     def test_zero_weights(self, rng):
         coords = rng.standard_normal((3, 20, 3))
-        out, _ = conv_forward(coords, np.zeros((9, 4, 3)), JointGrid())
+        out, _ = conv_forward(coords, np.zeros((9, 4, 3)), "full")
         np.testing.assert_array_equal(out, 0.0)
 
     def test_identity_filter_passes_own_coords(self, rng):
         coords = rng.standard_normal((2, 20, 3))
         weights = np.zeros((9, 5, 3))
         weights[0, :3, :] = np.eye(3)  # filter 1 is the self filter
-        out, _ = conv_forward(coords, weights, JointGrid())
+        out, _ = conv_forward(coords, weights, "full")
         np.testing.assert_allclose(out[:, :, :3], coords, atol=1e-14)
         np.testing.assert_array_equal(out[:, :, 3:], 0.0)
 
     def test_hand_expanded_corner_node(self, rng):
         coords = rng.standard_normal((1, 20, 3))
         weights = rng.standard_normal((9, 4, 3))
-        out, _ = conv_forward(coords, weights, JointGrid())
+        out, _ = conv_forward(coords, weights, "full")
         # node 3 neighbours: (3,1), (4,4), (7,2), (8,3); array indices are id-3
         expected = (
             weights[0] @ coords[0, 0]
@@ -293,8 +292,8 @@ class TestConv:
     def test_physical_mode_fewer_terms(self, rng):
         coords = rng.standard_normal((2, 20, 3))
         weights = rng.standard_normal((9, 4, 3))
-        full, _ = conv_forward(coords, weights, JointGrid("full"))
-        phys, _ = conv_forward(coords, weights, JointGrid("physical"))
+        full, _ = conv_forward(coords, weights, "full")
+        phys, _ = conv_forward(coords, weights, "physical")
         assert not np.allclose(full, phys)
         # physical node 3: self + level-up neighbour only
         expected = weights[0] @ coords[1, 0] + weights[3] @ coords[1, 1]
@@ -303,7 +302,7 @@ class TestConv:
     def test_backward_zero(self, rng):
         coords = rng.standard_normal((2, 20, 3))
         weights = rng.standard_normal((9, 4, 3))
-        _, ctx = conv_forward(coords, weights, JointGrid())
+        _, ctx = conv_forward(coords, weights, "full")
         gc, gw = conv_backward(ctx, np.zeros((2, 20, 4)))
         np.testing.assert_array_equal(gc, 0.0)
         np.testing.assert_array_equal(gw, 0.0)
@@ -314,14 +313,14 @@ class TestConv:
         probe = rng.standard_normal((2, 20, 3))
         d_coords = rng.standard_normal(coords.shape)
         d_weights = rng.standard_normal(weights.shape)
-        _, ctx = conv_forward(coords, weights, JointGrid())
+        _, ctx = conv_forward(coords, weights, "full")
         gc, gw = conv_backward(ctx, probe)
         analytic = np.sum(gc * d_coords) + np.sum(gw * d_weights)
         h = 1e-6
 
         def loss(eps):
             out, _ = conv_forward(coords + eps * d_coords, weights + eps * d_weights,
-                                  JointGrid())
+                                  "full")
             return np.sum(out * probe)
 
         fd = (loss(h) - loss(-h)) / (2 * h)
@@ -329,16 +328,15 @@ class TestConv:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(InvalidInput):
-            conv_forward(rng.standard_normal((2, 19, 3)), np.zeros((9, 4, 3)), JointGrid())
+            conv_forward(rng.standard_normal((2, 19, 3)), np.zeros((9, 4, 3)), "full")
         _, ctx = conv_forward(rng.standard_normal((2, 20, 3)), np.zeros((9, 4, 3)),
-                              JointGrid())
+                              "full")
         with pytest.raises(InvalidInput):
             conv_backward(ctx, np.zeros((2, 20, 5)))
 
     def test_grid_neighbors_drive_filters(self):
         # every (node, filter) pair used by the forward comes from the grid
-        grid = JointGrid()
-        pairs = {(i, l) for i in grid.node_ids for _, l in grid_neighbors(grid, i)}
+        pairs = {(i, l) for i in GRID_NODE_IDS for _, l in grid_neighbors("full", i)}
         assert {l for _, l in pairs} == set(range(1, 10))
 
 

@@ -21,7 +21,6 @@ from spdhgr.network import (
     PARAM_TENSORS,
     VARIANTS,
     backward,
-    config_from_mapping,
     extract_features,
     forward,
     init_params,
@@ -150,9 +149,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="width"):
             load_config(path)
 
-    def test_missing_n_classes(self):
-        with pytest.raises(ConfigError, match="n_classes"):
-            config_from_mapping({"d_out_c": "3"})
+    def test_missing_n_classes(self, tmp_path):
+        path = tmp_path / "net.cfg"
+        path.write_text("d_out_c=3\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: config must set n_classes"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -184,9 +186,12 @@ class TestConfig:
             load_config(path, overrides=overrides)
         assert str(info.value) == want.format(cfg=path)
 
-    def test_unparsable_mapping_value_names_key(self):
-        with pytest.raises(ConfigError, match=r"^epsilon: could not convert string to float"):
-            config_from_mapping({"n_classes": "2", "epsilon": "tiny"})
+    def test_unparsable_mapping_value_names_key(self, tmp_path):
+        path = tmp_path / "net.cfg"
+        path.write_text("n_classes=2\nepsilon=tiny\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:2: epsilon: could not convert string to float")
 
 
 class TestInitParams:

@@ -7,7 +7,6 @@ from spdhgr.errors import ConfigError, InvalidInput, ParseError
 from spdhgr.skeleton import (
     GRID_NODE_IDS,
     N_BRANCHES,
-    JointGrid,
     OFFSET_LABELS,
     SkeletonSequence,
     build_branch_plan,
@@ -27,26 +26,25 @@ OFFSET_TO_LABEL = dict(OFFSET_LABELS)
 
 class TestGrid:
     def test_node12_full_neighbours(self):
-        pairs = grid_neighbors(JointGrid("full"), 12)
+        pairs = grid_neighbors("full", 12)
         assert {j for j, _ in pairs} == {7, 8, 9, 11, 12, 13, 15, 16, 17}
         for j, label in pairs:
             assert label == OFFSET_TO_LABEL[j - 12]
 
     def test_corner_node3(self):
-        assert set(grid_neighbors(JointGrid("full"), 3)) == {(3, 1), (4, 4), (7, 2), (8, 3)}
+        assert set(grid_neighbors("full", 3)) == {(3, 1), (4, 4), (7, 2), (8, 3)}
 
     def test_node12_physical(self):
-        assert set(grid_neighbors(JointGrid("physical"), 12)) == {(11, 8), (12, 1), (13, 4)}
+        assert set(grid_neighbors("physical", 12)) == {(11, 8), (12, 1), (13, 4)}
 
     def test_self_always_included(self):
         for mode in ("full", "physical"):
             for node in GRID_NODE_IDS:
-                assert (node, 1) in grid_neighbors(JointGrid(mode), node)
+                assert (node, 1) in grid_neighbors(mode, node)
 
     def test_all_nodes_valid_labels_and_offsets(self):
-        grid = JointGrid("full")
         for node in GRID_NODE_IDS:
-            for j, label in grid_neighbors(grid, node):
+            for j, label in grid_neighbors("full", node):
                 assert j in GRID_NODE_IDS
                 assert 1 <= label <= 9
                 assert OFFSET_TO_LABEL[j - node] == label
@@ -56,20 +54,19 @@ class TestGrid:
                 assert abs(fi - fj) <= 1 and abs(li - lj) <= 1
 
     def test_physical_same_finger(self):
-        grid = JointGrid("physical")
         for node in GRID_NODE_IDS:
             fi, _ = node_finger_level(node)
-            for j, _ in grid_neighbors(grid, node):
+            for j, _ in grid_neighbors("physical", node):
                 assert node_finger_level(j)[0] == fi
                 assert j in (node - 1, node, node + 1)
 
     def test_unknown_node(self):
         with pytest.raises(InvalidInput):
-            grid_neighbors(JointGrid(), 2)
+            grid_neighbors("full", 2)
 
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
-            JointGrid("diagonal")
+            grid_neighbors("diagonal", 12)
 
     def test_finger_joints(self):
         assert finger_joints(1) == (3, 4, 5, 6)

@@ -339,13 +339,11 @@ def test_lockstep_solver_matches_per_class_solver(name, c, max_passes):
 
 class TestPredict:
     def test_tie_break_smallest_class(self):
-        model = SvmModel(class_ids=np.array([0, 1, 2]), weights=np.zeros((3, 4)),
-                         c=1.0, tol=0.1)
+        model = SvmModel(class_ids=np.array([0, 1, 2]), weights=np.zeros((3, 4)))
         assert svm_predict(model, np.ones(4)) == 0
 
     def test_dim_mismatch(self):
-        model = SvmModel(class_ids=np.array([0, 1]), weights=np.zeros((2, 4)),
-                         c=1.0, tol=0.1)
+        model = SvmModel(class_ids=np.array([0, 1]), weights=np.zeros((2, 4)))
         with pytest.raises(InvalidInput):
             svm_predict(model, np.ones(5))
 
