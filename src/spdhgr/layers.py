@@ -146,8 +146,10 @@ def conv_forward(coords: np.ndarray, weights: np.ndarray, mode: str):
     _require(bool(np.all(np.isfinite(coords))), "coords has non-finite entries")
     triples = _conv_triples(mode)
     kernel = _conv_kernel(weights, triples)
-    out = (coords.reshape(coords.shape[0], -1) @ kernel).reshape(
-        coords.shape[0], N_GRID_NODES, weights.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # finite coords can overflow
+        out = (coords.reshape(coords.shape[0], -1) @ kernel).reshape(
+            coords.shape[0], N_GRID_NODES, weights.shape[1])
+    _require(bool(np.isfinite(out).all()), "lattice convolution has non-finite entries")
     return out, ConvContext(coords=coords, weights=weights, triples=triples, kernel=kernel)
 
 

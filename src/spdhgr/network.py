@@ -52,7 +52,6 @@ from .skeleton import (
     _lines,
     _read_text,
     build_branch_plan,
-    grid_joint_coords,
     resample,
 )
 from .symmat import sym_vectorize, tri_length
@@ -271,7 +270,7 @@ def _as_grid_coords(seq, config: NetworkConfig) -> np.ndarray:
     """A pass's lattice coordinates: the one place a sequence is resampled."""
     if isinstance(seq, SkeletonSequence) and seq.n_frames != config.n_frames:
         seq = resample(seq, config.n_frames)
-    coords = grid_joint_coords(seq) if isinstance(seq, SkeletonSequence) else np.asarray(seq)
+    coords = seq.frames if isinstance(seq, SkeletonSequence) else np.asarray(seq)
     if coords.ndim != 3 or coords.shape[0] != config.n_frames:
         raise InvalidInput(
             f"expected coordinates of shape ({config.n_frames}, 20, 3), got {coords.shape}; "

@@ -4,8 +4,9 @@ Hand joints are numbered 1..22 the way the DHG recordings ship them:
 1 = wrist, 2 = palm, then four joints per finger from base to tip
 (thumb 3-6, index 7-10, middle 11-14, ring 15-18, pinky 19-22).
 Nodes 3..22 form a 5x4 lattice (finger x level) on which the grid
-convolution operates; wrist and palm never enter the convolution or the
-finger sets.
+convolution operates. A loaded sequence keeps only these 20 nodes: the
+values before them on each line (DHG's wrist and palm, FPHA's frame
+index and wrist) are parsed, checked and dropped.
 
 Dataset layout (see docs/formats.md for the exact grammar): a root
 directory with index files ``train.txt``/``test.txt`` where each line
@@ -83,7 +84,7 @@ def grid_neighbors(mode: str, node_id: int) -> list[tuple[int, int]]:
 class SkeletonSequence:
     """Time-ordered 3-d joint coordinates for one gesture sample."""
 
-    frames: np.ndarray  # (n_frames, n_joints, 3) float64
+    frames: np.ndarray  # (n_frames, 20, 3) float64: the lattice nodes 3..22 in order
     label: int
     subject: int | None = None
     source: str | None = None
@@ -91,23 +92,6 @@ class SkeletonSequence:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def joints_per_frame(self) -> int:
-        return self.frames.shape[1]
-
-
-def grid_joint_coords(seq: SkeletonSequence) -> np.ndarray:
-    """The (n_frames, 20, 3) coordinates of the lattice nodes.
-
-    Sequences carrying wrist and palm (22 joints) have them dropped;
-    20-joint sequences pass through.
-    """
-    if seq.joints_per_frame == 22:
-        return seq.frames[:, 2:, :]
-    if seq.joints_per_frame == N_GRID_NODES:
-        return seq.frames
-    raise InvalidInput(f"expected 20 or 22 joints per frame, got {seq.joints_per_frame}")
 
 
 def check_resamplable(seq: SkeletonSequence) -> None:
@@ -133,7 +117,7 @@ def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
     flat = seq.frames.reshape(seq.n_frames, -1)
     out = _interp_columns(dst_t, src_t, flat)
     return SkeletonSequence(
-        frames=out.reshape(n_frames, seq.joints_per_frame, 3),
+        frames=out.reshape(n_frames, -1, 3),
         label=seq.label,
         subject=seq.subject,
         source=seq.source,
@@ -246,15 +230,12 @@ def _lines(text: str):
     return io.StringIO(text, newline=None)
 
 
-def _read_skeleton_file(path: Path, n_joints: int, leading_index: bool) -> np.ndarray:
-    expected = n_joints * 3 + (1 if leading_index else 0)
+def _read_skeleton_file(path: Path, expected: int) -> np.ndarray:
+    """The (frames, expected) values of a skeleton file: the one-pass read,
+    else the line loop that names the line at fault."""
     text = _read_text(path, "sequence file")
     values = _parse_whole(text, expected)
-    if values is None:
-        values = _parse_by_line(path, text, expected)
-    if leading_index:
-        values = np.ascontiguousarray(values[:, 1:])
-    return values.reshape(len(values), n_joints, 3)
+    return values if values is not None else _parse_by_line(path, text, expected)
 
 
 def _parse_whole(text: str, expected: int) -> np.ndarray | None:
@@ -330,59 +311,48 @@ def _split_entries(root: Path, split: str, n_fields: int):
     )
 
 
+def _load(root_path, split: str, n_fields: int, skip: int,
+          label_field: int) -> list[SkeletonSequence]:
+    """The sequences of a split. Index lines have ``n_fields`` fields, the
+    label at ``label_field`` of the integers and the subject last; each
+    frame line has ``skip`` values, then the lattice's 60, which the
+    frames view in place. A file of fewer than 2 frames is an error
+    naming it."""
+    root = Path(root_path)
+    if not root.is_dir():
+        raise ConfigError(f"dataset root does not exist: {root}")
+    sequences = []
+    for relpath, fields in _split_entries(root, split, n_fields):
+        values = _read_skeleton_file(root / relpath, skip + 3 * N_GRID_NODES)
+        seq = SkeletonSequence(frames=values[:, skip:].reshape(len(values), N_GRID_NODES, 3),
+                               label=fields[label_field], subject=fields[-1], source=relpath)
+        check_resamplable(seq)
+        sequences.append(seq)
+    return sequences
+
+
 def load_dhg(root_path, split: str, classes: int = 14) -> list[SkeletonSequence]:
-    """Load DHG-style sequences (22 joints, 66 values per line).
+    """Load DHG-style sequences: 66 values per line, wrist and palm first.
 
     Index lines are ``relpath label14 label28 subject`` with 0-based
     labels; ``classes`` selects which label column applies.
     """
     if classes not in (14, 28):
         raise ConfigError(f"classes must be 14 or 28, got {classes}")
-    root = Path(root_path)
-    if not root.is_dir():
-        raise ConfigError(f"dataset root does not exist: {root}")
-    sequences = []
-    for relpath, (label14, label28, subject) in _split_entries(root, split, 4):
-        frames = _read_skeleton_file(root / relpath, 22, leading_index=False)
-        sequences.append(
-            SkeletonSequence(
-                frames=frames,
-                label=label14 if classes == 14 else label28,
-                subject=subject,
-                source=relpath,
-            )
-        )
-    return sequences
+    return _load(root_path, split, 4, 6, 0 if classes == 14 else 1)
 
 
 def load_fpha(root_path, split: str) -> list[SkeletonSequence]:
-    """Load FPHA-style sequences (frame index + 21 joints per line).
-
-    The wrist (first joint) is dropped so frames carry exactly the 20
-    lattice nodes; index lines are ``relpath label subject``.
-    """
-    root = Path(root_path)
-    if not root.is_dir():
-        raise ConfigError(f"dataset root does not exist: {root}")
-    sequences = []
-    for relpath, (label, subject) in _split_entries(root, split, 3):
-        frames = _read_skeleton_file(root / relpath, 21, leading_index=True)
-        sequences.append(
-            SkeletonSequence(
-                frames=np.ascontiguousarray(frames[:, 1:, :]),
-                label=label,
-                subject=subject,
-                source=relpath,
-            )
-        )
-    return sequences
+    """Load FPHA-style sequences: a frame index, then 21 joints (wrist
+    first) per line. Index lines are ``relpath label subject``."""
+    return _load(root_path, split, 3, 4, 0)
 
 
 # ---------------------------------------------------------------------------
 # synthetic fixtures
 
 
-def _synthetic_frames(cls: int, n_frames: int, amplitude: float, rng) -> np.ndarray:
+def _synthetic_frames(cls: int, n_frames: int, rng) -> np.ndarray:
     """One DHG-format sequence whose motion encodes the class.
 
     Classes differ in which finger moves, how fast, and (decisively for
@@ -398,7 +368,7 @@ def _synthetic_frames(cls: int, n_frames: int, amplitude: float, rng) -> np.ndar
             frames[:, node - 1, 2] = 0.4 + 0.25 * level
     moving = cls % N_FINGERS + 1
     freq = 1.0 + 0.8 * (cls // N_FINGERS) + 0.35 * cls
-    scale = amplitude * 0.4 * 4.0 ** (cls % 3)
+    scale = 0.4 * 4.0 ** (cls % 3)
     t = np.linspace(0.0, 2.0 * np.pi * freq, n_frames)
     direction = 1.0 if cls % 2 == 0 else -1.0
     for node in finger_joints(moving):
@@ -417,7 +387,6 @@ def write_synthetic_dataset(
     train_per_class: int = 10,
     test_per_class: int = 0,
     n_frames: int = 20,
-    amplitude: float = 1.0,
     seed: int = 0,
 ) -> None:
     """Emit a miniature DHG-format dataset with separable motion classes."""
@@ -428,7 +397,7 @@ def write_synthetic_dataset(
         lines = []
         for cls in range(n_classes):
             for k in range(per_class):
-                frames = _synthetic_frames(cls, n_frames, amplitude, rng)
+                frames = _synthetic_frames(cls, n_frames, rng)
                 rel = f"sequences/{kind}_c{cls}_{k:02d}.txt"
                 with open(root / rel, "w") as fh:
                     for frame in frames:

@@ -366,6 +366,21 @@ class TestExtract:
         assert "tensor 'spdagg_w_hat' has shape (8, 210), config expects (8, 420)" in err
         assert not (tmp_path / "st_ts.features").exists()
 
+    def test_one_frame_sequence_exits_2_naming_it_once(self, workspace, trained, tmp_path,
+                                                       capsys):
+        _, _, config = workspace
+        data = tmp_path / "data"
+        write_synthetic_dataset(data, n_classes=2, train_per_class=2, n_frames=15, seed=5)
+        seq = data / "sequences" / "train_c0_01.txt"
+        seq.write_bytes(seq.read_bytes().splitlines(keepends=True)[0])
+        out = tmp_path / "x.features"
+        assert run("extract", "--checkpoint", trained, "--config", config,
+                   "--data-root", data, "--split", "train", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: sequences/train_c0_01.txt: cannot resample a sequence "
+                       "with fewer than 2 frames\n")
+        assert not out.exists()
+
     def test_output_in_missing_directory(self, workspace, trained, tmp_path, capsys):
         root, data, config = workspace
         out = tmp_path / "nodir" / "x.features"
@@ -376,20 +391,24 @@ class TestExtract:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command, epochs, where", [
-    ("train", 1, "sequences/train_c0_01.txt, epoch 1: "),
-    ("train", 0, "sequences/train_c0_01.txt, final evaluation: "),
-    ("extract", None, "sequences/train_c0_01.txt: "),
-], ids=["train", "train_epochs_0", "extract"])
+@pytest.mark.parametrize("command, epochs, where, scale, failure", [
+    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", 1e160, "window Gaussian"),
+    ("train", 0, "sequences/train_c0_01.txt, final evaluation: ", 1e160, "window Gaussian"),
+    ("extract", None, "sequences/train_c0_01.txt: ", 1e160, "window Gaussian"),
+    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", 1e308, "lattice convolution"),
+    ("extract", None, "sequences/train_c0_01.txt: ", 1e308, "lattice convolution"),
+], ids=["train", "train_epochs_0", "extract", "train_conv", "extract_conv"])
 def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path, capsys,
-                                                   command, epochs, where):
+                                                   command, epochs, where, scale, failure):
     """A sequence whose values are finite but overflow inside the network
-    fails the run with its own file named."""
+    fails the run with its own file named. At 1e308 the file has the
+    config's frame count, so no resample runs before the convolution."""
     _, _, config = workspace
     data = tmp_path / "data"
-    write_synthetic_dataset(data, n_classes=2, train_per_class=2, n_frames=15, seed=5)
+    write_synthetic_dataset(data, n_classes=2, train_per_class=2, seed=5,
+                            n_frames=TINY.n_frames if scale == 1e308 else 15)
     seq = data / "sequences" / "train_c0_01.txt"
-    seq.write_text("".join(" ".join(repr(float(v) * 1e160) for v in line.split()) + "\n"
+    seq.write_text("".join(" ".join(repr(float(v) * scale) for v in line.split()) + "\n"
                            for line in seq.read_text().splitlines()))
     out = tmp_path / "out"
     if command == "train":
@@ -398,7 +417,7 @@ def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path,
         argv = ("--checkpoint", trained, "--config", config, "--out", out)
     assert run(command, "--data-root", data, *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {where}window Gaussian has non-finite entries" in err
+    assert f"error: {where}{failure} has non-finite entries" in err
     assert "Traceback" not in err
 
 
@@ -631,7 +650,7 @@ class TestAblate:
     ("train", "--lr", "nan", "lr must be finite, got nan"),
     ("ablate", "--batch-size", "0", "batch_size must be >= 1, got 0"),
     ("ablate", "--lr", "nan", "lr must be finite, got nan"),
-    ("ablate", "--data-root", "absent", "data root does not exist"),
+    ("ablate", "--data-root", "absent", "dataset root does not exist"),
     ("ablate", "--values", "0", "t0 must be >= 1, got 0"),
     ("gradcheck", "--trials", "0", "trials must be >= 1, got 0"),
 ])

@@ -252,7 +252,7 @@ class TestForward:
 
     def test_accepts_sequences(self, rng):
         params = init_params(TINY, 0)
-        seq = SkeletonSequence(frames=rng.standard_normal((TINY.n_frames, 22, 3)),
+        seq = SkeletonSequence(frames=rng.standard_normal((TINY.n_frames, 20, 3)),
                                label=1)
         probs, _, _ = forward(seq, params, TINY)
         assert probs.shape == (2,)
@@ -264,7 +264,7 @@ class TestForward:
 
     def test_sequence_of_any_length_is_resampled_bitwise(self, rng):
         params = init_params(TINY, 0)
-        seq = SkeletonSequence(frames=rng.standard_normal((20, 22, 3)), label=1)
+        seq = SkeletonSequence(frames=rng.standard_normal((20, 20, 3)), label=1)
         probs, _, y = forward(seq, params, TINY)
         want_probs, _, want_y = forward(resample(seq, TINY.n_frames), params, TINY)
         assert probs.tobytes() == want_probs.tobytes()
@@ -383,7 +383,7 @@ class TestBackward:
 class TestFeaturesAndIo:
     def test_feature_length_and_determinism(self, rng):
         params = init_params(TINY, 0)
-        seq = SkeletonSequence(frames=rng.standard_normal((TINY.n_frames, 22, 3)),
+        seq = SkeletonSequence(frames=rng.standard_normal((TINY.n_frames, 20, 3)),
                                label=0)
         f1 = extract_features(seq, params, TINY)
         f2 = extract_features(seq, params, TINY)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spdhgr.errors import ConfigError, InvalidInput, ParseError
+from spdhgr.network import NetworkConfig, forward, init_params
 from spdhgr.skeleton import (
     GRID_NODE_IDS,
     N_BRANCHES,
@@ -11,7 +12,6 @@ from spdhgr.skeleton import (
     SkeletonSequence,
     build_branch_plan,
     finger_joints,
-    grid_joint_coords,
     grid_neighbors,
     load_dhg,
     load_fpha,
@@ -195,7 +195,7 @@ class TestDhgLoader:
         test = load_dhg(tmp_path, "test")
         assert len(train) == 4 and len(test) == 2
         assert sorted(s.label for s in train) == [0, 0, 1, 1]
-        assert all(s.joints_per_frame == 22 for s in train)
+        assert all(s.frames.shape == (5, 20, 3) for s in train)
         assert all(s.n_frames == 5 for s in train)
 
     def test_order_lexicographic(self, tmp_path):
@@ -245,7 +245,7 @@ class TestDhgLoader:
 
     def test_field_at_float64_limit_accepted(self, tmp_path):
         (tmp_path / "sequences").mkdir(parents=True)
-        (tmp_path / "sequences" / "a.txt").write_text(" ".join(["0.0"] * 66) + "\n")
+        (tmp_path / "sequences" / "a.txt").write_text((" ".join(["0.0"] * 66) + "\n") * 2)
         (tmp_path / "train.txt").write_text(f"sequences/a.txt {2**53} 0 {-(2**53)}\n")
         (seq,) = load_dhg(tmp_path, "train")
         assert (seq.label, seq.subject) == (2**53, -(2**53))
@@ -272,7 +272,7 @@ class TestDhgLoader:
 
     def test_label28_column(self, tmp_path):
         (tmp_path / "sequences").mkdir(parents=True)
-        (tmp_path / "sequences" / "a.txt").write_text(" ".join(["0.0"] * 66) + "\n")
+        (tmp_path / "sequences" / "a.txt").write_text((" ".join(["0.0"] * 66) + "\n") * 2)
         (tmp_path / "train.txt").write_text("sequences/a.txt 3 17 2\n")
         assert load_dhg(tmp_path, "train", classes=14)[0].label == 3
         assert load_dhg(tmp_path, "train", classes=28)[0].label == 17
@@ -311,12 +311,11 @@ class TestFphaLoader:
             rows.append([str(idx)] + [f"{v:.6f}" for v in rng.standard_normal(63)])
         self._write(tmp_path, "a.txt", rows)
         (seq,) = load_fpha(tmp_path, "train")
-        assert seq.n_frames == 2
-        assert seq.joints_per_frame == 20  # wrist dropped
+        assert seq.frames.shape == (2, 20, 3)  # frame index and wrist dropped
 
     def test_wrist_dropped_values(self, tmp_path):
         row = ["7"] + [str(float(k)) for k in range(63)]
-        self._write(tmp_path, "a.txt", [row])
+        self._write(tmp_path, "a.txt", [row, row])
         (seq,) = load_fpha(tmp_path, "train")
         # first stored joint is the dataset's second (x=3.0)
         np.testing.assert_array_equal(seq.frames[0, 0], [3.0, 4.0, 5.0])
@@ -341,17 +340,39 @@ class TestFphaLoader:
 
 
 class TestGridCoords:
-    def test_drops_wrist_and_palm(self, rng):
-        frames = rng.standard_normal((4, 22, 3))
-        seq = SkeletonSequence(frames=frames, label=0)
-        np.testing.assert_array_equal(grid_joint_coords(seq), frames[:, 2:, :])
-
-    def test_twenty_passthrough(self, rng):
-        frames = rng.standard_normal((4, 20, 3))
-        seq = SkeletonSequence(frames=frames, label=0)
-        np.testing.assert_array_equal(grid_joint_coords(seq), frames)
+    def test_drops_wrist_and_palm(self, tmp_path, rng):
+        """A DHG load keeps exactly file columns 7-66 (joints 3-22), bitwise."""
+        values = rng.standard_normal((4, 66))
+        (tmp_path / "sequences").mkdir(parents=True)
+        (tmp_path / "sequences" / "a.txt").write_text(
+            "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist()))
+        (tmp_path / "train.txt").write_text("sequences/a.txt 0 0 1\n")
+        (seq,) = load_dhg(tmp_path, "train")
+        assert seq.frames.shape == (4, 20, 3)
+        assert seq.frames.tobytes() == values[:, 6:].tobytes()
 
     def test_other_joint_counts_rejected(self, rng):
-        seq = SkeletonSequence(frames=rng.standard_normal((4, 21, 3)), label=0)
-        with pytest.raises(InvalidInput):
-            grid_joint_coords(seq)
+        """The network reads the 20 lattice nodes and nothing else."""
+        config = NetworkConfig(n_classes=2, d_out_c=2, d_out_s=8, n_frames=12, t0=1,
+                               n_chunks=2)
+        params = init_params(config, 0)
+        for joints in (21, 22):
+            seq = SkeletonSequence(frames=rng.standard_normal((12, joints, 3)), label=0)
+            with pytest.raises(InvalidInput, match=rf"coords must be \(n_frames, 20, 3\), "
+                                                   rf"got \(12, {joints}, 3\)"):
+                forward(seq, params, config)
+
+
+@pytest.mark.parametrize("load, n_values", [(load_dhg, 66), (load_fpha, 64)],
+                         ids=["dhg", "fpha"])
+def test_one_frame_file_is_refused_naming_it(tmp_path, load, n_values):
+    (tmp_path / "sequences").mkdir(parents=True)
+    for name, n_frames in (("a.txt", 2), ("b.txt", 1)):
+        (tmp_path / "sequences" / name).write_text((" ".join(["1.0"] * n_values) + "\n")
+                                                   * n_frames)
+    fields = "0 0 1" if load is load_dhg else "0 1"
+    (tmp_path / "train.txt").write_text(f"sequences/a.txt {fields}\n"
+                                        f"sequences/b.txt {fields}\n")
+    with pytest.raises(InvalidInput, match=r"^sequences/b\.txt: cannot resample a sequence "
+                                           r"with fewer than 2 frames$"):
+        load(tmp_path, "train")

@@ -88,13 +88,13 @@ def _outcome(read):
     return values.shape, values.dtype, values.flags.c_contiguous, values.tobytes()
 
 
-def _check_readers_agree(data, n_joints, leading_index):
+def _check_readers_agree(data, n_values):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seq.txt"
         path.write_bytes(data)
 
         def read():
-            return skeleton._read_skeleton_file(path, n_joints, leading_index)
+            return skeleton._read_skeleton_file(path, n_values)
 
         one_pass = _outcome(read)
         with mock.patch.object(skeleton, "_parse_whole", return_value=None):
@@ -108,13 +108,13 @@ def _check_readers_agree(data, n_joints, leading_index):
 @settings(max_examples=250)
 @given(mutated_texts(66, leading_index=False))
 def test_dhg_readers_agree(data):
-    _check_readers_agree(data, 22, leading_index=False)
+    _check_readers_agree(data, 66)
 
 
 @settings(max_examples=250)
 @given(mutated_texts(63, leading_index=True))
 def test_fpha_readers_agree(data):
-    _check_readers_agree(data, 21, leading_index=True)
+    _check_readers_agree(data, 64)
 
 
 @settings(max_examples=20)

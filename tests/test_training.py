@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spdhgr import training
-from spdhgr.errors import ConfigError, NumericalFailure
+from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
 from spdhgr.network import NetworkConfig, init_params
 from spdhgr.optim import stiefel_error
 from spdhgr.skeleton import SkeletonSequence, load_dhg, resample, write_synthetic_dataset
@@ -107,6 +107,15 @@ class TestTrainLoop:
     def test_empty_dataset(self):
         with pytest.raises(ConfigError):
             train_network([], init_params(CONFIG, 0), CONFIG)
+
+    def test_one_frame_sequence_rejected_before_anything_is_written(self, dataset, tmp_path):
+        """Library callers hand sequences straight in, past the loaders' check."""
+        one_frame = SkeletonSequence(frames=dataset[0].frames[:1], label=0, source="s.txt")
+        with pytest.raises(InvalidInput, match=r"^s\.txt: cannot resample a sequence with "
+                                               r"fewer than 2 frames$"):
+            train_network(dataset + [one_frame], init_params(CONFIG, 0), CONFIG,
+                          out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_monotone_descent_first_steps(self, tmp_path_factory):
         """Full-batch loss decreases over the first five updates for most
