@@ -1,11 +1,14 @@
 """Finite-difference verification of every hand-written backward pass.
 
 Each check builds random instances, probes the layer with a fixed random
-linear functional, and compares the analytic input gradients against
-central finite differences (step 1e-5 times the input scale). Relative
-error is measured norm-wise. The end-to-end check differentiates the
-full network loss on a tiny configuration with respect to every
-trainable parameter entry.
+linear functional, and hands the loss, its inputs and their analytic
+gradients to one comparison, `_worst`: central finite differences in
+each input with the others held (step 1e-5 times the input scale),
+relative error measured norm-wise. The end-to-end check differentiates
+the full network loss on a tiny configuration of each variant (st_ts,
+st_only, ts_only) with respect to every trainable parameter entry, at a
+random nonzero FC weight: at `init_params`' zero FC weight the logits
+are the bias alone, and the conv and W_hat gradients are exactly zero.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 from . import layers
 from .errors import InvalidInput
 from .layers import cross_entropy
-from .network import NetworkConfig, backward, forward, init_params
+from .network import (
+    VARIANTS, NetworkConfig, NetworkParams, backward, forward, init_params,
+)
 from .optim import stiefel_init
 from .skeleton import N_FILTERS, N_GRID_NODES
 from .symmat import (
@@ -63,30 +68,33 @@ def fd_gradient(loss_fn, x: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """Central-difference gradient of a scalar function of an array.
 
     With ``symmetric`` set, off-diagonal entries are perturbed in
-    symmetric pairs and the result is the Frobenius-pairing gradient.
+    symmetric pairs and the result is the Frobenius-pairing gradient; an
+    entry below the diagonal is filled from its pair.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     h = 1e-5 * max(1.0, float(np.max(np.abs(x))))
     grad = np.zeros_like(x)
-    if symmetric:
-        n = x.shape[0]
-        for i in range(n):
-            for j in range(i, n):
-                e = np.zeros_like(x)
-                e[i, j] = 1.0
-                e[j, i] = 1.0
-                diff = (loss_fn(x + h * e) - loss_fn(x - h * e)) / (2.0 * h)
-                grad[i, j] = diff if i == j else diff / 2.0
-                grad[j, i] = grad[i, j]
-        return grad
-    flat = np.zeros(x.size)
-    base = np.ascontiguousarray(x).reshape(-1)
-    for k in range(base.size):
-        e = np.zeros_like(base)
-        e[k] = h
-        flat[k] = (loss_fn((base + e).reshape(x.shape))
-                   - loss_fn((base - e).reshape(x.shape))) / (2.0 * h)
-    return flat.reshape(x.shape)
+    for idx in np.ndindex(x.shape):
+        pair = idx[::-1] if symmetric else idx
+        if pair < idx:
+            grad[idx] = grad[pair]
+            continue
+        e = np.zeros_like(x)
+        e[idx] = e[pair] = 1.0
+        diff = (loss_fn(x + h * e) - loss_fn(x - h * e)) / (2.0 * h)
+        grad[idx] = diff if pair == idx else diff / 2.0
+    return grad
+
+
+def _worst(loss, args, grads, symmetric=()) -> float:
+    """Largest relative error of ``grads`` against `fd_gradient` of
+    ``loss(*args)`` in each argument, the others held; an argument whose
+    index is in ``symmetric`` is perturbed in symmetric pairs."""
+    worst = 0.0
+    for k, (x, grad) in enumerate(zip(args, grads, strict=True)):
+        fd = fd_gradient(lambda v: loss(*args[:k], v, *args[k + 1:]), x, k in symmetric)
+        worst = max(worst, rel_error(grad, fd))
+    return worst
 
 
 def _random_orthogonal(rng, n: int) -> np.ndarray:
@@ -115,10 +123,8 @@ def _check_gauss_agg(rng) -> float:
     samples = rng.standard_normal((n, d))
     probe = symmetrize(rng.standard_normal((d + 1, d + 1)))
     _, ctx = layers.gauss_agg_forward(samples)
-    analytic = layers.gauss_agg_backward(ctx, probe)
-    fd = fd_gradient(lambda s: float(np.sum(layers.gauss_agg_forward(s)[0] * probe)),
-                     samples)
-    return rel_error(analytic, fd)
+    return _worst(lambda s: float(np.sum(layers.gauss_agg_forward(s)[0] * probe)),
+                  (samples,), (layers.gauss_agg_backward(ctx, probe),))
 
 
 def _draw_spectrum(rng, n: int, lo: float, hi: float, eps: float | None = None):
@@ -138,35 +144,23 @@ def _draw_spectrum(rng, n: int, lo: float, hi: float, eps: float | None = None):
     return vals
 
 
-def _check_reeig(rng) -> float:
+def _check_spectral(rng, lo: float, hi: float, eps: float | None, f, df, ref) -> float:
+    """The Loewner-form backward of the spectral map ``ref`` (eigenvalue
+    function ``f`` with derivative ``df``) on a spectrum drawn in [lo, hi]."""
     n = int(rng.integers(3, 7))
-    eps = 0.5
-    a = _sym_with_eigs(rng, _draw_spectrum(rng, n, 0.05, 3.0, eps))
+    a = _sym_with_eigs(rng, _draw_spectrum(rng, n, lo, hi, eps))
     probe = symmetrize(rng.standard_normal((n, n)))
     eig = eigh(a)
-    analytic = spectral_grad(eig.vecs, eig.vals, np.maximum(eig.vals, eps),
-                             np.where(eig.vals > eps, 1.0, 0.0), probe)
-    fd = fd_gradient(lambda m: float(np.sum(rectify_eigs(m, eps) * probe)), a, symmetric=True)
-    return rel_error(analytic, fd)
-
-
-def _check_logeig(rng) -> float:
-    n = int(rng.integers(3, 7))
-    a = _sym_with_eigs(rng, _draw_spectrum(rng, n, 0.1, 5.0))
-    probe = symmetrize(rng.standard_normal((n, n)))
-    eig = eigh(a)
-    analytic = spectral_grad(eig.vecs, eig.vals, np.log(eig.vals), 1.0 / eig.vals, probe)
-    fd = fd_gradient(lambda m: float(np.sum(spd_log(m) * probe)), a, symmetric=True)
-    return rel_error(analytic, fd)
+    analytic = spectral_grad(eig.vecs, eig.vals, f(eig.vals), df(eig.vals), probe)
+    return _worst(lambda m: float(np.sum(ref(m) * probe)), (a,), (analytic,), symmetric=(0,))
 
 
 def _check_vecmat(rng) -> float:
     n = int(rng.integers(2, 7))
     a = symmetrize(rng.standard_normal((n, n)))
     probe = rng.standard_normal(tri_length(n))
-    analytic = sym_unvectorize_grad(probe)
-    fd = fd_gradient(lambda m: float(sym_vectorize(m) @ probe), a, symmetric=True)
-    return rel_error(analytic, fd)
+    return _worst(lambda m: float(sym_vectorize(m) @ probe), (a,),
+                  (sym_unvectorize_grad(probe),), symmetric=(0,))
 
 
 def _check_spd_agg(rng) -> float:
@@ -181,17 +175,11 @@ def _check_spd_agg(rng) -> float:
     _, ctx = layers.spd_agg_forward(xs, w_hat)
     grad_xs, grad_w = layers.spd_agg_backward(ctx, probe)
 
-    worst = 0.0
-    for i in range(n):
-        def loss_x(m, i=i):
-            stacked = xs.copy()
-            stacked[i] = m
-            return float(np.sum(layers.spd_agg_forward(stacked, w_hat)[0] * probe))
+    def loss(*blocks_and_w):
+        *blocks, w = blocks_and_w
+        return float(np.sum(layers.spd_agg_forward(np.stack(blocks), w)[0] * probe))
 
-        worst = max(worst, rel_error(grad_xs[i], fd_gradient(loss_x, xs[i], symmetric=True)))
-    fd_w = fd_gradient(lambda w: float(np.sum(layers.spd_agg_forward(xs, w)[0] * probe)),
-                       w_hat)
-    return max(worst, rel_error(grad_w, fd_w))
+    return _worst(loss, (*xs, w_hat), (*grad_xs, grad_w), symmetric=range(n))
 
 
 def _check_conv(rng) -> float:
@@ -202,12 +190,8 @@ def _check_conv(rng) -> float:
     weights = rng.standard_normal((N_FILTERS, d_out, 3))
     probe = rng.standard_normal((n_frames, N_GRID_NODES, d_out))
     _, ctx = layers.conv_forward(coords, weights, mode)
-    grad_coords, grad_weights = layers.conv_backward(ctx, probe)
-    fd_c = fd_gradient(lambda c: float(np.sum(layers.conv_forward(c, weights, mode)[0] * probe)),
-                       coords)
-    fd_w = fd_gradient(lambda w: float(np.sum(layers.conv_forward(coords, w, mode)[0] * probe)),
-                       weights)
-    return max(rel_error(grad_coords, fd_c), rel_error(grad_weights, fd_w))
+    return _worst(lambda c, w: float(np.sum(layers.conv_forward(c, w, mode)[0] * probe)),
+                  (coords, weights), layers.conv_backward(ctx, probe))
 
 
 def _check_head(rng) -> float:
@@ -217,26 +201,9 @@ def _check_head(rng) -> float:
     fc_w = rng.standard_normal((n_classes, d * d))
     fc_b = rng.standard_normal(n_classes)
     label = int(rng.integers(n_classes))
-    _, probs, ctx = layers.head_forward(y, fc_w, fc_b)
-    grad_y, grad_fc, grad_b = layers.head_backward(ctx, label)
-
-    def loss_y(m):
-        _, p, _ = layers.head_forward(m, fc_w, fc_b)
-        return cross_entropy(p, label)
-
-    def loss_w(w):
-        _, p, _ = layers.head_forward(y, w, fc_b)
-        return cross_entropy(p, label)
-
-    def loss_b(b):
-        _, p, _ = layers.head_forward(y, fc_w, b)
-        return cross_entropy(p, label)
-
-    return max(
-        rel_error(grad_y, fd_gradient(loss_y, y, symmetric=True)),
-        rel_error(grad_fc, fd_gradient(loss_w, fc_w)),
-        rel_error(grad_b, fd_gradient(loss_b, fc_b)),
-    )
+    _, _, ctx = layers.head_forward(y, fc_w, fc_b)
+    return _worst(lambda *yw: cross_entropy(layers.head_forward(*yw)[1], label),
+                  (y, fc_w, fc_b), layers.head_backward(ctx, label), symmetric=(0,))
 
 
 def _branch_check(rng, kind: str) -> float:
@@ -252,37 +219,36 @@ def _branch_check(rng, kind: str) -> float:
     else:
         fwd = lambda f: layers.ts_branch_forward(f, 2, eps)
     _, ctx = fwd(feats)
-    analytic = layers.branch_backward(ctx, probe)
-    fd = fd_gradient(lambda f: float(np.sum(fwd(f)[0] * probe)), feats)
-    return rel_error(analytic, fd)
+    return _worst(lambda f: float(np.sum(fwd(f)[0] * probe)), (feats,),
+                  (layers.branch_backward(ctx, probe),))
 
 
 def check_end_to_end(seed: int, config: NetworkConfig = TINY_CONFIG) -> CheckResult:
-    """Full-network loss gradient versus finite differences, every entry."""
+    """Full-network loss gradient versus finite differences, every entry.
+    Named ``end_to_end``, with ``_<variant>`` after it for other than st_ts."""
     rng = np.random.default_rng(seed)
     params = init_params(config, seed)
     coords = rng.standard_normal((config.n_frames, N_GRID_NODES, 3))
     label = int(rng.integers(config.n_classes))
+    params = dataclasses.replace(
+        params, fc_weight=0.1 * rng.standard_normal(params.fc_weight.shape))
 
-    probs, ctx, _ = forward(coords, params, config)
+    _, ctx, _ = forward(coords, params, config)
     grads = backward(ctx, label)
-
-    def loss_with(**replacement):
-        p, _, _ = forward(coords, dataclasses.replace(params, **replacement), config)
-        return cross_entropy(p, label)
-
-    worst = 0.0
-    for field in dataclasses.fields(params):
-        name = field.name
-        fd = fd_gradient(lambda v, name=name: loss_with(**{name: v}), getattr(params, name))
-        worst = max(worst, rel_error(getattr(grads, name), fd))
-    return CheckResult(name="end_to_end", max_rel_err=worst, tol=END_TO_END_TOL, trials=1)
+    names = [field.name for field in dataclasses.fields(params)]
+    worst = _worst(
+        lambda *tensors: cross_entropy(forward(coords, NetworkParams(*tensors), config)[0], label),
+        [getattr(params, name) for name in names], [getattr(grads, name) for name in names])
+    name = "end_to_end" if config.variant == "st_ts" else f"end_to_end_{config.variant}"
+    return CheckResult(name=name, max_rel_err=worst, tol=END_TO_END_TOL, trials=1)
 
 
 LAYER_CHECKS = {
     "gauss_agg": _check_gauss_agg,
-    "reeig": _check_reeig,
-    "logeig": _check_logeig,
+    "reeig": lambda rng: _check_spectral(
+        rng, 0.05, 3.0, 0.5, lambda v: np.maximum(v, 0.5),
+        lambda v: np.where(v > 0.5, 1.0, 0.0), lambda m: rectify_eigs(m, 0.5)),
+    "logeig": lambda rng: _check_spectral(rng, 0.1, 5.0, None, np.log, lambda v: 1.0 / v, spd_log),
     "vecmat": _check_vecmat,
     "spd_agg": _check_spd_agg,
     "conv": _check_conv,
@@ -306,5 +272,6 @@ def run_all(seed: int = 0, trials: int = 20,
             include_end_to_end: bool = True) -> list[CheckResult]:
     results = [check_layer(name, seed, trials) for name in LAYER_CHECKS]
     if include_end_to_end:
-        results.append(check_end_to_end(seed))
+        results += [check_end_to_end(seed, dataclasses.replace(TINY_CONFIG, variant=variant))
+                    for variant in VARIANTS]
     return results

@@ -107,7 +107,8 @@ def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
     Per joint and coordinate, piecewise-linear interpolation over [0, 1];
     the first and last frames are preserved exactly, and resampling an
     already-resampled sequence is a bitwise no-op. The result is
-    ``np.interp`` of each column, bit for bit.
+    ``np.interp`` of each column, bit for bit; one with a non-finite entry
+    (frame differences that overflow) is refused.
     """
     if n_frames < 2:
         raise InvalidInput(f"n_frames must be >= 2, got {n_frames}")
@@ -116,6 +117,9 @@ def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
     dst_t = np.linspace(0.0, 1.0, n_frames)
     flat = seq.frames.reshape(seq.n_frames, -1)
     out = _interp_columns(dst_t, src_t, flat)
+    if not np.isfinite(out).all():
+        raise InvalidInput(f"resampling {seq.n_frames} frames to {n_frames} "
+                           "forms non-finite coordinates")
     return SkeletonSequence(
         frames=out.reshape(n_frames, -1, 3),
         label=seq.label,
@@ -131,8 +135,6 @@ def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
     own: ``j`` with ``xp[j] <= x < xp[j + 1]``, ``fp[j]`` where ``x`` hits
     ``xp[j]`` (the last frame included), else ``slope * (x - xp[j]) +
     fp[j]`` with ``slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])``.
-    np.interp retries a NaN from the other end of the interval, so any
-    column with a non-finite value goes through np.interp itself.
     """
     j = np.searchsorted(xp, x, side="right") - 1
     k = np.minimum(j, len(xp) - 2)
@@ -141,8 +143,6 @@ def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
         out = slopes[k] * (x - xp[k])[:, None] + fp[k]
     hit = xp[j] == x
     out[hit] = fp[j[hit]]
-    for c in np.flatnonzero(~np.isfinite(out).all(axis=0)):
-        out[:, c] = np.interp(x, xp, fp[:, c])
     return out
 
 

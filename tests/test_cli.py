@@ -390,26 +390,40 @@ class TestExtract:
         assert list(tmp_path.rglob("*")) == []
 
 
+GAUSSIAN = "window Gaussian has non-finite entries"
+CONV = "lattice convolution has non-finite entries"
+RESAMPLE = f"resampling 2 frames to {TINY.n_frames} forms non-finite coordinates"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, epochs, where, scale, failure", [
-    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", 1e160, "window Gaussian"),
-    ("train", 0, "sequences/train_c0_01.txt, final evaluation: ", 1e160, "window Gaussian"),
-    ("extract", None, "sequences/train_c0_01.txt: ", 1e160, "window Gaussian"),
-    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", 1e308, "lattice convolution"),
-    ("extract", None, "sequences/train_c0_01.txt: ", 1e308, "lattice convolution"),
-], ids=["train", "train_epochs_0", "extract", "train_conv", "extract_conv"])
+    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", 1e160, GAUSSIAN),
+    ("train", 0, "sequences/train_c0_01.txt, final evaluation: ", 1e160, GAUSSIAN),
+    ("extract", None, "sequences/train_c0_01.txt: ", 1e160, GAUSSIAN),
+    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", 1e308, CONV),
+    ("extract", None, "sequences/train_c0_01.txt: ", 1e308, CONV),
+    ("train", 1, "sequences/train_c0_01.txt, epoch 1: ", None, RESAMPLE),
+    ("extract", None, "sequences/train_c0_01.txt: ", None, RESAMPLE),
+], ids=["train", "train_epochs_0", "extract", "train_conv", "extract_conv",
+        "train_resample", "extract_resample"])
 def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path, capsys,
                                                    command, epochs, where, scale, failure):
     """A sequence whose values are finite but overflow inside the network
-    fails the run with its own file named. At 1e308 the file has the
-    config's frame count, so no resample runs before the convolution."""
+    fails the run with its own file named once. At 1e308 the file has the
+    config's frame count, so no resample runs before the convolution;
+    without a scale it is two frames, 1.5e308 then -1.5e308, whose
+    difference overflows in the resample."""
     _, _, config = workspace
     data = tmp_path / "data"
     write_synthetic_dataset(data, n_classes=2, train_per_class=2, seed=5,
                             n_frames=TINY.n_frames if scale == 1e308 else 15)
     seq = data / "sequences" / "train_c0_01.txt"
-    seq.write_text("".join(" ".join(repr(float(v) * scale) for v in line.split()) + "\n"
-                           for line in seq.read_text().splitlines()))
+    if scale is None:
+        n_values = len(seq.read_text().split("\n", 1)[0].split())
+        seq.write_text("".join(" ".join([repr(v)] * n_values) + "\n" for v in (1.5e308, -1.5e308)))
+    else:
+        seq.write_text("".join(" ".join(repr(float(v) * scale) for v in line.split()) + "\n"
+                               for line in seq.read_text().splitlines()))
     out = tmp_path / "out"
     if command == "train":
         argv = ("--config", config, "--out", out, "--epochs", epochs)
@@ -417,7 +431,8 @@ def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path,
         argv = ("--checkpoint", trained, "--config", config, "--out", out)
     assert run(command, "--data-root", data, *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {where}{failure} has non-finite entries" in err
+    assert f"error: {where}{failure}" in err
+    assert err.count("train_c0_01.txt") == 1
     assert "Traceback" not in err
 
 

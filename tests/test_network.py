@@ -350,11 +350,13 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_end_to_end_fd_sampled_entries(self, seed):
         """Loss gradient matches finite differences on sampled entries,
-        across seeds."""
+        across seeds, at a nonzero FC weight (at init's zero FC weight the
+        conv and W_hat gradients are exactly zero)."""
         rng = np.random.default_rng(1000 + seed)
         params = init_params(TINY, seed)
         coords = rng.standard_normal((TINY.n_frames, N_GRID_NODES, 3))
         label = int(rng.integers(2))
+        params.fc_weight = 0.1 * rng.standard_normal(params.fc_weight.shape)
         _, ctx, _ = forward(coords, params, TINY)
         grads = backward(ctx, label)
 

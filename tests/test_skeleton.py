@@ -129,14 +129,21 @@ class TestResample:
     @given(st.integers(2, 600), st.integers(2, 600), st.booleans(), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.02, 0.3]))
     def test_bitwise_equal_to_per_column_interp(self, n_src, n_dst, same, seed, extreme):
+        """Where the per-column np.interp result is finite, resample's is the
+        same bits; where it is not, resample refuses the sequence."""
         n_dst = n_src if same else n_dst
         rng = np.random.default_rng(seed)
         frames = rng.standard_normal((n_src, 22, 3)) * 10.0 ** rng.integers(-6, 6)
         # +-1e308 overflows the slopes, and +-inf makes np.interp's own NaN retry run
         odd = rng.random(frames.shape) < extreme
         frames[odd] = rng.choice([1e308, -1e308, np.inf, -np.inf, np.nan, -0.0], size=odd.sum())
-        got = resample(self._seq(frames), n_dst).frames
         want = self._interp_loop(frames, n_dst)
+        if not np.isfinite(want).all():
+            with pytest.raises(InvalidInput, match=f"^resampling {n_src} frames to {n_dst} "
+                                                   "forms non-finite coordinates$"):
+                resample(self._seq(frames), n_dst)
+            return
+        got = resample(self._seq(frames), n_dst).frames
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_preserves_metadata(self, rng):
