@@ -22,6 +22,9 @@ CLASS_COUNTS = {"dhg14": 14, "dhg28": 28, "fpha": 45}
 
 
 def run(args) -> int:
+    if args.epochs < 1:  # extraction reads the last epoch's checkpoint
+        print(f"--epochs must be >= 1, got {args.epochs}", file=sys.stderr)
+        return 2
     data = Path(args.data_root)
     if not (data / "train.txt").is_file():
         print(f"no train.txt under {data}; convert the dataset first "

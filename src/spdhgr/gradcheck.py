@@ -4,11 +4,13 @@ Each check builds random instances, probes the layer with a fixed random
 linear functional, and hands the loss, its inputs and their analytic
 gradients to one comparison, `_worst`: central finite differences in
 each input with the others held (step 1e-5 times the input scale),
-relative error measured norm-wise. The end-to-end check differentiates
-the full network loss on a tiny configuration of each variant (st_ts,
-st_only, ts_only) with respect to every trainable parameter entry, at a
-random nonzero FC weight: at `init_params`' zero FC weight the logits
-are the bias alone, and the conv and W_hat gradients are exactly zero.
+relative error measured norm-wise. reeig and logeig difference U f(V) U^T
+as `spectral_apply` forms it; vecmat checks the batched adjoint the
+branches run. The end-to-end check differentiates the full network loss
+on a tiny configuration of each variant (st_ts, st_only, ts_only) with
+respect to every trainable parameter entry, at a random nonzero FC
+weight: at `init_params`' zero FC weight the logits are the bias alone,
+and the conv and W_hat gradients are exactly zero.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from .network import (
 from .optim import stiefel_init
 from .skeleton import N_FILTERS, N_GRID_NODES
 from .symmat import (
+    _sym_unvectorize_grad_stack,
     eigh,
-    rectify_eigs,
-    spd_log,
+    spectral_apply,
     spectral_grad,
-    sym_unvectorize_grad,
     sym_vectorize,
     symmetrize,
     tri_length,
@@ -144,15 +145,20 @@ def _draw_spectrum(rng, n: int, lo: float, hi: float, eps: float | None = None):
     return vals
 
 
-def _check_spectral(rng, lo: float, hi: float, eps: float | None, f, df, ref) -> float:
-    """The Loewner-form backward of the spectral map ``ref`` (eigenvalue
-    function ``f`` with derivative ``df``) on a spectrum drawn in [lo, hi]."""
+def _check_spectral(rng, lo: float, hi: float, eps: float | None, f, df) -> float:
+    """The Loewner-form backward of the spectral map U f(V) U^T (``f``
+    with derivative ``df``) on a spectrum drawn in [lo, hi]."""
     n = int(rng.integers(3, 7))
     a = _sym_with_eigs(rng, _draw_spectrum(rng, n, lo, hi, eps))
     probe = symmetrize(rng.standard_normal((n, n)))
     eig = eigh(a)
     analytic = spectral_grad(eig.vecs, eig.vals, f(eig.vals), df(eig.vals), probe)
-    return _worst(lambda m: float(np.sum(ref(m) * probe)), (a,), (analytic,), symmetric=(0,))
+
+    def loss(m):
+        eig_m = eigh(m)
+        return float(np.sum(spectral_apply(eig_m.vecs, f(eig_m.vals)) * probe))
+
+    return _worst(loss, (a,), (analytic,), symmetric=(0,))
 
 
 def _check_vecmat(rng) -> float:
@@ -160,7 +166,7 @@ def _check_vecmat(rng) -> float:
     a = symmetrize(rng.standard_normal((n, n)))
     probe = rng.standard_normal(tri_length(n))
     return _worst(lambda m: float(sym_vectorize(m) @ probe), (a,),
-                  (sym_unvectorize_grad(probe),), symmetric=(0,))
+                  (_sym_unvectorize_grad_stack(probe, n),), symmetric=(0,))
 
 
 def _check_spd_agg(rng) -> float:
@@ -247,8 +253,8 @@ LAYER_CHECKS = {
     "gauss_agg": _check_gauss_agg,
     "reeig": lambda rng: _check_spectral(
         rng, 0.05, 3.0, 0.5, lambda v: np.maximum(v, 0.5),
-        lambda v: np.where(v > 0.5, 1.0, 0.0), lambda m: rectify_eigs(m, 0.5)),
-    "logeig": lambda rng: _check_spectral(rng, 0.1, 5.0, None, np.log, lambda v: 1.0 / v, spd_log),
+        lambda v: np.where(v > 0.5, 1.0, 0.0)),
+    "logeig": lambda rng: _check_spectral(rng, 0.1, 5.0, None, np.log, lambda v: 1.0 / v),
     "vecmat": _check_vecmat,
     "spd_agg": _check_spd_agg,
     "conv": _check_conv,

@@ -33,10 +33,6 @@ class SvmModel:
     passes: tuple[int, ...] = ()  # dual passes per class
     violation: tuple[float, ...] = ()  # last pass's largest violation per class
 
-    @property
-    def n_classes(self) -> int:
-        return self.class_ids.shape[0]
-
 
 def _integer_labels(labels: np.ndarray) -> bool:
     """Whether every label is an integer of magnitude at most 2^53 (exact in float64)."""

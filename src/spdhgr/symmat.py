@@ -1,6 +1,6 @@
 """Dense symmetric-matrix kernel.
 
-Everything downstream (Gaussian aggregation, eigenvalue rectification,
+Everything downstream (Gaussian aggregation, rectified and plain
 log-Euclidean maps, Stiefel retractions) reduces to a handful of
 operations on real symmetric matrices collected here: an
 eigendecomposition, one spectral map U f(V) U^T with its backward,
@@ -12,12 +12,12 @@ rows x rows Gram matrix, several times faster than numpy's Householder
 QR at 200x3360. Inputs too ill-conditioned for it (condition number
 above about 1e6) fall back to the Householder QR.
 
-Every spectral function of the package (rectification, the matrix
-logarithm, and rectification followed by the logarithm
-in the branch layers) goes through `spectral_apply` and
-`spectral_grad`. The backward is the Loewner (divided-difference) form
-U (L o U^T G U) U^T (Ionescu et al., ICCV 2015; Brooks et al., NeurIPS
-2019), which stays exact at repeated eigenvalues.
+Every spectral function of the package goes through `spectral_apply`
+and `spectral_grad`: the matrix logarithm `spd_log`, and the branch
+layers' log(max(v, eps)), which fuses ReEig and LogEig (rectification
+never runs alone). The backward is the Loewner (divided-difference)
+form U (L o U^T G U) U^T (Ionescu et al., ICCV 2015; Brooks et al.,
+NeurIPS 2019), which stays exact at repeated eigenvalues.
 
 Conventions:
   * matrices are dense row-major float64 ndarrays, symmetrized on entry;
@@ -62,12 +62,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_square_sym(a, name: str = "matrix") -> np.ndarray:
+def _as_square_sym(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InvalidInput(f"{name} must be a square 2-d array, got shape {a.shape}")
+        raise InvalidInput(f"matrix must be a square 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     return symmetrize(a)
 
 
@@ -159,23 +159,8 @@ def spd_log(a: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
     return spectral_apply(eig.vecs, np.log(eig.vals))
 
 
-def rectify_eigs(a: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp eigenvalues from below: U max(eps I, V) U^T."""
-    if not np.isfinite(eps) or eps <= 0.0:
-        raise InvalidInput(f"eps must be a positive real, got {eps}")
-    eig = eigh(a)
-    return spectral_apply(eig.vecs, np.maximum(eig.vals, eps))
-
-
 def tri_length(dim: int) -> int:
     return dim * (dim + 1) // 2
-
-
-def _tri_dim(length: int) -> int:
-    dim = int(round((np.sqrt(8.0 * length + 1.0) - 1.0) / 2.0))
-    if tri_length(dim) != length:
-        raise InvalidInput(f"{length} is not a triangular number n(n+1)/2")
-    return dim
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -204,22 +189,10 @@ def _sym_vectorize_stack(a: np.ndarray) -> np.ndarray:
     return a[..., rows, cols] * scale
 
 
-def sym_unvectorize_grad(g: np.ndarray) -> np.ndarray:
-    """Adjoint of sym_vectorize: map a vector gradient back to a matrix.
-
-    Diagonal slots receive the raw entry; each off-diagonal entry is split
-    across its two symmetric positions with weight 1/sqrt(2), so that
-    <sym_unvectorize_grad(g), dA>_F == <g, sym_vectorize(dA)> for every
-    symmetric dA.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1:
-        raise InvalidInput(f"gradient vector must be 1-d, got shape {g.shape}")
-    n = _tri_dim(g.shape[0])
-    return _sym_unvectorize_grad_stack(g[None, :], n)[0]
-
-
 def _sym_unvectorize_grad_stack(g: np.ndarray, n: int) -> np.ndarray:
+    """Adjoint of `sym_vectorize` over (..., n(n+1)/2) gradient rows: a
+    diagonal slot takes its raw entry, an off-diagonal entry is split over
+    its two symmetric positions with weight 1/sqrt(2)."""
     rows, cols, off = _tri_indices(n)
     scale = np.where(off, 1.0 / _SQRT2, 0.5)
     half = np.zeros(g.shape[:-1] + (n, n), dtype=np.float64)

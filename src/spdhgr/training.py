@@ -92,6 +92,8 @@ def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> Ne
 def evaluate(sequences, params: NetworkParams, config: NetworkConfig):
     """Mean loss and accuracy of fixed parameters over a sequence list
     (`train_network`'s final evaluation)."""
+    for seq in sequences:
+        check_resamplable(seq)
     passes = _passes(sequences, params, config, "final evaluation")
     losses, hits = zip(*passes) if sequences else ((), ())
     return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)

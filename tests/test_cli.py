@@ -15,7 +15,7 @@ from spdhgr.cli import main
 from spdhgr.network import (PARAM_TENSORS, NetworkConfig, extract_features, init_params,
                             save_config)
 from spdhgr.skeleton import SkeletonSequence, write_synthetic_dataset
-from spdhgr.optim import load_checkpoint
+from spdhgr.optim import load_checkpoint, save_checkpoint
 from spdhgr.svm import load_features, save_features
 from spdhgr.training import train_network
 
@@ -689,6 +689,92 @@ def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
     assert message in captured.err and "Traceback" not in captured.err
     assert "PASS" not in captured.out
     assert not (tmp_path / "run").exists()
+
+
+def _empty_train_split(tmp_path):
+    root = tmp_path / "empty"
+    root.mkdir()
+    (root / "train.txt").write_text("")
+    return ["train", "--data-root", root], f"split 'train' of {root} is empty"
+
+
+def _zero_widths(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    save_config(cfg, dataclasses.replace(TINY, d_out_c=0, d_out_s=0))
+    return (["train", "--config", cfg],
+            "d_out_c must be >= 1, got 0; d_out_s must be >= 1, got 0")
+
+
+def _key_without_value(tmp_path):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("n_classes=2\nd_out_c\n")
+    return ["train", "--config", cfg], f"{cfg}:2: expected key=value, got 'd_out_c'"
+
+
+def _bad_loso_split(tmp_path):
+    return ["train", "--split", "loso-train:x"], "bad leave-one-subject-out split 'loso-train:x'"
+
+
+def _index_names_a_directory(tmp_path):
+    root = tmp_path / "data"
+    (root / "sequences" / "dir.txt").mkdir(parents=True)
+    (root / "train.txt").write_text("sequences/dir.txt 0 0 1\n")
+    return (["train", "--data-root", root],
+            f"cannot read sequence file {root / 'sequences' / 'dir.txt'}: ")
+
+
+def _checkpoint_without_fc_bias(tmp_path):
+    ckpt = tmp_path / "partial.ckpt"
+    params = init_params(TINY, 0)
+    save_checkpoint(ckpt, {name: getattr(params, field)
+                           for field, (name, _) in PARAM_TENSORS.items() if name != "fc_bias"})
+    return ["extract", "--checkpoint", ckpt], f"checkpoint {ckpt} is missing tensor 'fc_bias'"
+
+
+@pytest.mark.parametrize("case", [_empty_train_split, _zero_widths, _key_without_value,
+                                  _bad_loso_split, _index_names_a_directory,
+                                  _checkpoint_without_fc_bias],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
+    """Each error branch a user reaches through `main`; later flags override
+    the workspace defaults put before them."""
+    _, data, config = workspace
+    (command, *argv), message = case(tmp_path)
+    out = tmp_path / "out"
+    assert run(command, "--config", config, "--data-root", data, "--out", out, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_reads_the_28_class_labels(workspace, tmp_path):
+    _, data, config = workspace
+    out = tmp_path / "run"
+    assert run("train", "--config", config, "--data-root", data, "--out", out,
+               "--dataset", "dhg28", "--epochs", 1) == 0
+    assert strict_json(out / "manifest.json")["dataset"]["id"] == "dhg28:train"
+
+
+def test_fpha_extract_matches_the_dhg_file_it_was_written_from(workspace, trained, tmp_path):
+    """A frame index before, and no palm joint: the lattice an FPHA file
+    holds is the DHG file's, so the features are bitwise the same."""
+    _, data, config = workspace
+    fpha = tmp_path / "fpha"
+    (fpha / "sequences").mkdir(parents=True)
+    index = []
+    for line in (data / "train.txt").read_text().splitlines():
+        rel, label, _, subject = line.split()
+        rows = [row.split() for row in (data / rel).read_text().splitlines()]
+        (fpha / rel).write_text("".join(" ".join([str(t), *row[:3], *row[6:]]) + "\n"
+                                        for t, row in enumerate(rows)))
+        index.append(f"{rel} {label} {subject}\n")
+    (fpha / "train.txt").write_text("".join(index))
+    features = {}
+    for dataset, root in (("dhg14", data), ("fpha", fpha)):
+        features[dataset] = tmp_path / f"{dataset}.features"
+        assert run("extract", "--checkpoint", trained, "--config", config, "--data-root", root,
+                   "--dataset", dataset, "--out", features[dataset]) == 0
+    assert features["fpha"].read_bytes() == features["dhg14"].read_bytes()
 
 
 class TestImports:

@@ -82,7 +82,7 @@ ANALYTIC_GRADIENTS = [
     ("gauss_agg", layers, "gauss_agg_backward", None),
     ("reeig", gradcheck, "spectral_grad", None),
     ("logeig", gradcheck, "spectral_grad", None),
-    ("vecmat", gradcheck, "sym_unvectorize_grad", None),
+    ("vecmat", gradcheck, "_sym_unvectorize_grad_stack", None),
     ("spd_agg", layers, "spd_agg_backward", 0),
     ("spd_agg", layers, "spd_agg_backward", 1),
     ("conv", layers, "conv_backward", 0),

@@ -27,8 +27,8 @@ from spdhgr.skeleton import GRID_NODE_IDS, grid_neighbors
 from spdhgr.symmat import (
     assert_spd,
     eigh,
-    rectify_eigs,
     spd_log,
+    spectral_apply,
     sym_vectorize,
     tri_length,
 )
@@ -151,11 +151,26 @@ class TestSpectralLayers:
 
     def test_reeig_matches_rectify(self, rng):
         mats = np.stack([random_sym(rng, 5) for _ in range(4)])
-        rows, _, _, rect = _rect_log_vec_rows(mats, 1e-2)
+        rows, _, vals, rect = _rect_log_vec_rows(mats, 1e-2)
         for a, row in zip(mats, rows):
-            expected = sym_vectorize(spd_log(rectify_eigs(a, 1e-2)))
+            eig = eigh(a)
+            expected = sym_vectorize(spd_log(spectral_apply(eig.vecs, np.maximum(eig.vals, 1e-2))))
             np.testing.assert_allclose(row, expected, atol=1e-12)
-        assert rect.min() >= 1e-2
+        assert rect.min() >= 1e-2 and vals.min() < 1e-2
+
+    def test_rect_clamps_small_and_negative_eigenvalues_to_eps(self, rng):
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = (q * np.array([3.0, 2.0, 1e-9, -0.7])) @ q.T
+        _, _, vals, rect = _rect_log_vec_rows(a[None], 1e-4)
+        np.testing.assert_array_equal(rect[0, 2:], 1e-4)
+        np.testing.assert_array_equal(rect[0, :2], vals[0, :2])
+
+    def test_rect_log_is_spd_log_above_eps(self, rng):
+        mats = np.stack([random_spd(rng, 4, lo=2.0, hi=6.0) for _ in range(3)])
+        rows, _, vals, rect = _rect_log_vec_rows(mats, 1e-4)
+        np.testing.assert_array_equal(rect, vals)
+        for a, row in zip(mats, rows):
+            np.testing.assert_allclose(row, sym_vectorize(spd_log(a)), atol=1e-12)
 
     def test_logeig_matches_spd_log(self, rng):
         y = random_spd(rng, 5)

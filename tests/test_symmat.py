@@ -12,14 +12,13 @@ from spdhgr.errors import InvalidInput, NotSPD, RankDeficient
 from spdhgr.gradcheck import fd_gradient
 from spdhgr.symmat import (
     _eigh_stack,
+    _sym_unvectorize_grad_stack,
     assert_spd,
     eigh,
     qr_orthonormalize,
-    rectify_eigs,
     spd_log,
     spectral_apply,
     spectral_grad,
-    sym_unvectorize_grad,
     sym_vectorize,
     symmetrize,
     tri_length,
@@ -153,36 +152,6 @@ class TestSpdLog:
             spd_log(np.diag([1.0, -0.5]))
 
 
-class TestRectifyEigs:
-    def test_clamps_small_eigenvalue(self):
-        out = rectify_eigs(np.diag([5.0, 1e-9]), 1e-4)
-        np.testing.assert_allclose(out, np.diag([5.0, 1e-4]), atol=1e-12)
-
-    def test_noop_when_spectrum_above_eps(self, rng):
-        a = random_spd(rng, 4, lo=2.0, hi=6.0)
-        np.testing.assert_allclose(rectify_eigs(a, 1e-4), a, atol=1e-10)
-
-    def test_negative_eigenvalue_becomes_eps(self, rng):
-        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        a = symmetrize((q * np.array([3.0, 2.0, 1.0, -0.7])) @ q.T)
-        out = rectify_eigs(a, 1e-4)
-        vals = eigh(out).vals
-        assert vals.min() == pytest.approx(1e-4, rel=1e-9)
-        assert_spd(out)
-
-    def test_invalid_eps(self):
-        with pytest.raises(InvalidInput):
-            rectify_eigs(np.eye(2), 0.0)
-
-    def test_output_passes_assert_spd_with_margin(self, rng):
-        for _ in range(10):
-            a = random_sym(rng, 5)
-            eps = 1e-4
-            out = rectify_eigs(a, eps)
-            assert eigh(out).vals.min() >= eps / 2
-            assert_spd(out)
-
-
 class TestSymVectorize:
     def test_two_by_two(self):
         a, b, c = 1.5, -0.7, 2.25
@@ -209,10 +178,11 @@ class TestSymVectorize:
 
 class TestSymUnvectorizeGrad:
     def test_diagonal_entries_raw(self):
-        np.testing.assert_allclose(sym_unvectorize_grad(np.array([1.0, 0.0, 1.0])), np.eye(2))
+        np.testing.assert_allclose(_sym_unvectorize_grad_stack(np.array([1.0, 0.0, 1.0]), 2),
+                                   np.eye(2))
 
     def test_off_diagonal_split(self):
-        out = sym_unvectorize_grad(np.array([0.0, 1.0, 0.0]))
+        out = _sym_unvectorize_grad_stack(np.array([0.0, 1.0, 0.0]), 2)
         s = 1.0 / SQRT2
         np.testing.assert_allclose(out, [[0.0, s], [s, 0.0]])
 
@@ -221,13 +191,9 @@ class TestSymUnvectorizeGrad:
             n = int(rng.integers(2, 8))
             g = rng.standard_normal(tri_length(n))
             da = random_sym(rng, n)
-            lhs = np.sum(sym_unvectorize_grad(g) * da)
+            lhs = np.sum(_sym_unvectorize_grad_stack(g, n) * da)
             rhs = g @ sym_vectorize(da)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_bad_length(self):
-        with pytest.raises(InvalidInput):
-            sym_unvectorize_grad(np.ones(4))
 
 
 def random_orthogonal(rng, n):

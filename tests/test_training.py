@@ -157,6 +157,14 @@ class TestEvaluate:
         assert loss == pytest.approx(result.final_loss)
         assert acc == pytest.approx(result.final_accuracy)
 
+    def test_one_frame_sequence_named_once(self):
+        """Checked before the passes, whose failures `errors.named` prefixes
+        with the file again."""
+        one_frame = SkeletonSequence(frames=np.zeros((1, 20, 3)), label=0, source="seqs/a.txt")
+        with pytest.raises(InvalidInput) as info:
+            evaluate([one_frame], init_params(CONFIG, 0), CONFIG)
+        assert str(info.value) == "seqs/a.txt: cannot resample a sequence with fewer than 2 frames"
+
 
 def test_paper_scale_batch_peak_memory():
     """One batch of two paper-scale sequences stays under a traced peak of
