@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from spdhgr import symmat
 from spdhgr.errors import InvalidInput, NotSPD, RankDeficient
 from spdhgr.gradcheck import fd_gradient
+from spdhgr.layers import _rect_log_vec_rows
 from spdhgr.symmat import (
     _eigh_stack,
     _sym_unvectorize_grad_stack,
@@ -150,6 +151,34 @@ class TestSpdLog:
     def test_rejects_indefinite(self):
         with pytest.raises(NotSPD):
             spd_log(np.diag([1.0, -0.5]))
+
+
+def rectify(a, eps):
+    """U max(V, eps) U^T, from the eigenpairs and rectified spectrum the branch layers cache."""
+    _, vecs, _, rect = _rect_log_vec_rows(a[None], eps)
+    return spectral_apply(vecs[0], rect[0])
+
+
+class TestRectifyEigs:
+    def test_clamps_small_eigenvalue(self):
+        out = rectify(np.diag([5.0, 1e-9]), 1e-4)
+        np.testing.assert_allclose(out, np.diag([5.0, 1e-4]), atol=1e-12)
+
+    def test_negative_eigenvalue_becomes_eps(self, rng):
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = symmetrize((q * np.array([3.0, 2.0, 1.0, -0.7])) @ q.T)
+        out = rectify(a, 1e-4)
+        vals = eigh(out).vals
+        assert vals.min() == pytest.approx(1e-4, rel=1e-9)
+        assert_spd(out)
+
+    def test_output_passes_assert_spd_with_margin(self, rng):
+        for _ in range(10):
+            a = random_sym(rng, 5)
+            eps = 1e-4
+            out = rectify(a, eps)
+            assert eigh(out).vals.min() >= eps / 2
+            assert_spd(out)
 
 
 class TestSymVectorize:
