@@ -196,8 +196,8 @@ def _check_conv(rng) -> float:
     weights = rng.standard_normal((N_FILTERS, d_out, 3))
     probe = rng.standard_normal((n_frames, N_GRID_NODES, d_out))
     _, ctx = layers.conv_forward(coords, weights, mode)
-    return _worst(lambda c, w: float(np.sum(layers.conv_forward(c, w, mode)[0] * probe)),
-                  (coords, weights), layers.conv_backward(ctx, probe))
+    return _worst(lambda w: float(np.sum(layers.conv_forward(coords, w, mode)[0] * probe)),
+                  (weights,), (layers.conv_backward(ctx, probe),))
 
 
 def _check_head(rng) -> float:

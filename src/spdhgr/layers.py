@@ -122,7 +122,6 @@ class ConvContext:
     coords: np.ndarray  # (n_frames, 20, 3)
     weights: np.ndarray  # (9, d_out, 3)
     triples: np.ndarray  # `_conv_triples` of the grid
-    kernel: np.ndarray  # `_conv_kernel` of the weights
 
 
 def conv_forward(coords: np.ndarray, weights: np.ndarray, mode: str):
@@ -150,15 +149,15 @@ def conv_forward(coords: np.ndarray, weights: np.ndarray, mode: str):
         out = (coords.reshape(coords.shape[0], -1) @ kernel).reshape(
             coords.shape[0], N_GRID_NODES, weights.shape[1])
     _require(bool(np.isfinite(out).all()), "lattice convolution has non-finite entries")
-    return out, ConvContext(coords=coords, weights=weights, triples=triples, kernel=kernel)
+    return out, ConvContext(coords=coords, weights=weights, triples=triples)
 
 
-def conv_backward(ctx: ConvContext, grad_out: np.ndarray):
-    """Gradients w.r.t. the input coordinates and the nine filters.
+def conv_backward(ctx: ConvContext, grad_out: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the nine filters, (9, d_out, 3).
 
-    The coordinate gradient is one product with the kernel's transpose. The
-    kernel gradient is one coords^T @ grad product, whose block of each
-    triple (i, j, l) is added onto filter l.
+    The coordinates are the network's input and never trained, so no
+    gradient is formed for them. The kernel gradient is one coords^T @ grad
+    product, whose block of each triple (i, j, l) is added onto filter l.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     d_out = ctx.weights.shape[1]
@@ -167,14 +166,12 @@ def conv_backward(ctx: ConvContext, grad_out: np.ndarray):
         f"upstream gradient shape {grad_out.shape} does not match forward",
     )
     n_frames = ctx.coords.shape[0]
-    grad_flat = grad_out.reshape(n_frames, -1)
-    grad_coords = (grad_flat @ ctx.kernel.T).reshape(ctx.coords.shape)
-    grad_kernel = (ctx.coords.reshape(n_frames, -1).T @ grad_flat).reshape(
+    grad_kernel = (ctx.coords.reshape(n_frames, -1).T @ grad_out.reshape(n_frames, -1)).reshape(
         N_GRID_NODES, 3, N_GRID_NODES, d_out)
     nodes, neighbours, filters = ctx.triples.T
     grad_weights = np.zeros_like(ctx.weights)
     np.add.at(grad_weights, filters, grad_kernel[neighbours, :, nodes].swapaxes(1, 2))
-    return grad_coords, grad_weights
+    return grad_weights
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,7 @@ def backward(ctx: ForwardContext, true_label: int,
         n = bctx.out_shape[0]
         grad_feats += branch_backward(bctx, grad_xs[first : first + n])
         first += n
-    _, grad_conv = conv_backward(ctx.conv, grad_feats)
-    into.conv += grad_conv
+    into.conv += conv_backward(ctx.conv, grad_feats)
     into.fc_bias += dz
     return into
 

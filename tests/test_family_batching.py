@@ -149,7 +149,7 @@ def ref_forward_backward(coords, params, config, label):
         frame_slice, joints = branch_slices[k % len(branch_slices)]
         sub = grad_feats[frame_slice]
         sub[:, joints] += ref_branch_backward(bctx, gx)
-    _, grad_conv = conv_backward(conv_ctx, grad_feats)
+    grad_conv = conv_backward(conv_ctx, grad_feats)
     grads = {"conv": grad_conv, "w_hat": grad_w_hat, "fc_weight": grad_fc,
              "fc_bias": grad_bias}
     return probs, agg_ctx.xs, contexts, grads

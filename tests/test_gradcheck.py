@@ -85,8 +85,7 @@ ANALYTIC_GRADIENTS = [
     ("vecmat", gradcheck, "_sym_unvectorize_grad_stack", None),
     ("spd_agg", layers, "spd_agg_backward", 0),
     ("spd_agg", layers, "spd_agg_backward", 1),
-    ("conv", layers, "conv_backward", 0),
-    ("conv", layers, "conv_backward", 1),
+    ("conv", layers, "conv_backward", None),
     ("head", layers, "head_backward", 0),
     ("head", layers, "head_backward", 1),
     ("head", layers, "head_backward", 2),
