@@ -26,15 +26,12 @@ ABLATION_KNOBS = {"t0": "t0", "N_S": "n_chunks", "grid_mode": "grid_mode",
 
 
 def _load_dataset(data_root, dataset: str, split: str):
+    """``dataset`` is one of `DATASETS`; argparse's ``choices`` refuses any other."""
     from .skeleton import load_dhg, load_fpha
 
-    if dataset == "dhg14":
-        return load_dhg(data_root, split, classes=14)
-    if dataset == "dhg28":
-        return load_dhg(data_root, split, classes=28)
     if dataset == "fpha":
         return load_fpha(data_root, split)
-    raise ConfigError(f"unknown dataset {dataset!r}; choices: {DATASETS}")
+    return load_dhg(data_root, split, classes={"dhg14": 14, "dhg28": 28}[dataset])
 
 
 def _write_json(path, payload) -> None:

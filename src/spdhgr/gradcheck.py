@@ -5,12 +5,15 @@ linear functional, and hands the loss, its inputs and their analytic
 gradients to one comparison, `_worst`: central finite differences in
 each input with the others held (step 1e-5 times the input scale),
 relative error measured norm-wise. reeig and logeig difference U f(V) U^T
-as `spectral_apply` forms it; vecmat checks the batched adjoint the
-branches run. The end-to-end check differentiates the full network loss
-on a tiny configuration of each variant (st_ts, st_only, ts_only) with
-respect to every trainable parameter entry, at a random nonzero FC
-weight: at `init_params`' zero FC weight the logits are the bias alone,
-and the conv and W_hat gradients are exactly zero.
+as `spectral_apply` forms it; rect_log_vec differences the fused rows the
+branches run (log(max(v, eps)), then half-vectorization) on spectra drawn
+as for reeig; vecmat checks the batched adjoint the branches run; conv
+differentiates in the filters alone, the coordinates being input. The
+end-to-end check differentiates the full network loss on a tiny
+configuration of each variant (st_ts, st_only, ts_only) with respect to
+every trainable parameter entry, at a random nonzero FC weight: at
+`init_params`' zero FC weight the logits are the bias alone, and the
+conv and W_hat gradients are exactly zero.
 """
 
 from __future__ import annotations
@@ -161,6 +164,16 @@ def _check_spectral(rng, lo: float, hi: float, eps: float | None, f, df) -> floa
     return _worst(loss, (a,), (analytic,), symmetric=(0,))
 
 
+def _check_rect_log_vec(rng) -> float:
+    n = int(rng.integers(3, 7))
+    a = _sym_with_eigs(rng, _draw_spectrum(rng, n, 0.05, 3.0, 0.5))
+    probe = rng.standard_normal(tri_length(n))
+    _, *cache = layers._rect_log_vec_rows(a[None], 0.5)
+    return _worst(lambda m: float(probe @ layers._rect_log_vec_rows(m[None], 0.5)[0][0]),
+                  (a,), (layers._rect_log_vec_grad_rows(*cache, probe[None], 0.5)[0],),
+                  symmetric=(0,))
+
+
 def _check_vecmat(rng) -> float:
     n = int(rng.integers(2, 7))
     a = symmetrize(rng.standard_normal((n, n)))
@@ -255,6 +268,7 @@ LAYER_CHECKS = {
         rng, 0.05, 3.0, 0.5, lambda v: np.maximum(v, 0.5),
         lambda v: np.where(v > 0.5, 1.0, 0.0)),
     "logeig": lambda rng: _check_spectral(rng, 0.1, 5.0, None, np.log, lambda v: 1.0 / v),
+    "rect_log_vec": _check_rect_log_vec,
     "vecmat": _check_vecmat,
     "spd_agg": _check_spd_agg,
     "conv": _check_conv,

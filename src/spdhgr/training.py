@@ -111,7 +111,10 @@ def train_network(
     out_dir=None,
     log=None,
 ) -> TrainResult:
-    """Train in place for ``epochs`` epochs of shuffled mini-batches.
+    """Train for ``epochs`` epochs of shuffled mini-batches.
+
+    The trained parameters are new arrays in the result; the arrays of
+    ``params`` keep their values, so one start can seed several runs.
 
     Sequences may have any frame count: each pass resamples its sequence
     (`network.forward`). The arguments are checked before anything is

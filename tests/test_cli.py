@@ -823,3 +823,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--config", "c", "--data-root", "d", "--out", "o"),
+        ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d", "--out", "o"),
+        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
+         "--values", "1"),
+    ])
+    def test_unknown_dataset_refused_by_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--dataset", "dhg99")
+        assert exc.value.code == 2
+        assert "argument --dataset: invalid choice: 'dhg99'" in capsys.readouterr().err

@@ -82,6 +82,7 @@ ANALYTIC_GRADIENTS = [
     ("gauss_agg", layers, "gauss_agg_backward", None),
     ("reeig", gradcheck, "spectral_grad", None),
     ("logeig", gradcheck, "spectral_grad", None),
+    ("rect_log_vec", layers, "_rect_log_vec_grad_rows", None),
     ("vecmat", gradcheck, "_sym_unvectorize_grad_stack", None),
     ("spd_agg", layers, "spd_agg_backward", 0),
     ("spd_agg", layers, "spd_agg_backward", 1),

@@ -126,6 +126,12 @@ class TestStiefelStep:
         t = project_tangent(w, rng.standard_normal(w.shape))
         assert np.max(np.abs(project_tangent(w, t) - t)) <= 1e-12
 
+    def test_shape_mismatch(self):
+        w = stiefel_init(2, 4, seed=0)
+        with pytest.raises(InvalidInput,
+                           match=r"^shape mismatch: weight \(2, 4\) vs grad \(4, 2\)$"):
+            stiefel_step(w, np.ones((4, 2)), 0.01)
+
     def test_non_finite_gradient(self):
         w = stiefel_init(2, 4, seed=0)
         bad = np.full(w.shape, np.nan)

@@ -1,5 +1,6 @@
 """Smoke test of `scripts/reproduce_benchmarks.py` on a tiny root at the
-default paper-scale network."""
+default paper-scale network. The script runs each command as a child
+process, so the commands' output is read at the file descriptors."""
 
 import json
 import runpy
@@ -30,11 +31,30 @@ def reproduce(monkeypatch, data_root, out, epochs):
     return done.value.code
 
 
-def test_one_epoch_end_to_end(monkeypatch, capsys, data_root, tmp_path):
+def test_one_epoch_end_to_end(monkeypatch, capfd, data_root, tmp_path):
     assert reproduce(monkeypatch, data_root, tmp_path / "out", 1) == 0
-    assert "ACCURACY 1.0000" in capsys.readouterr().out
+    assert "ACCURACY 1.0000" in capfd.readouterr().out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert (report["accuracy"], report["n_train"], report["n_test"]) == (1.0, 6, 4)
+    commands = json.loads((tmp_path / "out" / "timings.json").read_text())["commands"]
+    assert [(c["command"], c["argv"][0]) for c in commands] == [
+        ("train", "train"), ("extract train", "extract"), ("extract test", "extract"),
+        ("classify", "classify")]
+    for command in commands:
+        assert command["exit_code"] == 0
+        assert command["wall_s"] > 0 and command["max_rss_kib"] > 0
+
+
+def test_stops_at_the_first_failing_command(monkeypatch, capfd, tmp_path):
+    """A train split whose index names a missing file: train exits 2, the
+    run stops there with its code, and the timings file records it."""
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "train.txt").write_text("sequences/missing.txt 0 0 1\n")
+    assert reproduce(monkeypatch, root, tmp_path / "out", 1) == 2
+    assert "missing.txt" in capfd.readouterr().err
+    commands = json.loads((tmp_path / "out" / "timings.json").read_text())["commands"]
+    assert [(c["command"], c["exit_code"]) for c in commands] == [("train", 2)]
 
 
 @pytest.mark.parametrize("epochs", [0, -1])

@@ -109,6 +109,10 @@ class TestResample:
         with pytest.raises(InvalidInput):
             resample(self._seq(np.zeros((1, 22, 3))), 5)
 
+    def test_fewer_than_two_output_frames_rejected(self, rng):
+        with pytest.raises(InvalidInput, match="^n_frames must be >= 2, got 1$"):
+            resample(self._seq(rng.standard_normal((4, 22, 3))), 1)
+
     def test_single_frame_names_its_file(self):
         seq = SkeletonSequence(frames=np.zeros((1, 22, 3)), label=0, source="seq/a.txt")
         with pytest.raises(InvalidInput, match=r"^seq/a\.txt: cannot resample a sequence "
@@ -192,6 +196,10 @@ class TestBranchPlan:
     def test_split_range_remainder_last(self):
         assert split_range(7, 3) == [(0, 2), (2, 4), (4, 7)]
         assert split_range(501, 2) == [(0, 250), (250, 501)]
+
+    def test_split_range_more_parts_than_frames(self):
+        with pytest.raises(InvalidInput, match="^cannot split 3 frames into 4 parts$"):
+            split_range(3, 4)
 
 
 class TestDhgLoader:
@@ -283,6 +291,22 @@ class TestDhgLoader:
         (tmp_path / "train.txt").write_text("sequences/a.txt 3 17 2\n")
         assert load_dhg(tmp_path, "train", classes=14)[0].label == 3
         assert load_dhg(tmp_path, "train", classes=28)[0].label == 17
+
+    def test_other_class_count_rejected(self, tmp_path):
+        write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=1, n_frames=5)
+        with pytest.raises(ConfigError, match="^classes must be 14 or 28, got 21$"):
+            load_dhg(tmp_path, "train", classes=21)
+
+    def test_blank_index_line_skipped(self, tmp_path):
+        (tmp_path / "sequences").mkdir(parents=True)
+        for name in ("a", "b"):
+            (tmp_path / "sequences" / f"{name}.txt").write_text(
+                (" ".join(["0.0"] * 66) + "\n") * 2)
+        (tmp_path / "train.txt").write_text("sequences/a.txt 0 0 1\n\n"
+                                            "sequences/b.txt 1 1 2\n")
+        train = load_dhg(tmp_path, "train")
+        assert [(s.source, s.label) for s in train] == [("sequences/a.txt", 0),
+                                                        ("sequences/b.txt", 1)]
 
     def test_loso_split(self, tmp_path):
         write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=3,

@@ -112,6 +112,17 @@ class TestSolver:
         with pytest.raises(InvalidInput):
             svm_train(np.eye(3), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("x, y, message", [
+        (np.ones(3), np.array([0, 1, 1]),
+         "need at least 2 samples of equal dim, got shape \\(3,\\)"),
+        (np.eye(3), np.array([0, 1]), "labels of shape \\(2,\\) do not match 3 samples"),
+        (np.array([[0.0, 1.0], [1.0, np.nan]]), np.array([0, 1]),
+         "features contain non-finite values"),
+    ])
+    def test_malformed_training_set_rejected(self, x, y, message):
+        with pytest.raises(InvalidInput, match=message):
+            svm_train(x, y)
+
     @pytest.mark.parametrize("labels", [
         [0.2, 0.2, 0.7, 0.7],  # would truncate to one class id, 0
         [0.0, 0.0, 1.0, 1.5],
@@ -346,6 +357,11 @@ class TestPredict:
         model = SvmModel(class_ids=np.array([0, 1]), weights=np.zeros((2, 4)))
         with pytest.raises(InvalidInput):
             svm_predict(model, np.ones(5))
+
+    def test_single_vector_only(self):
+        model = SvmModel(class_ids=np.array([0, 1]), weights=np.zeros((2, 2)))
+        with pytest.raises(InvalidInput, match="svm_predict takes a single feature vector"):
+            svm_predict(model, np.eye(2))
 
     def test_non_contiguous_class_ids(self, rng):
         x, y = make_blobs(rng, n_per_class=6, n_classes=3)

@@ -6,7 +6,7 @@ import pytest
 
 from spdhgr import training
 from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
-from spdhgr.network import NetworkConfig, init_params
+from spdhgr.network import PARAM_TENSORS, NetworkConfig, init_params
 from spdhgr.optim import stiefel_error
 from spdhgr.skeleton import SkeletonSequence, load_dhg, resample, write_synthetic_dataset
 from spdhgr.training import evaluate, train_network
@@ -43,6 +43,17 @@ class TestTrainLoop:
                            batch_size=4, lr=0.01, seed=7)
         assert [r.mean_loss for r in r1.epochs] == [r.mean_loss for r in r2.epochs]
         assert np.array_equal(r1.params.w_hat, r2.params.w_hat)
+
+    def test_caller_arrays_keep_their_bytes(self, dataset):
+        """The result holds new arrays; the ones passed in are not written,
+        so back-to-back runs may start from one set."""
+        params = init_params(CONFIG, 0)
+        before = {name: getattr(params, name).tobytes() for name in PARAM_TENSORS}
+        result = train_network(dataset, params, CONFIG, epochs=1, batch_size=4,
+                               lr=0.01, seed=0)
+        for name in PARAM_TENSORS:
+            assert getattr(params, name).tobytes() == before[name]
+            assert getattr(result.params, name).tobytes() != before[name]
 
     def test_one_context_at_a_time_and_one_batch_total(self, dataset, monkeypatch):
         """Each forward context is dropped before the next forward runs, so
