@@ -67,17 +67,24 @@ def test_zero_trials_rejected():
 
 
 def _scaled(fn, which):
-    """``fn`` with its result, or only its ``which``-th result, times 1.001."""
+    """``fn`` with its result times 1.001: all of it (``which`` None), only
+    its ``which``-th returned gradient, or, where it returns one array, only
+    that array's ``which``-th slice along the first axis."""
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
         if which is None:
             return out * 1.001
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out[which] *= 1.001
+            return out
         return tuple(g * 1.001 if i == which else g for i, g in enumerate(out))
     return wrapped
 
 
 # (layer check, module and name of the function it takes its analytic
-# gradient from, index of the returned gradient or None for a single one)
+# gradient from, index of the returned gradient or None for a single one;
+# conv's single (9, d_out, 3) gradient is also scaled one filter at a time)
 ANALYTIC_GRADIENTS = [
     ("gauss_agg", layers, "gauss_agg_backward", None),
     ("reeig", gradcheck, "spectral_grad", None),
@@ -87,6 +94,8 @@ ANALYTIC_GRADIENTS = [
     ("spd_agg", layers, "spd_agg_backward", 0),
     ("spd_agg", layers, "spd_agg_backward", 1),
     ("conv", layers, "conv_backward", None),
+    ("conv", layers, "conv_backward", 0),
+    ("conv", layers, "conv_backward", 1),
     ("head", layers, "head_backward", 0),
     ("head", layers, "head_backward", 1),
     ("head", layers, "head_backward", 2),
