@@ -375,7 +375,7 @@ def _window_samples(by_set: np.ndarray, sets: np.ndarray, starts: np.ndarray,
     return samples.reshape(sets.size, length * by_set.shape[2], by_set.shape[3])
 
 
-def _first_stage_rows(sets, starts, lengths, by_set, ridge, eps):
+def _first_stage_rows(sets, starts, lengths, by_set, eps):
     """The first stage of table entries in ascending length order: each run
     of one length gathers and embeds its windows as one stack, then the
     entries are rectified, log-mapped and vectorized together. Features
@@ -386,7 +386,7 @@ def _first_stage_rows(sets, starts, lengths, by_set, ridge, eps):
     with np.errstate(over="ignore", invalid="ignore"):
         for length, lo, hi in _length_runs(lengths):
             mats[lo:hi] = _gauss_embed_stack(
-                _window_samples(by_set, sets[lo:hi], starts[lo:hi], length), ridge)
+                _window_samples(by_set, sets[lo:hi], starts[lo:hi], length), DEFAULT_RIDGE)
     _require(bool(np.isfinite(mats).all()), "window Gaussian has non-finite entries")
     return _rect_log_vec_rows(mats, eps)
 
@@ -482,12 +482,11 @@ def _family_plan(kind: str, size: int, n_frames: int, n_joints: int,
                        rows=branch_rows)
 
 
-def _branch_family_forward(kind, size, feats, branches, eps, ridge):
+def _branch_family_forward(kind, size, feats, branches, eps):
     """Shared forward of both families; ``size`` is as for `_family_plan`."""
     feats = np.asarray(feats, dtype=np.float64)
     _require(feats.ndim == 3, f"branch features must be (frames, joints, dim), got {feats.shape}")
     _require(np.isfinite(eps) and eps > 0, f"eps must be finite and > 0, got {eps}")
-    _require(np.isfinite(ridge) and ridge >= 0, f"ridge must be finite and >= 0, got {ridge}")
     n_frames, n_joints, _ = feats.shape
     single = branches is None
     if single:
@@ -502,28 +501,28 @@ def _branch_family_forward(kind, size, feats, branches, eps, ridge):
 
     # first stage: every distinct window once, a piece of the table at a time
     by_set = feats[:, plan.joint_sets].swapaxes(0, 1)
-    vecs, *cache = _split_stack(partial(_first_stage_rows, by_set=by_set, ridge=ridge, eps=eps),
+    vecs, *cache = _split_stack(partial(_first_stage_rows, by_set=by_set, eps=eps),
                                 plan.sets, plan.starts, plan.lengths)
 
     # second stage: one Gaussian over each branch's rows
     m = vecs.shape[1] + 1
     out = np.empty((len(branches), m, m))
     for k, rows in enumerate(plan.rows):
-        out[k] = _gauss_embed_stack(vecs[rows], ridge)
+        out[k] = _gauss_embed_stack(vecs[rows], DEFAULT_RIDGE)
     if single:
         out = out[0]
     return out, BranchContext(kind=kind, shape=feats.shape, out_shape=out.shape, eps=eps,
                               plan=plan, by_set=by_set, spectral_cache=tuple(cache), vecs=vecs)
 
 
-def st_branch_forward(feats: np.ndarray, t0: int, eps: float, ridge: float = DEFAULT_RIDGE,
-                      branches=None):
+def st_branch_forward(feats: np.ndarray, t0: int, eps: float, branches=None):
     """Spatial-then-temporal branches.
 
     Per frame, a Gaussian over all the branch's joints in a sliding
     window (clamped at the branch boundary) is embedded, rectified,
     log-mapped and vectorized; a second Gaussian over the per-frame
     vectors yields the branch's SPD descriptor of side (d(d+3)/2 + 2).
+    Both Gaussians add the fixed ridge `DEFAULT_RIDGE` to their Sigma.
 
     ``feats`` is (frames, joints, dim). Without ``branches`` it is one
     branch and the output is its descriptor; otherwise ``branches`` lists
@@ -531,21 +530,20 @@ def st_branch_forward(feats: np.ndarray, t0: int, eps: float, ridge: float = DEF
     stacks their descriptors in that order.
     """
     _require(t0 >= 1, f"t0 must be >= 1, got {t0}")
-    return _branch_family_forward("st", t0, feats, branches, eps, ridge)
+    return _branch_family_forward("st", t0, feats, branches, eps)
 
 
-def ts_branch_forward(feats: np.ndarray, n_chunks: int, eps: float,
-                      ridge: float = DEFAULT_RIDGE, branches=None):
+def ts_branch_forward(feats: np.ndarray, n_chunks: int, eps: float, branches=None):
     """Temporal-then-spatial branches.
 
     Each branch is cut into ``n_chunks`` equal-length chunks; per joint
     and chunk a single-joint Gaussian is embedded, rectified, log-mapped
     and vectorized; a second Gaussian over all joints x chunks vectors
     (joint-major) yields the branch descriptor. ``branches`` is as for
-    `st_branch_forward`.
+    `st_branch_forward`, and so is the fixed ridge `DEFAULT_RIDGE`.
     """
-    _require(n_chunks >= 1, f"n_chunks must be >= 1, got {n_chunks}")
-    return _branch_family_forward("ts", n_chunks, feats, branches, eps, ridge)
+    _require(n_chunks >= 2, f"n_chunks must be >= 2, got {n_chunks}")
+    return _branch_family_forward("ts", n_chunks, feats, branches, eps)
 
 
 def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:

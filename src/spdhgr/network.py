@@ -25,7 +25,6 @@ import numpy as np
 from . import blas
 from .errors import ConfigError, InvalidInput
 from .layers import (
-    DEFAULT_RIDGE,
     _ROWS_OF,
     BranchContext,
     ConvContext,
@@ -72,7 +71,6 @@ class NetworkConfig:
     t0: int = 1  # sliding-window half width
     n_chunks: int = 15  # temporal chunks per branch
     epsilon: float = 1e-4  # eigenvalue rectification threshold
-    ridge: float = DEFAULT_RIDGE  # covariance ridge
     variant: str = "st_ts"
     grid_mode: str = "full"
 
@@ -107,8 +105,6 @@ class NetworkConfig:
             problems.append(f"n_chunks must be >= 2, got {self.n_chunks}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             problems.append(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
-            problems.append(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.n_frames < 6:
             problems.append(f"n_frames must be >= 6, got {self.n_frames}")
         elif self.t0 >= 1 and self.n_chunks >= 2:  # the layers' own row rule, shortest branch
@@ -295,7 +291,7 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
     contexts = []
     for family in FAMILIES[config.variant]:
         layer, size = family_layers[family]
-        y, ctx = layer(feats, size, config.epsilon, config.ridge, branches=branches)
+        y, ctx = layer(feats, size, config.epsilon, branches=branches)
         inputs.append(y)
         contexts.append(ctx)
 

@@ -107,26 +107,26 @@ def family_calls(draw):
 class TestStBranch:
     def test_matches_straight_line_oracle(self, rng):
         feats = rng.standard_normal((5, 4, 3))
-        out, _ = st_branch_forward(feats, 1, EPS, RIDGE)
+        out, _ = st_branch_forward(feats, 1, EPS)
         ref = st_branch_reference(feats, 1, EPS, RIDGE)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_matches_oracle_with_clamped_windows(self, rng):
         # t0=2 on a 5-frame branch: every window clipped at a boundary
         feats = rng.standard_normal((5, 4, 3))
-        out, _ = st_branch_forward(feats, 2, EPS, RIDGE)
+        out, _ = st_branch_forward(feats, 2, EPS)
         ref = st_branch_reference(feats, 2, EPS, RIDGE)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_longer_branch_oracle(self, rng):
         feats = rng.standard_normal((23, 4, 2)) * 2.0
-        out, _ = st_branch_forward(feats, 3, EPS, RIDGE)
+        out, _ = st_branch_forward(feats, 3, EPS)
         ref = st_branch_reference(feats, 3, EPS, RIDGE)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_default_dims(self, rng):
         feats = rng.standard_normal((8, 4, 9))
-        out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
+        out, ctx = st_branch_forward(feats, 1, EPS)
         assert out.shape == (56, 56)
         assert second_samples(ctx).shape == (8, 55)  # one 55-vector per frame
         assert_spd(out)
@@ -134,7 +134,7 @@ class TestStBranch:
     def test_constant_branch(self, rng):
         frame = rng.standard_normal((1, 4, 3))
         feats = np.repeat(frame, 6, axis=0)
-        out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
+        out, ctx = st_branch_forward(feats, 1, EPS)
         samples = second_samples(ctx)
         y = samples[0]
         np.testing.assert_allclose(samples, np.tile(y, (6, 1)), atol=1e-12)
@@ -176,7 +176,7 @@ class TestStBranch:
         forward = FAMILIES[family]
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((N_FRAMES, N_JOINTS, 2))
-        out, ctx = forward(feats, size, EPS, RIDGE, branches=branches)
+        out, ctx = forward(feats, size, EPS, branches=branches)
         plan = ctx.plan
         # what the backward's run walk relies on: within one run and one
         # offset, each (set, frame) pair occurs at most once
@@ -188,14 +188,14 @@ class TestStBranch:
         grads = branch_backward(ctx, g)
         want = np.zeros_like(feats)
         for k, (lo, hi, joints) in enumerate(branches):
-            single, sctx = forward(feats[lo:hi][:, joints], size, EPS, RIDGE)
+            single, sctx = forward(feats[lo:hi][:, joints], size, EPS)
             assert np.max(np.abs(out[k] - single)) <= 1e-12
             want[lo:hi, joints] += branch_backward(sctx, g[k])
         assert np.max(np.abs(grads - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_window_accumulation_in_backward(self, rng):
         feats = rng.standard_normal((6, 4, 2))
-        out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
+        out, ctx = st_branch_forward(feats, 1, EPS)
         g = np.eye(out.shape[0])
         grads = branch_backward(ctx, g)
         assert grads.shape == feats.shape
@@ -217,41 +217,50 @@ def test_empty_joint_set_rejected_naming_the_branch(forward, size, rng):
 
 
 @pytest.mark.parametrize("name, value", [("eps", np.nan), ("eps", np.inf), ("eps", 0.0),
-                                         ("eps", -EPS), ("ridge", -5.0), ("ridge", np.nan),
-                                         ("ridge", np.inf)])
+                                         ("eps", -EPS)])
 @pytest.mark.parametrize("forward, size", [(st_branch_forward, 1), (ts_branch_forward, 2)])
 def test_eps_or_ridge_outside_its_domain_rejected(forward, size, name, value, rng):
-    """The rule of `NetworkConfig.validate`: eps finite and > 0, ridge
-    finite and >= 0."""
+    """The rule of `NetworkConfig.validate`: eps finite and > 0. The ridge
+    is the fixed `DEFAULT_RIDGE`, so a branch layer takes none."""
     feats = rng.standard_normal((N_FRAMES, N_JOINTS, 2))
-    kwargs = {"eps": EPS, "ridge": RIDGE, name: value}
-    with pytest.raises(InvalidInput, match=f"{name} must be finite and >=? 0, got {value}"):
-        forward(feats, size, **kwargs)
+    with pytest.raises(InvalidInput, match=f"{name} must be finite and > 0, got {value}"):
+        forward(feats, size, **{name: value})
+
+
+@pytest.mark.parametrize("forward, size, message", [
+    (st_branch_forward, 0, "t0 must be >= 1, got 0"),
+    (ts_branch_forward, 0, "n_chunks must be >= 2, got 0"),
+    (ts_branch_forward, 1, "n_chunks must be >= 2, got 1"),
+])
+def test_window_size_below_the_config_floor_rejected(forward, size, message, rng):
+    """The floors of `NetworkConfig.validate`: t0 >= 1 and n_chunks >= 2."""
+    with pytest.raises(InvalidInput, match=message):
+        forward(rng.standard_normal((N_FRAMES, N_JOINTS, 2)), size, EPS)
 
 
 class TestTsBranch:
     def test_matches_straight_line_oracle(self, rng):
         feats = rng.standard_normal((9, 4, 3))
-        out, _ = ts_branch_forward(feats, 2, EPS, RIDGE)
+        out, _ = ts_branch_forward(feats, 2, EPS)
         ref = ts_branch_reference(feats, 2, EPS, RIDGE)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_uneven_chunks_oracle(self, rng):
         feats = rng.standard_normal((11, 4, 2))
-        out, _ = ts_branch_forward(feats, 3, EPS, RIDGE)
+        out, _ = ts_branch_forward(feats, 3, EPS)
         ref = ts_branch_reference(feats, 3, EPS, RIDGE)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_intermediate_vector_count(self, rng):
         feats = rng.standard_normal((31, 4, 9))
-        out, ctx = ts_branch_forward(feats, 15, EPS, RIDGE)
+        out, ctx = ts_branch_forward(feats, 15, EPS)
         assert second_samples(ctx).shape == (60, 55)  # joints x chunks vectors
         assert out.shape == (56, 56)
 
     def test_constant_trajectory(self, rng):
         frame = rng.standard_normal((1, 4, 3))
         feats = np.repeat(frame, 8, axis=0)
-        _, ctx = ts_branch_forward(feats, 2, EPS, RIDGE)
+        _, ctx = ts_branch_forward(feats, 2, EPS)
         # per joint, both chunk Gaussians coincide
         samples = second_samples(ctx)
         for j in range(4):
@@ -279,16 +288,16 @@ class TestBranchSpd:
             n_frames = int(rng.integers(5, 15))
             d = int(rng.integers(1, 5))
             feats = rng.standard_normal((n_frames, 4, d)) * 10 ** rng.uniform(-3, 2)
-            y_st, _ = st_branch_forward(feats, 1, EPS, RIDGE)
+            y_st, _ = st_branch_forward(feats, 1, EPS)
             assert_spd(y_st)
             if n_frames >= 4:
-                y_ts, _ = ts_branch_forward(feats, 2, EPS, RIDGE)
+                y_ts, _ = ts_branch_forward(feats, 2, EPS)
                 assert_spd(y_ts)
 
     def test_second_stage_is_gauss_agg(self, rng):
         # the branch's second stage equals a plain Gaussian embedding of
         # its cached per-frame vectors
         feats = rng.standard_normal((6, 4, 2))
-        out, ctx = st_branch_forward(feats, 1, EPS, RIDGE)
+        out, ctx = st_branch_forward(feats, 1, EPS)
         ref, _ = gauss_agg_forward(second_samples(ctx), RIDGE)
         np.testing.assert_array_equal(out, ref)

@@ -220,15 +220,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert want in err and "Traceback" not in err
 
-    def test_non_finite_ridge_exits_2(self, workspace, tmp_path, capsys):
-        _, data, _ = workspace
-        bad = tmp_path / "bad.cfg"
-        save_config(bad, dataclasses.replace(TINY, ridge=float("nan")))
-        assert run("train", "--config", bad, "--data-root", data,
+    def test_old_config_with_a_ridge_line_exits_2(self, workspace, tmp_path, capsys):
+        """The covariance ridge is a constant of the branch layers; a config
+        file saved when it was a field names it as an unknown key."""
+        _, data, config = workspace
+        old = tmp_path / "old.cfg"
+        old.write_text(config.read_text() + "ridge=1e-06\n")
+        line = len(old.read_text().splitlines())
+        assert run("train", "--config", old, "--data-root", data,
                    "--out", tmp_path / "o", "--epochs", 1) == 2
         err = capsys.readouterr().err
-        assert "ridge must be finite and >= 0, got nan" in err
-        assert not (tmp_path / "o").exists()
+        assert f"{old}:{line}: unknown config key 'ridge'" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ("train", "ablate"))
     @pytest.mark.parametrize("under", (False, True))

@@ -129,13 +129,13 @@ def ref_forward_backward(coords, params, config, label):
     if config.variant in ("st_ts", "st_only"):
         for frame_slice, joints in branch_slices:
             y, ctx = ref_st_branch(feats[frame_slice][:, joints], config.t0,
-                                   config.epsilon, config.ridge)
+                                   config.epsilon, layers.DEFAULT_RIDGE)
             inputs.append(y)
             contexts.append(ctx)
     if config.variant in ("st_ts", "ts_only"):
         for frame_slice, joints in branch_slices:
             y, ctx = ref_ts_branch(feats[frame_slice][:, joints], config.n_chunks,
-                                   config.epsilon, config.ridge)
+                                   config.epsilon, layers.DEFAULT_RIDGE)
             inputs.append(y)
             contexts.append(ctx)
     y_final, agg_ctx = spd_agg_forward(np.stack(inputs), params.w_hat)
@@ -250,7 +250,7 @@ def test_backward_from_slim_context_matches_stored_copies(family, chunk, monkeyp
     monkeypatch.setattr(layers, "_gauss_embed_stack", recording)
     _usable_cores(monkeypatch, 1)  # the caller embeds the pieces in table order
     layer, size = PAPER_FAMILIES[family]
-    out, bctx = layer(feats, size, 1e-4, 1e-6, branches=branches)
+    out, bctx = layer(feats, size, 1e-4, branches=branches)
     monkeypatch.setattr(layers, "WINDOW_CHUNK", chunk)
     # first-stage calls embed runs of table entries, then one call per branch
     first = len(embedded) - len(bctx.plan.rows)
@@ -281,11 +281,11 @@ def test_fused_first_stage_matches_unfused_table(family, threads, monkeypatch):
     """Each piece embedding its own windows gives bitwise the table of
     embedding every window before one spectral call."""
     rng = np.random.default_rng(11)
-    n_frames, eps, ridge = 500, 1e-4, 1e-6
+    n_frames, eps, ridge = 500, 1e-4, layers.DEFAULT_RIDGE
     feats = rng.standard_normal((n_frames, N_GRID_NODES, 9))
     layer, size = PAPER_FAMILIES[family]
     _usable_cores(monkeypatch, threads)
-    out, bctx = layer(feats, size, eps, ridge, branches=build_branch_plan(n_frames))
+    out, bctx = layer(feats, size, eps, branches=build_branch_plan(n_frames))
     plan = layers._family_plan(family, size, n_frames, N_GRID_NODES, _int_branches(n_frames))
     vecs, *cache = unfused_first_stage(plan, feats, eps, ridge)
     want = np.empty(out.shape)

@@ -80,7 +80,7 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 NetworkConfig(**kwargs).validate()
 
-    @pytest.mark.parametrize("key", ["epsilon", "ridge"])
+    @pytest.mark.parametrize("key", ["epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_epsilon_and_ridge(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
@@ -164,15 +164,15 @@ class TestConfig:
         ("n_classes=2\nt0=abc\n", {}, {},
          "{cfg}:2: t0: invalid literal for int() with base 10: 'abc'"),
         ("n_classes=2\n\nwidth=9\n", {}, {}, "{cfg}:3: unknown config key 'width'"),
-        ("n_classes=2\n", {"SPDHGR_RIDGE": "x"}, {"ridge": "y"},
-         "override: ridge: could not convert string to float: 'y'"),
+        ("n_classes=2\n", {"SPDHGR_EPSILON": "x"}, {"epsilon": "y"},
+         "override: epsilon: could not convert string to float: 'y'"),
         ("n_classes=2\nt0=abc\n", {"SPDHGR_T0": "2.5"}, {},
          "{cfg}:2: t0: invalid literal for int() with base 10: 'abc'"),
         ("n_classes=2\n", {}, {"n_chunks": "many"},
          "override: n_chunks: invalid literal for int() with base 10: 'many'"),
         ("n_classes=2\nt0=1\nt0=2\n", {}, {}, "{cfg}:3: 't0' set again, first at {cfg}:2"),
-        ("n_classes=2\nridge=1e-6  # a comment\n\n ridge = 1e-6\n", {}, {},
-         "{cfg}:4: 'ridge' set again, first at {cfg}:2"),
+        ("n_classes=2\nepsilon=1e-4  # a comment\n\n epsilon = 1e-4\n", {}, {},
+         "{cfg}:4: 'epsilon' set again, first at {cfg}:2"),
     ])
     def test_unparsable_value_names_key_and_source(self, tmp_path, monkeypatch, text, env,
                                                    overrides, want):
@@ -798,6 +798,26 @@ class TestTableThreads:
             assert inside == [1] and get() == 1 and blas.held()
         finally:
             set_(original)
+
+    @pytest.mark.parametrize("fault", ["unloadable", "no_symbols"])
+    def test_library_without_usable_controls_is_skipped(self, monkeypatch, fault):
+        """`_find_controls` passes over a library it cannot load or that
+        lacks the thread controls, and finds none when every one fails."""
+        tried = []
+
+        def cdll(path):
+            tried.append(path)
+            if fault == "unloadable":
+                raise OSError(f"cannot load {path}")
+            return object()  # no scipy_openblas_* attributes
+
+        monkeypatch.setattr(blas.ctypes, "CDLL", cdll)
+        assert blas._find_controls() is None
+        if not tried:
+            pytest.skip("numpy bundles no libscipy_openblas64_*.so")
+        monkeypatch.setattr(blas, "_held", None)
+        blas.hold_one_thread()
+        assert not blas.held()
 
     def test_blas_left_alone_without_controls(self, rng, monkeypatch):
         monkeypatch.setattr(blas, "_held", None)

@@ -1,9 +1,11 @@
+import os
 import re
 import struct
 
 import numpy as np
 import pytest
 
+from spdhgr import optim
 from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
 from spdhgr.optim import (
     euclid_sgd_step,
@@ -188,6 +190,24 @@ class TestCheckpointIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_file_shrinking_after_open_names_the_tensor(self, tmp_path, rng, monkeypatch):
+        """A file cut short after `load_checkpoint` took its size passes the
+        header's size check and fails at the short tensor read."""
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"a": rng.standard_normal(3), "last": rng.standard_normal((4, 4))})
+        full = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-9])
+        fstat = os.fstat
+
+        def old_size(fd):
+            result = fstat(fd)
+            return os.stat_result(result[:6] + (full.st_size,) + result[7:])
+
+        monkeypatch.setattr(optim.os, "fstat", old_size)
+        with pytest.raises(ConfigError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"truncated checkpoint {path}: while reading tensor 'last'"
 
     def test_strided_and_integer_tensors_roundtrip(self, tmp_path, rng):
         base = rng.standard_normal((4, 6))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spdhgr import symmat
-from spdhgr.errors import InvalidInput, NotSPD, RankDeficient
+from spdhgr.errors import InvalidInput, NotSPD, NumericalFailure, RankDeficient
 from spdhgr.gradcheck import fd_gradient
 from spdhgr.layers import _rect_log_vec_rows
 from spdhgr.symmat import (
@@ -349,6 +349,14 @@ class TestQrOrthonormalize:
     def test_rows_exceed_cols(self):
         with pytest.raises(InvalidInput):
             qr_orthonormalize(np.ones((4, 2)))
+
+    def test_non_finite_entry_rejected(self, rng):
+        m = rng.standard_normal((3, 7))
+        m[1, 4] = np.nan
+        with pytest.raises(NumericalFailure) as info:
+            qr_orthonormalize(m)
+        assert type(info.value) is NumericalFailure
+        assert str(info.value) == "qr_orthonormalize: non-finite entries"
 
 
 def householder(m):
