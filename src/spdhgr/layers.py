@@ -76,7 +76,6 @@ from .symmat import (
     _sym_unvectorize_grad_stack,
     _sym_vectorize_stack,
     assert_spd,
-    eigh,
     spd_log,
     spectral_apply,
     spectral_grad,
@@ -594,15 +593,11 @@ def branch_backward(ctx: BranchContext, grad_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpdAggContext:
-    """The inputs, the weight and the output's eigendecomposition.
-
-    W_i X_i is not kept: the backward forms G W_i first, from which both
-    gradients follow.
-    """
+    """The inputs and the weight. W_i X_i is not kept: the backward forms
+    G W_i first, from which both gradients follow."""
 
     xs: np.ndarray  # (N, d_in, d_in)
     w_hat: np.ndarray  # (d_out, N * d_in)
-    out_eig: EigPair
 
 
 def _w_blocks(w_hat: np.ndarray, n: int, d_in: int) -> np.ndarray:
@@ -624,9 +619,9 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
     """Aggregate N SPD matrices: Y = sum_i W_i X_i W_i^T.
 
     Equals W_hat applied to the block-diagonal of the inputs; with W_hat
-    of full row rank the output is SPD, which is asserted. Y is formed in
-    row pieces of W_hat through `_split_stack`, so the W_i X_i blocks are
-    never whole and the product runs on both table threads.
+    of full row rank the output is SPD, which `head_forward` asserts. Y is
+    formed in row pieces of W_hat through `_split_stack`, so the W_i X_i
+    blocks are never whole and the product runs on both table threads.
     """
     xs = np.asarray(xs, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
@@ -638,8 +633,7 @@ def spd_agg_forward(xs: np.ndarray, w_hat: np.ndarray):
     _require(w_hat.shape[0] <= w_hat.shape[1],
              f"d_out {w_hat.shape[0]} exceeds N*d_in {w_hat.shape[1]}")
     y = symmetrize(_split_stack(partial(_agg_rows, xs=xs, w_hat=w_hat), w_hat))
-    eig = assert_spd(y, "spd_agg_forward output")
-    return y, SpdAggContext(xs=xs, w_hat=w_hat, out_eig=eig)
+    return y, SpdAggContext(xs=xs, w_hat=w_hat)
 
 
 def _agg_grad_blocks(blocks, xs, grad_blocks, g):
@@ -694,9 +688,10 @@ class HeadContext:
     fc_weight: np.ndarray
 
 
-def head_forward(y: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray,
-                 y_eig: EigPair | None = None):
-    """Log-map the SPD input, apply a fully connected layer and softmax."""
+def head_forward(y: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray):
+    """Log-map the SPD input, apply a fully connected layer and softmax.
+    Y's one eigh in a pass: `assert_spd` refuses it as `spd_agg_forward
+    output` unless SPD, and its eigenpair serves the log map and backward."""
     fc_weight = np.asarray(fc_weight, dtype=np.float64)
     fc_bias = np.asarray(fc_bias, dtype=np.float64)
     d = np.asarray(y).shape[0]
@@ -704,13 +699,12 @@ def head_forward(y: np.ndarray, fc_weight: np.ndarray, fc_bias: np.ndarray,
              f"fc weight must be (n_classes, {d * d}), got {fc_weight.shape}")
     _require(fc_bias.shape == (fc_weight.shape[0],),
              f"fc bias must be ({fc_weight.shape[0]},), got {fc_bias.shape}")
-    if y_eig is None:
-        y_eig = eigh(y)
-    log_flat = spd_log(y, y_eig).ravel()
+    eig = assert_spd(y, "spd_agg_forward output")
+    log_flat = spectral_apply(eig.vecs, np.log(eig.vals)).ravel()
     logits = fc_weight @ log_flat + fc_bias
     shifted = np.exp(logits - np.max(logits))
     probs = shifted / shifted.sum()
-    return logits, probs, HeadContext(eig=y_eig, log_flat=log_flat, probs=probs,
+    return logits, probs, HeadContext(eig=eig, log_flat=log_flat, probs=probs,
                                       fc_weight=fc_weight)
 
 
@@ -745,12 +739,9 @@ def cross_entropy(probs: np.ndarray, true_label: int) -> float:
     return float(-np.log(max(float(probs[true_label]), 1e-300)))
 
 
-def extract_representation(y: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
-    """Log-Euclidean feature vector of an SPD matrix, length d(d+1)/2.
-
-    Accepts a precomputed eigendecomposition of ``y``, as `spd_log` does.
-    """
-    return sym_vectorize(spd_log(y, eig))
+def extract_representation(y: np.ndarray) -> np.ndarray:
+    """Log-Euclidean feature vector of an SPD matrix, length d(d+1)/2."""
+    return sym_vectorize(spd_log(y))
 
 
 def branch_output_dim(feat_dim: int) -> int:

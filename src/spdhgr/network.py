@@ -296,8 +296,7 @@ def forward(seq, params: NetworkParams, config: NetworkConfig):
         contexts.append(ctx)
 
     y_final, agg_ctx = spd_agg_forward(np.concatenate(inputs), params.w_hat)
-    _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias,
-                                      y_eig=agg_ctx.out_eig)
+    _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias)
     ctx = ForwardContext(params=params, conv=conv_ctx, branches=contexts, agg=agg_ctx,
                          head=head_ctx, feats_shape=feats.shape)
     return probs, ctx, y_final

@@ -108,20 +108,16 @@ def eigh(a: np.ndarray) -> EigPair:
     return EigPair(vecs=vecs, vals=vals)
 
 
-def _check_spd_vals(vals: np.ndarray, context: str) -> None:
-    floor = SPD_FLOOR_SCALE * max(1.0, float(np.max(vals, initial=0.0)))
-    smallest = float(np.min(vals))
-    if smallest <= floor:
-        raise NotSPD(f"{context}: min eigenvalue {smallest:.3e} <= floor {floor:.3e}")
-
-
 def assert_spd(a: np.ndarray, context: str = "matrix") -> EigPair:
     """Raise NotSPD unless min eig > SPD_FLOOR_SCALE * max(1, max eig).
 
     Returns the eigendecomposition so callers can reuse it.
     """
     eig = eigh(a)
-    _check_spd_vals(eig.vals, context)
+    floor = SPD_FLOOR_SCALE * max(1.0, float(np.max(eig.vals, initial=0.0)))
+    smallest = float(np.min(eig.vals))
+    if smallest <= floor:
+        raise NotSPD(f"{context}: min eigenvalue {smallest:.3e} <= floor {floor:.3e}")
     return eig
 
 
@@ -148,14 +144,9 @@ def spectral_grad(vecs, vals, fvals, dvals, grad) -> np.ndarray:
     return symmetrize(vecs @ (loewner * (vecs_t @ grad @ vecs)) @ vecs_t)
 
 
-def spd_log(a: np.ndarray, eig: EigPair | None = None) -> np.ndarray:
-    """Principal matrix logarithm of an SPD matrix.
-
-    Accepts a precomputed eigendecomposition of ``a``, so pipelines never
-    decompose the same matrix twice.
-    """
-    eig = eigh(a) if eig is None else eig
-    _check_spd_vals(eig.vals, "spd_log")
+def spd_log(a: np.ndarray) -> np.ndarray:
+    """Principal matrix logarithm of an SPD matrix, checked by `assert_spd`."""
+    eig = assert_spd(a, "spd_log")
     return spectral_apply(eig.vecs, np.log(eig.vals))
 
 

@@ -219,7 +219,7 @@ def test_empty_joint_set_rejected_naming_the_branch(forward, size, rng):
 @pytest.mark.parametrize("name, value", [("eps", np.nan), ("eps", np.inf), ("eps", 0.0),
                                          ("eps", -EPS)])
 @pytest.mark.parametrize("forward, size", [(st_branch_forward, 1), (ts_branch_forward, 2)])
-def test_eps_or_ridge_outside_its_domain_rejected(forward, size, name, value, rng):
+def test_eps_outside_its_domain_rejected(forward, size, name, value, rng):
     """The rule of `NetworkConfig.validate`: eps finite and > 0. The ridge
     is the fixed `DEFAULT_RIDGE`, so a branch layer takes none."""
     feats = rng.standard_normal((N_FRAMES, N_JOINTS, 2))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -437,6 +438,34 @@ def test_failure_in_a_pass_names_the_sequence_file(workspace, trained, tmp_path,
     assert f"error: {where}{failure}" in err
     assert err.count("train_c0_01.txt") == 1
     assert "Traceback" not in err
+
+
+def test_singular_aggregate_exits_1_naming_the_sequence_file(tmp_path, capsys):
+    """A checkpoint whose aggregation weight has a zero row makes every Y
+    singular: extract stops at the first sequence with exit 1 and one
+    `numerical failure` line that names its file once (no traceback), and
+    writes nothing."""
+    data = tmp_path / "data"
+    write_synthetic_dataset(data, n_classes=2, train_per_class=2, test_per_class=1,
+                            n_frames=40, seed=5)
+    config = tmp_path / "net.cfg"
+    save_config(config, NetworkConfig(n_classes=2, d_out_c=3, d_out_s=8, n_frames=40,
+                                      n_chunks=4))
+    run_dir = tmp_path / "run"
+    assert run("train", "--config", config, "--data-root", data, "--out", run_dir,
+               "--epochs", 1, "--seed", 0) == 0
+    checkpoint = run_dir / "epoch_01.ckpt"
+    tensors = load_checkpoint(checkpoint)
+    tensors["spdagg_w_hat"][1] = 0.0
+    save_checkpoint(checkpoint, tensors)
+    capsys.readouterr()
+    out = tmp_path / "train.features"
+    assert run("extract", "--checkpoint", checkpoint, "--config", config,
+               "--data-root", data, "--split", "train", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: sequences/train_c0_00\.txt: spd_agg_forward "
+                        r"output: min eigenvalue \S+ <= floor \S+\n", err), err
+    assert not out.exists()
 
 
 class TestClassify:

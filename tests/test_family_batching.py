@@ -139,8 +139,7 @@ def ref_forward_backward(coords, params, config, label):
             inputs.append(y)
             contexts.append(ctx)
     y_final, agg_ctx = spd_agg_forward(np.stack(inputs), params.w_hat)
-    _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias,
-                                      y_eig=agg_ctx.out_eig)
+    _, probs, head_ctx = head_forward(y_final, params.fc_weight, params.fc_bias)
 
     grad_y, grad_fc, grad_bias = head_backward(head_ctx, label)
     grad_xs, grad_w_hat = spd_agg_backward(agg_ctx, grad_y)

@@ -82,7 +82,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_epsilon_and_ridge(self, key, value):
+    def test_non_finite_epsilon(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             NetworkConfig(n_classes=2, **{key: value}).validate()
 
@@ -404,21 +404,22 @@ class TestFeaturesAndIo:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_extraction_log_maps_y_once(self, variant, rng, monkeypatch):
         """The features are the head's log map of Y, vectorized: byte for
-        byte `extract_representation` of Y, with one `spd_log` call."""
+        byte `extract_representation` of Y, with one `assert_spd` call."""
         config = dataclasses.replace(TINY, variant=variant).validate()
         params = init_params(config, 4)
         coords = tiny_coords(rng, config)
-        _, ctx, y_final = forward(coords, params, config)
+        _, _, y_final = forward(coords, params, config)
         calls = []
+        assert_spd = layers.assert_spd
 
         def counting(*args):
             calls.append(args)
-            return spd_log(*args)
+            return assert_spd(*args)
 
-        monkeypatch.setattr(layers, "spd_log", counting)
+        monkeypatch.setattr(layers, "assert_spd", counting)
         features = extract_features(coords, params, config)
         assert len(calls) == 1
-        want = layers.extract_representation(y_final, ctx.agg.out_eig)
+        want = layers.extract_representation(y_final)
         assert features.tobytes() == want.tobytes()
 
     def test_params_roundtrip(self, tmp_path):
