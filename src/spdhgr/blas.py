@@ -13,7 +13,10 @@ for many weight shapes, 200x3360 among them, so holding one thread makes
 the initial weights independent of the thread count and the core count.
 ``spdhgr classify`` sets it before the SVM fit, whose products also give
 other bits on two threads; called from Python, ``svm.svm_train`` runs on
-its caller's threads.
+its caller's threads. ``spdhgr.cli`` sets ``OPENBLAS_NUM_THREADS=1``
+before it imports numpy, unless the variable is set: no command
+multiplies on more than one thread, so a CLI process never starts
+OpenBLAS's thread pool, and its numpy import is faster without it.
 
 numpy's wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``,
 which exports ``scipy_openblas_set_num_threads64_`` and

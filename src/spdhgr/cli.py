@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# no command multiplies on more than one BLAS thread (blas.py): OpenBLAS needs no pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (OpenBLAS reads the thread count as it loads)
 
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError, named
 from .optim import write_atomic
@@ -101,18 +105,15 @@ def _classify(train_file, test_file, c: float, tol: float, seed: int,
         )
     # the fit's products give other bits on two OpenBLAS threads than on one
     blas.hold_one_thread()
-    model = svm_train(train_x, train_labels, c=c, tol=tol, seed=seed)
-    if test_labels.size:
+    with named(str(train_file)):
+        model = svm_train(train_x, train_labels, c=c, tol=tol, seed=seed)
+    with named(str(test_file)):
         predictions = svm_predict_batch(model, test_x)
-        accuracy = float(np.mean(predictions == test_labels))
-    else:  # printed as nan, written as null
-        predictions = np.zeros(0, dtype=np.int64)
-        accuracy = float("nan")
-    classes = sorted(set(model.class_ids.tolist()) | set(test_labels.tolist()))
-    index = {cls: k for k, cls in enumerate(classes)}
+    accuracy = float(np.mean(predictions == test_labels)) if test_labels.size else float("nan")
+    classes = np.union1d(model.class_ids, test_labels).tolist()
     confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for truth, pred in zip(test_labels, predictions):
-        confusion[index[int(truth)], index[int(pred)]] += 1
+    np.add.at(confusion, (np.searchsorted(classes, test_labels),
+                          np.searchsorted(classes, predictions)), 1)
 
     print(f"ACCURACY {accuracy:.4f}")
     print("CONFUSION rows=truth cols=predicted classes=" + ",".join(map(str, classes)))

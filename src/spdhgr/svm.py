@@ -122,6 +122,16 @@ def _dual_cd(gram: np.ndarray, y_bins: np.ndarray, c: float, tol: float, rngs,
     return alpha, worst, objectives, passes
 
 
+def _finite_products(x: np.ndarray, other: np.ndarray, what: str) -> np.ndarray:
+    """``x @ other.T``, refused unless finite; only then is ``x`` itself scanned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = x @ other.T
+    if not np.all(np.isfinite(products)):
+        raise InvalidInput("features contain non-finite values" if not np.all(np.isfinite(x))
+                           else f"features overflow: {what} not finite")
+    return products
+
+
 def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
               seed: int = 0, max_passes: int = 1000) -> SvmModel:
     """Train one-vs-rest weight vectors over the observed classes."""
@@ -139,12 +149,10 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
         raise InvalidInput(f"labels of shape {y.shape} do not match {x.shape[0]} samples")
     if not _integer_labels(y):
         raise InvalidInput("labels are not all finite integers")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("features contain non-finite values")
     class_ids = np.unique(y)
     if class_ids.shape[0] < 2:
         raise InvalidInput("need at least 2 distinct classes")
-    gram = x @ x.T
+    gram = _finite_products(x, x, "their Gram matrix is")
     y_bins = np.where(y == class_ids[:, None], 1.0, -1.0)
     seeds = np.random.SeedSequence(seed).generate_state(class_ids.shape[0])
     alpha, worst, _, passes = _dual_cd(gram, y_bins, c, tol,
@@ -154,26 +162,20 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
                     violation=tuple(float(v) for v in worst))
 
 
-def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.weights.shape[1]:
-        raise InvalidInput(
-            f"feature dim {x.shape[-1]} does not match model dim {model.weights.shape[1]}"
-        )
-    return x @ model.weights.T
-
-
 def svm_predict(model: SvmModel, x: np.ndarray) -> int:
-    """Predicted class id: argmax of the decision values, ties to the
-    smallest class id."""
-    scores = svm_decision(model, x)
-    if scores.ndim != 1:
+    """Predicted class id of one feature vector."""
+    if np.ndim(x) != 1:
         raise InvalidInput("svm_predict takes a single feature vector")
-    return int(model.class_ids[int(np.argmax(scores))])
+    return int(svm_predict_batch(model, x)[0])
 
 
 def svm_predict_batch(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    scores = svm_decision(model, np.atleast_2d(x))
+    """Class ids of the rows of ``x``: argmax of the decision values, ties to the smallest."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[-1] != model.weights.shape[1]:
+        raise InvalidInput(f"feature dim {x.shape[-1]} does not match model dim "
+                           f"{model.weights.shape[1]}")
+    scores = _finite_products(x, model.weights, "their decision values are")
     return model.class_ids[np.argmax(scores, axis=1)]
 
 

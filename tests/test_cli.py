@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spdhgr
-from spdhgr import cli, gradcheck, network, training
+from spdhgr import cli, gradcheck, network, svm, training
 from spdhgr.cli import main
 from spdhgr.network import (PARAM_TENSORS, NetworkConfig, extract_features, init_params,
                             save_config)
@@ -535,6 +535,40 @@ class TestClassify:
         payload = strict_json(report)
         assert payload["accuracy"] is None and payload["n_test"] == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad, message", [
+        ("test", "features contain non-finite values"),
+        ("train", "features overflow: their Gram matrix is not finite"),
+    ])
+    def test_non_finite_or_overflowing_features_exit_2_naming_the_file(
+            self, tmp_path, capsys, monkeypatch, bad, message):
+        """A NaN column in the test file, or finite train features whose
+        squares overflow: one error line naming the file, no report, and
+        no dual pass on a train file the fit refuses."""
+        labels = np.repeat([0, 1], 3)
+        feats = np.random.default_rng(0).standard_normal((6, 4)) + 4.0 * labels[:, None]
+        train, test = feats.copy(), feats.copy()
+        if bad == "train":
+            train *= 1e160
+        else:
+            test[:, 1] = np.nan
+        files = {split: tmp_path / f"{split}.features" for split in ("train", "test")}
+        save_features(files["train"], labels, train)
+        save_features(files["test"], labels, test)
+        solves, dual_cd = [], svm._dual_cd
+
+        def counted(*args):
+            solves.append(args)
+            return dual_cd(*args)
+
+        monkeypatch.setattr(svm, "_dual_cd", counted)
+        report = tmp_path / "report.json"
+        assert run("classify", "--train-features", files["train"],
+                   "--test-features", files["test"], "--out", report) == 2
+        assert capsys.readouterr().err == f"error: {files[bad]}: {message}\n"
+        assert not report.exists()
+        assert len(solves) == (bad == "test")
+
     def test_dim_mismatch(self, tmp_path, rng):
         save_features(tmp_path / "a.features", [0, 1], rng.standard_normal((2, 3)))
         save_features(tmp_path / "b.features", [0, 1], rng.standard_normal((2, 4)))
@@ -823,6 +857,19 @@ class TestImports:
         assert "spdhgr.svm" in loaded
         assert not loaded & {"concurrent.futures", *(f"spdhgr.{m}" for m in (
             "network", "layers", "skeleton", "training", "gradcheck", "blas"))}
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_starts_openblas_without_a_thread_pool_unless_told(self, preset):
+        """Unset, OPENBLAS_NUM_THREADS is 1 before numpy loads, so no
+        OpenBLAS worker thread starts; a count the caller set is kept."""
+        unset = "os.environ.pop('OPENBLAS_NUM_THREADS', None); " if preset is None else ""
+        out = python("-c", f"import os, sys; {unset}import spdhgr.cli; "
+                           "print(os.environ['OPENBLAS_NUM_THREADS'], sys.platform, "
+                           "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)",
+                     env=preset and {"OPENBLAS_NUM_THREADS": preset}).split()
+        assert out[0] == (preset or "1")
+        if preset is None and out[1] == "linux":
+            assert out[2] == "1"
 
 
 class TestUsage:

@@ -112,12 +112,16 @@ class TestSolver:
         with pytest.raises(InvalidInput):
             svm_train(np.eye(3), np.zeros(3, dtype=int))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x, y, message", [
         (np.ones(3), np.array([0, 1, 1]),
          "need at least 2 samples of equal dim, got shape \\(3,\\)"),
         (np.eye(3), np.array([0, 1]), "labels of shape \\(2,\\) do not match 3 samples"),
         (np.array([[0.0, 1.0], [1.0, np.nan]]), np.array([0, 1]),
          "features contain non-finite values"),
+        # finite, but their squares overflow
+        (1e160 * np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([0, 1]),
+         "features overflow: their Gram matrix is not finite"),
     ])
     def test_malformed_training_set_rejected(self, x, y, message):
         with pytest.raises(InvalidInput, match=message):
@@ -362,6 +366,31 @@ class TestPredict:
         model = SvmModel(class_ids=np.array([0, 1]), weights=np.zeros((2, 2)))
         with pytest.raises(InvalidInput, match="svm_predict takes a single feature vector"):
             svm_predict(model, np.eye(2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "features contain non-finite values"),
+        (1e300, "features overflow: their decision values are not finite"),
+    ])
+    def test_batch_with_a_bad_row_rejected(self, value, message):
+        model = SvmModel(class_ids=np.array([0, 1]), weights=np.array([[1e10, 0.0, 1.0],
+                                                                      [-1e10, 0.0, 1.0]]))
+        x = np.ones((3, 3))
+        x[1] = value
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            svm_predict_batch(model, x)
+
+    def test_single_prediction_is_the_batch_row(self, rng):
+        x, y = make_blobs(rng, n_per_class=6, n_classes=3, sep=1.0)
+        model = svm_train(x, y)
+        batch = svm_predict_batch(model, x)
+        assert [svm_predict(model, row) for row in x] == batch.tolist()
+        assert [svm_predict_batch(model, row[None])[0] for row in x] == batch.tolist()
+
+    def test_empty_batch(self):
+        model = SvmModel(class_ids=np.array([0, 1]), weights=np.zeros((2, 4)))
+        predictions = svm_predict_batch(model, np.zeros((0, 4)))
+        assert predictions.shape == (0,) and predictions.dtype == np.int64
 
     def test_non_contiguous_class_ids(self, rng):
         x, y = make_blobs(rng, n_per_class=6, n_classes=3)
