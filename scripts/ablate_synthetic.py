@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Small ablation demo on the synthetic fixture: window half-width 1 vs 2.
+"""Small ablation demo on the synthetic fixture: window half-width 1 vs 2,
+run by scripts/reproduce_benchmarks.py into WORKDIR/ablation.
 
 Usage: python3 scripts/ablate_synthetic.py WORKDIR
 """
@@ -7,7 +8,7 @@ Usage: python3 scripts/ablate_synthetic.py WORKDIR
 import sys
 from pathlib import Path
 
-from spdhgr.cli import main
+from reproduce_benchmarks import main  # this script's own directory
 from spdhgr.network import NetworkConfig, save_config
 from spdhgr.skeleton import write_synthetic_dataset
 
@@ -20,10 +21,8 @@ def run(workdir: Path) -> int:
     save_config(config_path, NetworkConfig(n_classes=3, d_out_c=2, d_out_s=32,
                                            n_frames=18, t0=1, n_chunks=2))
     return main([
-        "ablate",
+        str(data), str(workdir / "ablation"),
         "--config", str(config_path),
-        "--data-root", str(data),
-        "--out", str(workdir / "ablation"),
         "--knob", "t0",
         "--values", "1", "2",
         "--epochs", "5",

@@ -14,7 +14,9 @@ PYTHONPATH set to its `src` alone, and the script compares:
 - gradcheck: the lines `spdhgr gradcheck --trials 5` prints.
 - scripts: every file `scripts/overfit_synthetic.py` and
   `scripts/ablate_synthetic.py` write, byte for byte, except that
-  `manifest.json` is compared as JSON without its wall times.
+  `manifest.json` is compared as JSON without its wall times, and
+  `timings.json` as each command's name and exit code alone (its argv
+  holds the run's own paths).
 
 It exits 0 when everything is equal, 1 on any difference and 2 when a
 tree cannot run.
@@ -137,6 +139,14 @@ def _drop_wall_times(value):
     return value
 
 
+def _command_outcomes(timings: dict) -> list:
+    return [{key: command[key] for key in ("command", "exit_code")}
+            for command in timings["commands"]]
+
+
+JSON_VIEWS = {"manifest.json": _drop_wall_times, "timings.json": _command_outcomes}
+
+
 def _json_diff(parent, change, path="") -> list[str]:
     """Key paths whose values differ between two JSON values."""
     if isinstance(parent, dict) and isinstance(change, dict):
@@ -152,8 +162,9 @@ def _json_diff(parent, change, path="") -> list[str]:
 
 def compare_dirs(parent, change) -> list[tuple[str, list[str]]]:
     """(relative path, differences) per file under either directory, in
-    sorted order; no differences means equal. A `manifest.json` is
-    compared as JSON without its wall times, a text file by line."""
+    sorted order; no differences means equal. A file named in
+    `JSON_VIEWS` is compared as JSON through its view, a text file by
+    line."""
     parent, change = Path(parent), Path(change)
     files = {p.relative_to(root) for root in (parent, change) for p in root.rglob("*")
              if p.is_file()}
@@ -164,8 +175,9 @@ def compare_dirs(parent, change) -> list[tuple[str, list[str]]]:
             rows.append((str(rel), [f"only in {'parent' if a.is_file() else 'change'}"]))
             continue
         data_a, data_b = a.read_bytes(), b.read_bytes()
-        if rel.name == "manifest.json":
-            found = _json_diff(*(_drop_wall_times(json.loads(d)) for d in (data_a, data_b)))
+        if rel.name in JSON_VIEWS:
+            view = JSON_VIEWS[rel.name]
+            found = _json_diff(*(view(json.loads(d)) for d in (data_a, data_b)))
         elif data_a == data_b:
             found = []
         else:

@@ -1,4 +1,4 @@
-"""Command-line harness: train, extract, classify, gradcheck, ablate.
+"""Command-line harness: train, extract, classify, gradcheck.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 usage/config/data
 error. All commands are deterministic for a given seed, at any core count.
@@ -22,11 +22,10 @@ import numpy as np  # noqa: E402  (OpenBLAS reads the thread count as it loads)
 
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError, named
 from .optim import write_atomic
-from .svm import load_features, save_features, svm_predict_batch, svm_train
+from .svm import (check_solver_args, load_features, save_features, svm_predict_batch,
+                  svm_train)
 
 DATASETS = ("dhg14", "dhg28", "fpha")
-ABLATION_KNOBS = {"t0": "t0", "N_S": "n_chunks", "grid_mode": "grid_mode",
-                  "variant": "variant"}
 
 
 def _load_dataset(data_root, dataset: str, split: str):
@@ -93,21 +92,21 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _classify(train_file, test_file, c: float, tol: float, seed: int,
-              report_path=None):
+def cmd_classify(args) -> int:
     from . import blas
 
-    train_labels, train_x = load_features(train_file)
-    test_labels, test_x = load_features(test_file)
+    check_solver_args(args.C, args.tol)
+    train_labels, train_x = load_features(args.train_features)
+    test_labels, test_x = load_features(args.test_features)
     if train_x.shape[1] != test_x.shape[1]:
         raise InvalidInput(
             f"feature dims differ: train {train_x.shape[1]} vs test {test_x.shape[1]}"
         )
     # the fit's products give other bits on two OpenBLAS threads than on one
     blas.hold_one_thread()
-    with named(str(train_file)):
-        model = svm_train(train_x, train_labels, c=c, tol=tol, seed=seed)
-    with named(str(test_file)):
+    with named(str(args.train_features)):
+        model = svm_train(train_x, train_labels, c=args.C, tol=args.tol, seed=args.seed)
+    with named(str(args.test_features)):
         predictions = svm_predict_batch(model, test_x)
     accuracy = float(np.mean(predictions == test_labels)) if test_labels.size else float("nan")
     classes = np.union1d(model.class_ids, test_labels).tolist()
@@ -119,24 +118,17 @@ def _classify(train_file, test_file, c: float, tol: float, seed: int,
     print("CONFUSION rows=truth cols=predicted classes=" + ",".join(map(str, classes)))
     for row in confusion:
         print(" ".join(str(v) for v in row))
-    report = {
-        "accuracy": accuracy if test_labels.size else None,
-        "n_train": int(train_labels.size),
-        "n_test": int(test_labels.size),
-        "classes": classes,
-        "confusion": confusion.tolist(),
-        "c": c,
-        "tol": tol,
-        "svm": {"passes": list(model.passes), "violation": list(model.violation)},
-    }
-    if report_path:
-        _write_json(report_path, report)
-    return accuracy
-
-
-def cmd_classify(args) -> int:
-    _classify(args.train_features, args.test_features, args.C, args.tol, args.seed,
-              report_path=args.out)
+    if args.out:
+        _write_json(args.out, {
+            "accuracy": accuracy if test_labels.size else None,
+            "n_train": int(train_labels.size),
+            "n_test": int(test_labels.size),
+            "classes": classes,
+            "confusion": confusion.tolist(),
+            "c": args.C,
+            "tol": args.tol,
+            "svm": {"passes": list(model.passes), "violation": list(model.violation)},
+        })
     return 0
 
 
@@ -154,59 +146,6 @@ def cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_ablate(args) -> int:
-    from .network import init_params, load_config
-    from .training import train_network
-
-    field = ABLATION_KNOBS.get(args.knob)
-    if field is None:
-        raise ConfigError(
-            f"unknown ablation knob {args.knob!r}; choices: {sorted(ABLATION_KNOBS)}"
-        )
-    repeated = sorted({value for value in args.values if args.values.count(value) > 1})
-    if repeated:
-        raise ConfigError(f"--values repeats {', '.join(repeated)}; each value's run "
-                          f"writes its own {args.knob}_<value> directory")
-    out_root = Path(args.out)
-    # every value's config is checked before the first run writes anything
-    configs = [load_config(args.config, overrides={field: value}) for value in args.values]
-    splits = {split: _load_dataset(args.data_root, args.dataset, split)
-              for split in ("train", "test")}
-    rows = []
-    for value, config in zip(args.values, configs):
-        run_dir = out_root / f"{args.knob}_{value}"
-        result = train_network(
-            splits["train"], init_params(config, args.seed), config,
-            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-            seed=args.seed, out_dir=run_dir, log=None,
-        )
-        for split, sequences in splits.items():
-            _write_features(run_dir / f"{split}.features", sequences, result.params,
-                            config)
-        accuracy = _classify(run_dir / "train.features", run_dir / "test.features",
-                             args.C, args.tol, args.seed,
-                             report_path=run_dir / "report.json")
-        rows.append((value, accuracy))
-
-    print(f"ABLATION knob={args.knob}")
-    print(f"{args.knob:>12}  accuracy")
-    for value, accuracy in rows:
-        print(f"{value:>12}  {accuracy:.4f}")
-    for value, accuracy in rows:
-        print(f"ABLATE {args.knob}={value} acc={accuracy:.4f}")
-    _write_json(out_root / "ablation.json", {"knob": args.knob, "rows": [
-        {"value": v, "accuracy": None if np.isnan(a) else a} for v, a in rows]})
-    return 0
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--epochs", type=int, default=15)
-    parser.add_argument("--batch-size", type=int, default=30)
-    parser.add_argument("--lr", type=float, default=0.01)
-    parser.add_argument("--dataset", choices=DATASETS, default="dhg14")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdhgr",
@@ -219,7 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="train")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=15)
+    p.add_argument("--batch-size", type=int, default=30)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--dataset", choices=DATASETS, default="dhg14")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("extract", help="write log-Euclidean features for a split")
@@ -246,17 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-end-to-end", dest="end_to_end", action="store_false",
                    help="skip the (slow) whole-network finite-difference sweep")
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("ablate", help="train/extract/classify per knob value")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data-root", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--knob", required=True)
-    p.add_argument("--values", nargs="+", required=True)
-    p.add_argument("-C", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=0.1)
-    _add_common(p)
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 

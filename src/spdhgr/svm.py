@@ -132,15 +132,20 @@ def _finite_products(x: np.ndarray, other: np.ndarray, what: str) -> np.ndarray:
     return products
 
 
-def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
-              seed: int = 0, max_passes: int = 1000) -> SvmModel:
-    """Train one-vs-rest weight vectors over the observed classes."""
+def check_solver_args(c: float, tol: float) -> None:
+    """Refuse a penalty C or a tolerance the dual solver cannot run with."""
     if not (np.isfinite(c) and c > 0.0):
         raise InvalidInput(f"C must be finite and > 0, got {c}")
     if not np.isfinite(1.0 / (2.0 * float(c))):  # the dual's diagonal shift
         raise InvalidInput(f"C must be large enough for a finite 1/(2C), got {c}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
+
+
+def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
+              seed: int = 0, max_passes: int = 1000) -> SvmModel:
+    """Train one-vs-rest weight vectors over the observed classes."""
+    check_solver_args(c, tol)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] < 2:

@@ -161,8 +161,8 @@ class TestTrain:
 
     def test_sequences_reach_the_network_at_their_file_frame_counts(self, workspace, trained,
                                                                     tmp_path, monkeypatch):
-        """train, extract and ablate hand the loaded 15-frame sequences on;
-        the network resamples each one to the config's 12 frames."""
+        """train and extract hand the loaded 15-frame sequences on; the
+        network resamples each one to the config's 12 frames."""
         _, data, config = workspace
         frames = {}
 
@@ -178,14 +178,12 @@ class TestTrain:
             ("train", ("--config", config, "--out", tmp_path / "run")),
             ("extract", ("--checkpoint", trained, "--config", config,
                          "--out", tmp_path / "x.features")),
-            ("ablate", ("--config", config, "--out", tmp_path / "ablate",
-                        "--knob", "t0", "--values", 1)),
         ):
             monkeypatch.setattr(training, "train_network", spy(command, train_network))
             monkeypatch.setattr(network, "extract_features", spy(command, extract_features))
             extra = () if command == "extract" else ("--epochs", 1)
             assert run(command, "--data-root", data, *argv, *extra) == 0
-        assert frames == {"train": {15}, "extract": {15}, "ablate": {15}}
+        assert frames == {"train": {15}, "extract": {15}}
 
     def test_key_set_twice_exits_2(self, workspace, tmp_path, capsys):
         _, data, _ = workspace
@@ -234,7 +232,7 @@ class TestTrain:
         assert f"{old}:{line}: unknown config key 'ridge'" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ("train", "ablate"))
+    @pytest.mark.parametrize("command", ("train",))
     @pytest.mark.parametrize("under", (False, True))
     def test_output_directory_blocked_by_a_file_exits_2(self, workspace, tmp_path, capsys,
                                                         command, under):
@@ -242,9 +240,8 @@ class TestTrain:
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory\n")
         out = blocker / "run" if under else blocker
-        extra = ("--knob", "t0", "--values", 1) if command == "ablate" else ()
         assert run(command, "--config", config, "--data-root", data, "--out", out,
-                   "--epochs", 1, *extra) == 2
+                   "--epochs", 1) == 2
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and str(blocker) in err
         assert "Traceback" not in err
@@ -569,6 +566,22 @@ class TestClassify:
         assert not report.exists()
         assert len(solves) == (bad == "test")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("-C", "0", "C must be finite and > 0, got 0.0"),
+        ("--tol", "nan", "tol must be finite and >= 0, got nan"),
+    ])
+    @pytest.mark.parametrize("present", [True, False])
+    def test_solver_argument_refused_before_any_feature_file_is_read(
+            self, tmp_path, capsys, flag, value, message, present):
+        """The error names the value alone, not the sound (or missing)
+        feature file it would have been blamed on."""
+        path = tmp_path / "f.features"
+        if present:
+            save_features(path, [0, 1], np.eye(2))
+        assert run("classify", "--train-features", path, "--test-features", path,
+                   flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_dim_mismatch(self, tmp_path, rng):
         save_features(tmp_path / "a.features", [0, 1], rng.standard_normal((2, 3)))
         save_features(tmp_path / "b.features", [0, 1], rng.standard_normal((2, 4)))
@@ -610,115 +623,6 @@ class TestGradcheck:
                    for line in out.splitlines())
 
 
-@pytest.fixture(scope="module")
-def roomy_config(tmp_path_factory):
-    # thirds of 15 frames hold windows up to t0=2
-    path = tmp_path_factory.mktemp("cfg") / "roomy.cfg"
-    save_config(path, NetworkConfig(n_classes=2, d_out_c=2, d_out_s=8,
-                                    n_frames=15, t0=1, n_chunks=2))
-    return path
-
-
-class TestAblate:
-    def test_t0_table(self, workspace, roomy_config, capsys):
-        root, data, _ = workspace
-        out = root / "ablate_t0"
-        code = run("ablate", "--config", roomy_config, "--data-root", data,
-                   "--out", out, "--knob", "t0", "--values", 1, 2, "--epochs", 1)
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = [l for l in lines if l.startswith("ABLATE ")]
-        assert rows[0].startswith("ABLATE t0=1 acc=")
-        assert rows[1].startswith("ABLATE t0=2 acc=")
-        payload = json.loads((out / "ablation.json").read_text())
-        assert [r["value"] for r in payload["rows"]] == ["1", "2"]
-        for t0 in (1, 2):
-            snapshot = out / f"t0_{t0}" / "config.snapshot"
-            assert snapshot.read_text() == roomy_config.read_text().replace("t0=1", f"t0={t0}")
-
-    def test_chunk_knob_named_like_the_tables(self, workspace):
-        root, data, config = workspace
-        out = root / "ablate_ns"
-        assert run("ablate", "--config", config, "--data-root", data, "--out", out,
-                   "--knob", "N_S", "--values", 2, "--epochs", 1) == 0
-
-    def test_every_value_draws_its_weights_before_training(self, workspace, roomy_config,
-                                                            monkeypatch, draw_in_subprocess):
-        """Each value's weights are drawn just before its own run, bitwise
-        equal to the weights `spdhgr train` draws in a fresh process, and
-        each split is loaded once for all values."""
-        root, data, _ = workspace
-        calls, received = [], []
-
-        def init(*args):
-            calls.append("init")
-            return init_params(*args)
-
-        def load(*args):
-            calls.append("load")
-            return load_dataset(*args)
-
-        def train(sequences, params, config, **kwargs):
-            calls.append("train")
-            received.append((config, {field: getattr(params, field).copy()
-                                      for field in PARAM_TENSORS}))
-            return train_network(sequences, params, config, **kwargs)
-
-        load_dataset = cli._load_dataset
-        monkeypatch.setattr(network, "init_params", init)
-        monkeypatch.setattr(cli, "_load_dataset", load)
-        monkeypatch.setattr(training, "train_network", train)
-        assert run("ablate", "--config", roomy_config, "--data-root", data,
-                   "--out", root / "ablate_order", "--knob", "t0", "--values", 1, 2,
-                   "--epochs", 1, "--seed", 3) == 0
-        assert calls == ["load", "load", "init", "train", "init", "train"]
-        assert [config.t0 for config, _ in received] == [1, 2]
-        for config, params in received:
-            (fresh,) = draw_in_subprocess(config, 3)
-            for field, tensor in params.items():
-                assert tensor.tobytes() == getattr(fresh, field).tobytes(), field
-
-    def test_repeated_value_exits_2_before_any_run_writes(self, workspace, roomy_config,
-                                                          tmp_path, capsys):
-        _, data, _ = workspace
-        out = tmp_path / "ablate"
-        assert run("ablate", "--config", roomy_config, "--data-root", data, "--out", out,
-                   "--knob", "t0", "--values", 1, 2, 1, "--epochs", 1) == 2
-        err = capsys.readouterr().err
-        assert "--values repeats 1;" in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_one_frame_test_sequence_exits_2_before_any_run_writes(self, roomy_config,
-                                                                   tmp_path, capsys):
-        data = tmp_path / "data"
-        write_synthetic_dataset(data, n_classes=2, train_per_class=2, test_per_class=1,
-                                n_frames=15, seed=5)
-        seq = data / "sequences" / "test_c1_00.txt"
-        seq.write_bytes(seq.read_bytes().splitlines(keepends=True)[0])
-        out = tmp_path / "ablate"
-        assert run("ablate", "--config", roomy_config, "--data-root", data, "--out", out,
-                   "--knob", "t0", "--values", 1, "--epochs", 1) == 2
-        err = capsys.readouterr().err
-        assert "test_c1_00.txt: cannot resample a sequence with fewer than 2 frames" in err
-        assert "Traceback" not in err and not out.exists()
-
-    def test_empty_test_split_writes_null_accuracy(self, roomy_config, tmp_path, capsys):
-        data = tmp_path / "data"
-        write_synthetic_dataset(data, n_classes=2, train_per_class=2, test_per_class=0,
-                                n_frames=15, seed=5)
-        out = tmp_path / "ablate"
-        assert run("ablate", "--config", roomy_config, "--data-root", data, "--out", out,
-                   "--knob", "t0", "--values", 1, "--epochs", 1) == 0
-        assert "ABLATE t0=1 acc=nan" in capsys.readouterr().out
-        assert strict_json(out / "ablation.json")["rows"] == [{"value": "1", "accuracy": None}]
-        assert strict_json(out / "t0_1" / "report.json")["accuracy"] is None
-
-    def test_invalid_knob(self, workspace):
-        root, data, config = workspace
-        assert run("ablate", "--config", config, "--data-root", data,
-                   "--out", root / "x", "--knob", "epsilon", "--values", 1) == 2
-
-
 @pytest.mark.parametrize("command, flag, value, message", [
     ("classify", "-C", "0", "C must be finite and > 0, got 0.0"),
     ("classify", "-C", "-1", "C must be finite and > 0, got -1.0"),
@@ -729,10 +633,6 @@ class TestAblate:
     ("train", "--batch-size", "-3", "batch_size must be >= 1, got -3"),
     ("train", "--epochs", "-2", "epochs must be >= 0, got -2"),
     ("train", "--lr", "nan", "lr must be finite, got nan"),
-    ("ablate", "--batch-size", "0", "batch_size must be >= 1, got 0"),
-    ("ablate", "--lr", "nan", "lr must be finite, got nan"),
-    ("ablate", "--data-root", "absent", "dataset root does not exist"),
-    ("ablate", "--values", "0", "t0 must be >= 1, got 0"),
     ("gradcheck", "--trials", "0", "trials must be >= 1, got 0"),
 ])
 def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
@@ -742,12 +642,8 @@ def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
         features = tmp_path / "f.features"
         save_features(features, [0, 1], np.eye(2))
         argv = ["--train-features", features, "--test-features", features]
-    elif command in ("train", "ablate"):
+    elif command == "train":
         argv = ["--config", config, "--data-root", data, "--out", tmp_path / "run"]
-        if command == "ablate":
-            argv += ["--knob", "t0", "--values", "1", "--epochs", "1"]
-        if flag == "--data-root":
-            value = tmp_path / value
     else:
         argv = ["--no-end-to-end"]
     assert run(command, *argv, flag, value) == 2
@@ -891,12 +787,8 @@ class TestUsage:
         ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d",
          "--out", "o", "--grid-mode", "physical"),
         ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
-         "--values", "1", "--variant", "ts_only"),
-        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
-         "--values", "1", "--grid-mode", "physical"),
+         "--values", "1"),
         ("train", "--config", "c", "--data-root", "d", "--out", "o", "--workers", "2"),
-        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
-         "--values", "1", "--workers", "2"),
     ])
     def test_removed_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -906,8 +798,6 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ("train", "--config", "c", "--data-root", "d", "--out", "o"),
         ("extract", "--checkpoint", "c", "--config", "c", "--data-root", "d", "--out", "o"),
-        ("ablate", "--config", "c", "--data-root", "d", "--out", "o", "--knob", "t0",
-         "--values", "1"),
     ])
     def test_unknown_dataset_refused_by_argparse(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

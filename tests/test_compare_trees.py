@@ -91,3 +91,21 @@ def test_diff_lines_names_the_changed_gradcheck_line():
     assert compare_trees.diff_lines(parent, parent) == []
     assert compare_trees.diff_lines(parent, change) == [
         "-GRADCHECK conv max_rel_err=3.6e-11 PASS", "+GRADCHECK conv max_rel_err=2.9e-11 PASS"]
+
+
+def test_timings_compare_on_command_names_and_exit_codes_alone(tmp_path):
+    """Each run's own argv paths, wall times and peak RSS always differ."""
+    def timings(side, exit_code):
+        return {"commands": [
+            {"command": "train", "argv": ["train", "--out", f"/{side}/t0_1"], "exit_code": 0,
+             "wall_s": len(side) / 3, "max_rss_kib": 1000 + len(side)},
+            {"command": "classify", "argv": ["classify", "--out", f"/{side}/r.json"],
+             "exit_code": exit_code, "wall_s": 0.1, "max_rss_kib": 2000}]}
+
+    for side, code in (("parent", 0), ("change", 0), ("failed", 2)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "timings.json").write_text(json.dumps(timings(side, code)))
+    assert compare_trees.compare_dirs(tmp_path / "parent", tmp_path / "change") == [
+        ("timings.json", [])]
+    assert compare_trees.compare_dirs(tmp_path / "parent", tmp_path / "failed") == [
+        ("timings.json", ["[1].exit_code: 0 -> 2"])]

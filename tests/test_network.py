@@ -133,8 +133,8 @@ class TestConfig:
         assert config.n_classes == 3 and config.d_out_c == 2
 
     def test_env_and_cli_overrides(self, tmp_path, monkeypatch):
-        """The environment sets nothing; an explicit override (`ablate
-        --knob`) replaces the file's value."""
+        """The environment sets nothing; an explicit override (the
+        benchmark driver's `--knob`) replaces the file's value."""
         path = tmp_path / "net.cfg"
         save_config(path, TINY)
         monkeypatch.setenv("SPDHGR_T0", "2")
