@@ -4,7 +4,7 @@
 Writes the fixture, a config and a training run under the given work
 directory, then prints the per-epoch losses and the final metrics.
 
-Usage: python3 scripts/overfit_synthetic.py WORKDIR [SEED]
+Usage: python3 scripts/overfit_synthetic.py WORKDIR
 """
 
 import sys
@@ -15,7 +15,7 @@ from spdhgr.network import NetworkConfig, save_config
 from spdhgr.skeleton import write_synthetic_dataset
 
 
-def run(workdir: Path, seed: int) -> int:
+def run(workdir: Path) -> int:
     data = workdir / "data"
     write_synthetic_dataset(data, n_classes=2, train_per_class=10,
                             test_per_class=5, n_frames=20, seed=7)
@@ -28,17 +28,13 @@ def run(workdir: Path, seed: int) -> int:
         "--data-root", str(data),
         "--out", str(workdir / "run"),
         "--epochs", "15",
-        "--batch-size", "30",
-        "--lr", "0.01",
-        "--seed", str(seed),
     ])
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if len(sys.argv) != 2:
         print(__doc__)
         sys.exit(2)
     workdir = Path(sys.argv[1])
     workdir.mkdir(parents=True, exist_ok=True)
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
-    sys.exit(run(workdir, seed))
+    sys.exit(run(workdir))

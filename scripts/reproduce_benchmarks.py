@@ -20,8 +20,10 @@ the paper network at the dataset's class count. With `--knob K --values
 V ...`, each value runs into OUT_DIR/K_V/ with FILE's config and K set
 to V; after the last value the script prints the accuracy table and one
 `ABLATE K=V acc=...` line per value, and writes OUT_DIR/ablation.json.
-The knob, the values and every value's config are checked before
-anything is written.
+Both split index files (DATA_ROOT/train.txt and test.txt), the knob,
+the values and every value's config are checked before anything is
+written; two values that load to the same network (`1` and `01`) are
+refused.
 
 Usage:
   python3 scripts/reproduce_benchmarks.py DATA_ROOT OUT_DIR
@@ -86,8 +88,7 @@ def run_chain(out: Path, config: NetworkConfig, args) -> int:
     commands = [("train", [
         "train", "--config", str(config_path), "--data-root", data,
         "--out", str(out), "--dataset", args.dataset,
-        "--epochs", str(args.epochs), "--batch-size", "30", "--lr", "0.01",
-        "--seed", str(args.seed),
+        "--epochs", str(args.epochs), "--seed", str(args.seed),
     ])]
     commands += [(f"extract {split}", [
         "extract", "--checkpoint", str(out / f"epoch_{args.epochs:02d}.ckpt"),
@@ -98,7 +99,7 @@ def run_chain(out: Path, config: NetworkConfig, args) -> int:
     commands.append(("classify", [
         "classify", "--train-features", str(out / "train.features"),
         "--test-features", str(out / "test.features"),
-        "-C", "1.0", "--tol", "0.1", "--seed", str(args.seed),
+        "--seed", str(args.seed),
         "--out", str(out / "report.json"),
     ]))
     timings = []
@@ -116,13 +117,21 @@ def planned_runs(args) -> list:
         config = (load_config(args.config) if args.config
                   else NetworkConfig(n_classes=CLASS_COUNTS[args.dataset]))
         return [(out, config)]
-    repeated = sorted({value for value in args.values if args.values.count(value) > 1})
-    if repeated:
-        raise ConfigError(f"--values repeats {', '.join(repeated)}; each value's run "
-                          f"writes its own {args.knob}_<value> directory")
     field = ABLATION_KNOBS[args.knob]
-    return [(out / f"{args.knob}_{value}",
-             load_config(args.config, overrides={field: value})) for value in args.values]
+    configs = [load_config(args.config, overrides={field: value}) for value in args.values]
+    repeats = []  # "1" for a value given twice, "1 (as 01)" for another spelling of it
+    for i, config in enumerate(configs):
+        first = configs.index(config)  # the first value that loads to this network
+        if first < i:
+            value, earlier = args.values[i], args.values[first]
+            repeat = earlier if earlier == value else f"{earlier} (as {value})"
+            if repeat not in repeats:
+                repeats.append(repeat)
+    if repeats:
+        raise ConfigError(f"--values repeats {', '.join(repeats)}; each value's run "
+                          "would train the same network")
+    return [(out / f"{args.knob}_{value}", config)
+            for value, config in zip(args.values, configs)]
 
 
 def report_ablation(out: Path, knob: str, values: list) -> None:
@@ -149,10 +158,11 @@ def run(args) -> int:
         print(f"--epochs must be >= 1, got {args.epochs}", file=sys.stderr)
         return 2
     data = Path(args.data_root)
-    if not (data / "train.txt").is_file():
-        print(f"no train.txt under {data}; convert the dataset first "
-              "(layout: docs/formats.md)", file=sys.stderr)
-        return 2
+    for index in ("train.txt", "test.txt"):  # both splits are read, the test one last
+        if not (data / index).is_file():
+            print(f"no {index} under {data}; convert the dataset first "
+                  "(layout: docs/formats.md)", file=sys.stderr)
+            return 2
     try:
         for out, config in planned_runs(args):
             code = run_chain(out, config, args)

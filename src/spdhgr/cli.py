@@ -22,8 +22,7 @@ import numpy as np  # noqa: E402  (OpenBLAS reads the thread count as it loads)
 
 from .errors import ConfigError, InvalidInput, NumericalFailure, ParseError, named
 from .optim import write_atomic
-from .svm import (check_solver_args, load_features, save_features, svm_predict_batch,
-                  svm_train)
+from .svm import load_features, save_features, svm_predict_batch, svm_train
 
 DATASETS = ("dhg14", "dhg28", "fpha")
 
@@ -55,13 +54,11 @@ def cmd_train(args) -> int:
     t_start = time.perf_counter()
     result = train_network(
         sequences, params, config,
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, out_dir=out_dir, log=print,
+        epochs=args.epochs, seed=args.seed, out_dir=out_dir, log=print,
     )
     manifest = result.manifest(
         config=config, seed=args.seed, dataset_id=f"{args.dataset}:{args.split}",
-        n_sequences=len(sequences), batch_size=args.batch_size, lr=args.lr,
-        total_wall_time_s=time.perf_counter() - t_start,
+        n_sequences=len(sequences), total_wall_time_s=time.perf_counter() - t_start,
     )
     _write_json(out_dir / "manifest.json", manifest)
     print(f"FINAL loss={result.final_loss!r} acc={result.final_accuracy!r}")
@@ -95,7 +92,6 @@ def cmd_extract(args) -> int:
 def cmd_classify(args) -> int:
     from . import blas
 
-    check_solver_args(args.C, args.tol)
     train_labels, train_x = load_features(args.train_features)
     test_labels, test_x = load_features(args.test_features)
     if train_x.shape[1] != test_x.shape[1]:
@@ -105,7 +101,7 @@ def cmd_classify(args) -> int:
     # the fit's products give other bits on two OpenBLAS threads than on one
     blas.hold_one_thread()
     with named(str(args.train_features)):
-        model = svm_train(train_x, train_labels, c=args.C, tol=args.tol, seed=args.seed)
+        model = svm_train(train_x, train_labels, seed=args.seed)
     with named(str(args.test_features)):
         predictions = svm_predict_batch(model, test_x)
     accuracy = float(np.mean(predictions == test_labels)) if test_labels.size else float("nan")
@@ -125,8 +121,8 @@ def cmd_classify(args) -> int:
             "n_test": int(test_labels.size),
             "classes": classes,
             "confusion": confusion.tolist(),
-            "c": args.C,
-            "tol": args.tol,
+            "c": model.c,
+            "tol": model.tol,
             "svm": {"passes": list(model.passes), "violation": list(model.violation)},
         })
     return 0
@@ -160,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="train")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--dataset", choices=DATASETS, default="dhg14")
     p.set_defaults(func=cmd_train)
 
@@ -177,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="train/evaluate the linear SVM on feature files")
     p.add_argument("--train-features", required=True)
     p.add_argument("--test-features", required=True)
-    p.add_argument("-C", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_classify)

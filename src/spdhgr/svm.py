@@ -32,6 +32,8 @@ class SvmModel:
     weights: np.ndarray  # (n_classes, dim)
     passes: tuple[int, ...] = ()  # dual passes per class
     violation: tuple[float, ...] = ()  # last pass's largest violation per class
+    c: float | None = None  # the fit's penalty and tolerance; None in a model built by hand
+    tol: float | None = None
 
 
 def _integer_labels(labels: np.ndarray) -> bool:
@@ -132,20 +134,15 @@ def _finite_products(x: np.ndarray, other: np.ndarray, what: str) -> np.ndarray:
     return products
 
 
-def check_solver_args(c: float, tol: float) -> None:
-    """Refuse a penalty C or a tolerance the dual solver cannot run with."""
+def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
+              seed: int = 0, max_passes: int = 1000) -> SvmModel:
+    """Train one-vs-rest weight vectors over the observed classes."""
     if not (np.isfinite(c) and c > 0.0):
         raise InvalidInput(f"C must be finite and > 0, got {c}")
     if not np.isfinite(1.0 / (2.0 * float(c))):  # the dual's diagonal shift
         raise InvalidInput(f"C must be large enough for a finite 1/(2C), got {c}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
-
-
-def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
-              seed: int = 0, max_passes: int = 1000) -> SvmModel:
-    """Train one-vs-rest weight vectors over the observed classes."""
-    check_solver_args(c, tol)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -164,7 +161,7 @@ def svm_train(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 0.1,
                                        [np.random.default_rng(s) for s in seeds], max_passes)
     return SvmModel(class_ids=class_ids.astype(np.int64), weights=(alpha * y_bins) @ x,
                     passes=tuple(int(p) for p in passes),
-                    violation=tuple(float(v) for v in worst))
+                    violation=tuple(float(v) for v in worst), c=c, tol=tol)
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> int:

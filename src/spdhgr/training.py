@@ -37,18 +37,19 @@ class TrainResult:
     epochs: list[EpochRecord]
     final_loss: float
     final_accuracy: float
+    batch_size: int
+    lr: float
     checkpoints: list[str] = field(default_factory=list)
 
     def manifest(self, *, config: NetworkConfig, seed: int, dataset_id: str,
-                 n_sequences: int, batch_size: int, lr: float,
-                 total_wall_time_s: float) -> dict:
+                 n_sequences: int, total_wall_time_s: float) -> dict:
         return {
             "run": "train",
             "config": asdict(config),
             "seed": seed,
             "dataset": {"id": dataset_id, "n_sequences": n_sequences},
-            "batch_size": batch_size,
-            "learning_rate": lr,
+            "batch_size": self.batch_size,
+            "learning_rate": self.lr,
             "epochs": [asdict(r) for r in self.epochs],
             "final": {"mean_loss": self.final_loss, "accuracy": self.final_accuracy},
             "checkpoints": self.checkpoints,
@@ -182,4 +183,5 @@ def train_network(
     final_loss, final_acc = evaluate(sequences, params, config)
 
     return TrainResult(params=params, epochs=records, final_loss=final_loss,
-                       final_accuracy=final_acc, checkpoints=checkpoints)
+                       final_accuracy=final_acc, batch_size=batch_size, lr=lr,
+                       checkpoints=checkpoints)

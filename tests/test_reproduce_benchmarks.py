@@ -4,6 +4,7 @@ script runs each command as a child process, so the commands' output is
 read at the file descriptors."""
 
 import json
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -84,6 +85,7 @@ def test_stops_at_the_first_failing_command(monkeypatch, capfd, tmp_path):
     root = tmp_path / "data"
     root.mkdir()
     (root / "train.txt").write_text("sequences/missing.txt 0 0 1\n")
+    (root / "test.txt").write_text("")
     assert reproduce(monkeypatch, root, tmp_path / "out", "--epochs", 1) == 2
     assert "missing.txt" in capfd.readouterr().err
     assert [(c["command"], c["exit_code"]) for c in commands_run(tmp_path / "out")] == [
@@ -96,6 +98,21 @@ def test_epochs_below_1_refused_before_anything_is_written(monkeypatch, capsys, 
     assert reproduce(monkeypatch, data_root, tmp_path / "out", "--epochs", epochs) == 2
     assert capsys.readouterr().err == f"--epochs must be >= 1, got {epochs}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("index", ["train.txt", "test.txt"])
+def test_missing_index_file_refused_before_anything_runs(monkeypatch, capsys, tmp_path,
+                                                          index):
+    """Both splits are checked up front, so a root without test.txt costs
+    no training run."""
+    data, out = small_root(tmp_path / "data", 1), tmp_path / "out"
+    (data / index).unlink()
+    spawned = []
+    monkeypatch.setattr(os, "posix_spawn", lambda *args: spawned.append(args))
+    assert reproduce(monkeypatch, data, out, "--epochs", 1) == 2
+    assert capsys.readouterr().err == (f"no {index} under {data}; convert the dataset "
+                                       "first (layout: docs/formats.md)\n")
+    assert not out.exists() and not spawned
 
 
 def test_t0_ablation_table(monkeypatch, capfd, roomy_config, tmp_path):
@@ -121,8 +138,9 @@ def test_t0_ablation_table(monkeypatch, capfd, roomy_config, tmp_path):
     (("--knob", "N_S", "--values", 1), "error: n_chunks must be >= 2, got 1"),
     (("--knob", "t0", "--values", 1, 0), "error: t0 must be >= 1, got 0"),
     (("--knob", "t0", "--values", 1, 2, 1), "error: --values repeats 1;"),
+    (("--knob", "t0", "--values", 1, "01"), "error: --values repeats 1 (as 01);"),
     (("--knob", "epsilon", "--values", 1), "argument --knob: invalid choice: 'epsilon'"),
-], ids=["N_S-1", "t0-0", "repeated-value", "unknown-knob"])
+], ids=["N_S-1", "t0-0", "repeated-value", "same-value-spelled-twice", "unknown-knob"])
 def test_ablation_refused_before_anything_is_written(monkeypatch, capsys, data_root,
                                                      roomy_config, tmp_path, args, message):
     """N_S is the chunk count, named as in the paper's tables."""

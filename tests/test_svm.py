@@ -164,6 +164,7 @@ class TestSolver:
         assert len(model.passes) == len(model.violation) == 3
         assert all(p > 1 for p in model.passes)
         assert all(0.0 <= v <= 1e-3 for v in model.violation)
+        assert (model.c, model.tol) == (1.0, 1e-3)
         capped = svm_train(x, y, c=1.0, tol=1e-3, seed=0, max_passes=1)
         assert capped.passes == (1, 1, 1)
         assert max(capped.violation) > 1e-3

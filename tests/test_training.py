@@ -147,9 +147,9 @@ class TestTrainLoop:
         result = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=2,
                                batch_size=30, lr=0.01, seed=0, out_dir=tmp_path)
         manifest = result.manifest(config=CONFIG, seed=0, dataset_id="dhg14:train",
-                                   n_sequences=len(dataset),
-                                   batch_size=30, lr=0.01, total_wall_time_s=1.0)
+                                   n_sequences=len(dataset), total_wall_time_s=1.0)
         assert manifest["config"]["d_out_s"] == CONFIG.d_out_s
+        assert (manifest["batch_size"], manifest["learning_rate"]) == (30, 0.01)
         assert len(manifest["epochs"]) == 2
         assert {"epoch", "mean_loss", "accuracy", "wall_time_s"} <= set(manifest["epochs"][0])
         assert manifest["dataset"]["id"] == "dhg14:train"
