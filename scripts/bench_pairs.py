@@ -17,7 +17,12 @@ operation. Beside each run the script records the host's CPU steal
 (from /proc/stat) during it, and a two-thread sample taken before it:
 `eigh` of two halves of 2,530 10x10 matrices on two threads against in
 series, which shows whether the second core is there (a one-thread
-kernel cannot see it go away).
+kernel cannot see it go away), and the CPU seconds the run used per
+wall second (`getrusage` of the children, user plus system): about 1.0
+when no second thread ran alongside the first in that run, above 1 when
+one did (in train and extract, the network's table threads). That
+figure also counts the run's own children, the input writer and the
+host-speed sampler.
 
 Per end-to-end metric it prints each tree's median and quartiles,
 "lower in k of n" pairs, and whether a gain holds: the change better in
@@ -41,6 +46,7 @@ import json
 import math
 import os
 import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -90,6 +96,12 @@ def steal_ticks():
         return None
 
 
+def children_cpu_s() -> float:
+    """User plus system CPU seconds of the waited-for child processes so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def eigh_sample(stack) -> dict:
     """Milliseconds for `eigh` of the two halves of ``stack`` in series
     and on two threads (each the best of 3)."""
@@ -117,12 +129,15 @@ def eigh_sample(stack) -> dict:
 
 def run_once(side_dir: Path, workload: str, seed: int, seconds: float, smoke: bool,
              trace: int = 0):
-    """(run information, result line, steal seconds) of one perfbench run."""
+    """(run information, result line, steal seconds, CPU seconds per wall
+    second) of one perfbench run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)] + (["--smoke"] if smoke else [])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    before = steal_ticks()
+    before, cpu_before = steal_ticks(), children_cpu_s()
+    t_start = time.perf_counter()
     done = subprocess.run(argv, cwd=side_dir, env=env, capture_output=True, text=True)
+    cpu_per_wall = (children_cpu_s() - cpu_before) / (time.perf_counter() - t_start)
     after = steal_ticks()
     lines = done.stdout.strip().splitlines()
     try:
@@ -132,7 +147,7 @@ def run_once(side_dir: Path, workload: str, seed: int, seconds: float, smoke: bo
                         f"{done.stderr.strip()}") from None
     steal = (None if None in (before, after)
              else (after - before) / os.sysconf("SC_CLK_TCK"))
-    return info, result, steal
+    return info, result, steal, cpu_per_wall
 
 
 def stats(values) -> dict:
@@ -160,9 +175,11 @@ def bench_workload(sides, workload, pairs, seconds, smoke, metrics, stack):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
             sample = eigh_sample(stack)
-            info, result, steal = run_once(sides[side], workload, seed, seconds, smoke)
+            info, result, steal, cpu_per_wall = run_once(sides[side], workload, seed,
+                                                         seconds, smoke)
             runs.append({"pair": pair, "side": side, "seed": seed, "first": side == order[0],
-                         "steal_s": steal, "eigh_two_threads": sample, "info": info,
+                         "steal_s": steal, "cpu_per_wall": cpu_per_wall,
+                         "eigh_two_threads": sample, "info": info,
                          "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
             if not (result["correct"] is True and result["failed"] == 0):
                 print(f"{workload}: {side} seed {seed} not correct "
@@ -187,8 +204,10 @@ def bench_workload(sides, workload, pairs, seconds, smoke, metrics, stack):
                                            for r in by_side[side]]) for side in SIDES}
     steals = [r["steal_s"] for r in runs if r["steal_s"] is not None]
     ratios = [r["eigh_two_threads"]["ratio"] for r in runs]
+    cpu = [r["cpu_per_wall"] for r in runs]
     print(f"steal per run: max {max(steals, default=0.0):.2f} s; two-thread eigh / series: "
-          f"{min(ratios):.2f}-{max(ratios):.2f}")
+          f"{min(ratios):.2f}-{max(ratios):.2f}; CPU per wall second: "
+          f"{min(cpu):.2f}-{max(cpu):.2f}")
     for r in runs:
         info = r.pop("info")
         r["unit_wall_s"] = float(np.median(info["unit_wall_s"]))
@@ -241,8 +260,8 @@ def main(argv=None) -> int:
                 if args.record:
                     found["per_layer_self_ms"] = {}
                     for side in SIDES:
-                        info, result, _ = run_once(sides[side], workload, 1, seconds,
-                                                   args.smoke, trace=1)
+                        info, result, *_ = run_once(sides[side], workload, 1, seconds,
+                                                    args.smoke, trace=1)
                         found["per_layer_self_ms"][side] = {
                             k: v["value"] for k, v in result["metrics"].items()
                             if k.endswith(".self_ms")}

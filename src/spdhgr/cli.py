@@ -95,9 +95,8 @@ def cmd_classify(args) -> int:
     train_labels, train_x = load_features(args.train_features)
     test_labels, test_x = load_features(args.test_features)
     if train_x.shape[1] != test_x.shape[1]:
-        raise InvalidInput(
-            f"feature dims differ: train {train_x.shape[1]} vs test {test_x.shape[1]}"
-        )
+        raise InvalidInput(f"{args.test_features}: feature dim {test_x.shape[1]} differs from "
+                           f"{args.train_features}'s {train_x.shape[1]}")
     # the fit's products give other bits on two OpenBLAS threads than on one
     blas.hold_one_thread()
     with named(str(args.train_features)):

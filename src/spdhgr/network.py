@@ -87,41 +87,48 @@ class NetworkConfig:
     def feature_dim(self) -> int:
         return tri_length(self.d_out_s)
 
-    def validate(self) -> "NetworkConfig":
-        problems = []
+    def _problems(self) -> dict[str, str]:
+        """The field at fault -> its problem, for each rule the config breaks
+        (no field breaks two)."""
+        problems = {}
         if self.n_classes < 2:
-            problems.append(f"n_classes must be >= 2, got {self.n_classes}")
+            problems["n_classes"] = f"n_classes must be >= 2, got {self.n_classes}"
         if self.d_out_c < 1:
-            problems.append(f"d_out_c must be >= 1, got {self.d_out_c}")
+            problems["d_out_c"] = f"d_out_c must be >= 1, got {self.d_out_c}"
         if self.d_out_s < 1:
-            problems.append(f"d_out_s must be >= 1, got {self.d_out_s}")
+            problems["d_out_s"] = f"d_out_s must be >= 1, got {self.d_out_s}"
         if self.variant not in VARIANTS:
-            problems.append(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            problems["variant"] = f"variant must be one of {VARIANTS}, got {self.variant!r}"
         if self.grid_mode not in GRID_MODES:
-            problems.append(f"grid_mode must be one of {GRID_MODES}, got {self.grid_mode!r}")
+            problems["grid_mode"] = (f"grid_mode must be one of {GRID_MODES}, "
+                                     f"got {self.grid_mode!r}")
         if self.t0 < 1:
-            problems.append(f"t0 must be >= 1, got {self.t0}")
+            problems["t0"] = f"t0 must be >= 1, got {self.t0}"
         if self.n_chunks < 2:
-            problems.append(f"n_chunks must be >= 2, got {self.n_chunks}")
+            problems["n_chunks"] = f"n_chunks must be >= 2, got {self.n_chunks}"
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            problems.append(f"epsilon must be finite and > 0, got {self.epsilon}")
+            problems["epsilon"] = f"epsilon must be finite and > 0, got {self.epsilon}"
         if self.n_frames < 6:
-            problems.append(f"n_frames must be >= 6, got {self.n_frames}")
+            problems["n_frames"] = f"n_frames must be >= 6, got {self.n_frames}"
         elif self.t0 >= 1 and self.n_chunks >= 2:  # the layers' own row rule, shortest branch
             start, stop, joints = min(build_branch_plan(self.n_frames), key=lambda b: b[1] - b[0])
-            sizes = {"st": self.t0, "ts": self.n_chunks}
             for family in FAMILIES.get(self.variant, ()):
+                key = {"st": "t0", "ts": "n_chunks"}[family]  # the family's size
                 try:
-                    _ROWS_OF[family](sizes[family], stop - start, joints)
+                    _ROWS_OF[family](getattr(self, key), stop - start, joints)
                 except InvalidInput as error:
-                    problems.append(str(error))
+                    problems[key] = str(error)
         if self.variant in VARIANTS and self.d_out_s > self.n_inputs * self.d_in_s:
-            problems.append(
+            problems["d_out_s"] = (
                 f"d_out_s {self.d_out_s} exceeds the aggregation width "
                 f"{self.n_inputs} * {self.d_in_s} = {self.n_inputs * self.d_in_s}"
             )
+        return problems
+
+    def validate(self) -> "NetworkConfig":
+        problems = self._problems()
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError("; ".join(problems.values()))
         return self
 
 
@@ -134,7 +141,9 @@ def load_config(path, overrides: dict[str, str] | None = None) -> NetworkConfig:
 
     '#' starts a comment, and a key may be set once. ``overrides`` (the
     ablation knob's value) replace file values. An error for a key starts
-    with where it was set: the file and line, or "override".
+    with where it was set: the file and line, or "override"; so does each
+    problem `NetworkConfig.validate` would report, for the key at fault
+    (the file alone when that key keeps its default).
     """
     path = Path(path)
     if not path.is_file():
@@ -163,7 +172,12 @@ def load_config(path, overrides: dict[str, str] | None = None) -> NetworkConfig:
             raise ConfigError(f"{where}: {key}: {exc}") from exc
     if "n_classes" not in kwargs:
         raise ConfigError(f"{path}: config must set n_classes")
-    return NetworkConfig(**kwargs).validate()
+    config = NetworkConfig(**kwargs)
+    problems = config._problems()
+    if problems:
+        raise ConfigError("; ".join(f"{values[key][1] if key in values else path}: {problem}"
+                                    for key, problem in problems.items()))
+    return config
 
 
 def save_config(path, config: NetworkConfig) -> None:

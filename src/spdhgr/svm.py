@@ -90,10 +90,9 @@ def _dual_cd(gram: np.ndarray, y_bins: np.ndarray, c: float, tol: float, rngs,
     The decision values f_k = gram @ (alpha_k * y_k) (= x @ w_k) are kept
     up to date, so a step costs O(k n); the weights are
     w_k = (alpha_k * y_k) @ x. Returns (alpha (k, n), each class's last
-    largest violation (k,), one (k,) array of dual objectives per pass,
-    NaN for the classes that had stopped, and passes per class (k,)).
-    A class's dual objective 0.5 ||w||^2 + (1/(4C)) sum alpha^2 - sum alpha
-    never increases.
+    largest violation (k,), one (k,) array of the classes' largest
+    violations per pass, NaN for the classes that had stopped, and passes
+    per class (k,)).
     """
     k, n = y_bins.shape
     shift = 1.0 / (2.0 * c)
@@ -101,27 +100,22 @@ def _dual_cd(gram: np.ndarray, y_bins: np.ndarray, c: float, tol: float, rngs,
     alpha = np.zeros((k, n))
     worst = np.full(k, np.inf)
     passes = np.zeros(k, dtype=np.int64)
-    objectives = []
+    violations = []
     # the running classes' labels, alpha and f, compacted as classes stop
     active = np.arange(k)
     y_run, alpha_run, f_run = y_bins, np.zeros((k, n)), np.zeros((k, n))
     for _ in range(max_passes):
-        worst[active] = _dual_pass(gram, q_diag, shift, y_run, alpha_run, f_run,
-                                   [rngs[j] for j in active])
+        violations.append(np.full(k, np.nan))
+        violations[-1][active] = worst[active] = _dual_pass(
+            gram, q_diag, shift, y_run, alpha_run, f_run, [rngs[j] for j in active])
         passes[active] += 1
         alpha[active] = alpha_run
-        pass_objectives = np.full(k, np.nan)
-        for r, j in enumerate(active):
-            a = alpha_run[r]
-            pass_objectives[j] = (0.5 * ((a * y_run[r]) @ f_run[r]) + 0.5 * shift * (a @ a)
-                                  - a.sum())
-        objectives.append(pass_objectives)
         running = ~(worst[active] <= tol)
         if not running.any():
             break
         active = active[running]
         y_run, alpha_run, f_run = y_run[running], alpha_run[running], f_run[running]
-    return alpha, worst, objectives, passes
+    return alpha, worst, violations, passes
 
 
 def _finite_products(x: np.ndarray, other: np.ndarray, what: str) -> np.ndarray:

@@ -59,11 +59,14 @@ class TrainResult:
 
 
 def _check_labels(sequences: list[SkeletonSequence], config: NetworkConfig) -> None:
-    bad = sorted({s.label for s in sequences if not 0 <= s.label < config.n_classes})
+    """Refuse labels outside [0, n_classes), naming the first three such
+    sequences' files (or, without one, their indices)."""
+    bad = [(i, s) for i, s in enumerate(sequences) if not 0 <= s.label < config.n_classes]
     if bad:
-        raise ConfigError(
-            f"labels {bad} out of range for n_classes={config.n_classes}"
-        )
+        names = ", ".join(s.source or f"sequence {i}" for i, s in bad[:3])
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise ConfigError(f"{names}{more}: labels {sorted({s.label for _, s in bad})} "
+                          f"out of range for n_classes={config.n_classes}")
 
 
 def _passes(sequences, params: NetworkParams, config: NetworkConfig, stage: str,
@@ -88,16 +91,6 @@ def _apply_updates(params: NetworkParams, grads: NetworkParams, lr: float) -> Ne
         fc_weight=euclid_sgd_step(params.fc_weight, grads.fc_weight, lr),
         fc_bias=euclid_sgd_step(params.fc_bias, grads.fc_bias, lr),
     )
-
-
-def evaluate(sequences, params: NetworkParams, config: NetworkConfig):
-    """Mean loss and accuracy of fixed parameters over a sequence list
-    (`train_network`'s final evaluation)."""
-    for seq in sequences:
-        check_resamplable(seq)
-    passes = _passes(sequences, params, config, "final evaluation")
-    losses, hits = zip(*passes) if sequences else ((), ())
-    return float(np.mean(losses)) if losses else float("nan"), sum(hits) / max(len(hits), 1)
 
 
 def train_network(
@@ -180,8 +173,7 @@ def train_network(
         if log is not None:
             log(f"EPOCH {epoch} loss={record.mean_loss!r} "
                 f"acc={record.accuracy!r} time={record.wall_time_s:.3f}")
-    final_loss, final_acc = evaluate(sequences, params, config)
-
-    return TrainResult(params=params, epochs=records, final_loss=final_loss,
-                       final_accuracy=final_acc, batch_size=batch_size, lr=lr,
-                       checkpoints=checkpoints)
+    losses, hits = zip(*_passes(sequences, params, config, "final evaluation"))
+    return TrainResult(params=params, epochs=records, final_loss=float(np.mean(losses)),
+                       final_accuracy=sum(hits) / len(sequences), batch_size=batch_size,
+                       lr=lr, checkpoints=checkpoints)

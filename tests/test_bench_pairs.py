@@ -3,6 +3,8 @@ configuration: this tree against itself, and a copy whose predictions are
 wrong."""
 
 import importlib.util
+import json
+import os
 import shutil
 from pathlib import Path
 
@@ -19,14 +21,19 @@ def svm_predict_batch(model, x):  # planted: every row gets the first class
 '''
 
 
-def test_tree_against_itself_passes(capsys):
+def test_tree_against_itself_passes(tmp_path, capsys):
+    record = tmp_path / "record.json"
     assert bench_pairs.main([str(REPO), str(REPO), "--workload", "classify", "--pairs", "1",
-                             "--smoke"]) == 0
+                             "--smoke", "--record", str(record)]) == 0
     out = capsys.readouterr().out
     assert "== classify: 1 pair(s)" in out
     for name in ("unit_s", "setup_s", "peak_rss_mb", "success_rate"):
         assert f"\n{name} (" in out
     assert "lower in " in out and " of 1" in out
+    assert "CPU per wall second: " in out
+    runs = json.loads(record.read_text())["workloads"]["classify"]["runs"]
+    assert [r["side"] for r in runs] == ["parent", "change"]
+    assert all(0.0 < r["cpu_per_wall"] < 2 * os.cpu_count() for r in runs)
 
 
 def test_wrong_predictions_exit_1(tmp_path, capsys):

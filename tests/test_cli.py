@@ -588,11 +588,13 @@ class TestClassify:
         assert not report.exists()
         assert len(solves) == (bad == "test")
 
-    def test_dim_mismatch(self, tmp_path, rng):
-        save_features(tmp_path / "a.features", [0, 1], rng.standard_normal((2, 3)))
-        save_features(tmp_path / "b.features", [0, 1], rng.standard_normal((2, 4)))
-        assert run("classify", "--train-features", tmp_path / "a.features",
-                   "--test-features", tmp_path / "b.features") == 2
+    def test_dim_mismatch(self, tmp_path, rng, capsys):
+        train, test = tmp_path / "a.features", tmp_path / "b.features"
+        save_features(train, [0, 1], rng.standard_normal((2, 3)))
+        save_features(test, [0, 1], rng.standard_normal((2, 4)))
+        assert run("classify", "--train-features", train, "--test-features", test) == 2
+        assert capsys.readouterr().err == (f"error: {test}: feature dim 4 differs from "
+                                           f"{train}'s 3\n")
 
     def _classify_error(self, tmp_path, capsys, bad_file):
         save_features(tmp_path / "good.features", [0, 1], np.eye(2))
@@ -658,7 +660,28 @@ def _zero_widths(tmp_path):
     cfg = tmp_path / "zero.cfg"
     save_config(cfg, dataclasses.replace(TINY, d_out_c=0, d_out_s=0))
     return (["train", "--config", cfg],
-            "d_out_c must be >= 1, got 0; d_out_s must be >= 1, got 0")
+            f"{cfg}:2: d_out_c must be >= 1, got 0; {cfg}:3: d_out_s must be >= 1, got 0")
+
+
+def _zero_t0(tmp_path):
+    cfg = tmp_path / "t0.cfg"
+    save_config(cfg, dataclasses.replace(TINY, t0=0))
+    return ["train", "--config", cfg], f"{cfg}:5: t0 must be >= 1, got 0"
+
+
+def _d_out_s_wider_than_the_aggregation(tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    save_config(cfg, dataclasses.replace(TINY, d_out_s=8000))
+    return (["train", "--config", cfg],
+            f"{cfg}:3: d_out_s 8000 exceeds the aggregation width 60 * 7 = 420")
+
+
+def _labels_beyond_the_config_classes(tmp_path):
+    root = tmp_path / "three"
+    write_synthetic_dataset(root, n_classes=3, train_per_class=4, n_frames=15, seed=5)
+    names = ", ".join(f"sequences/train_c2_{k:02d}.txt" for k in range(3))
+    return (["train", "--data-root", root],
+            f"{names} and 1 more: labels [2] out of range for n_classes=2")
 
 
 def _key_without_value(tmp_path):
@@ -687,8 +710,10 @@ def _checkpoint_without_fc_bias(tmp_path):
     return ["extract", "--checkpoint", ckpt], f"checkpoint {ckpt} is missing tensor 'fc_bias'"
 
 
-@pytest.mark.parametrize("case", [_empty_train_split, _zero_widths, _key_without_value,
+@pytest.mark.parametrize("case", [_empty_train_split, _zero_widths, _zero_t0,
+                                  _d_out_s_wider_than_the_aggregation, _key_without_value,
                                   _bad_loso_split, _index_names_a_directory,
+                                  _labels_beyond_the_config_classes,
                                   _checkpoint_without_fc_bias],
                          ids=lambda case: case.__name__.lstrip("_"))
 def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):

@@ -186,6 +186,28 @@ class TestConfig:
             load_config(path, overrides=overrides)
         assert str(info.value) == want.format(cfg=path)
 
+    @pytest.mark.parametrize("text, overrides, want", [
+        ("n_classes=2\nn_frames=12\nt0=6\n", {},
+         "{cfg}:3: branch of 4 frames is shorter than the window 13; "
+         "{cfg}: branch of 4 frames cannot give 15 chunks of >= 2 frames"),
+        ("n_classes=2\nt0=2\nn_chunks=2\n", {"t0": "0"}, "override: t0 must be >= 1, got 0"),
+        ("n_classes=1\nd_out_c=2\nd_out_s=8000\n", {},
+         "{cfg}:1: n_classes must be >= 2, got 1; "
+         "{cfg}:3: d_out_s 8000 exceeds the aggregation width 60 * 7 = 420"),
+    ])
+    def test_invalid_value_names_where_its_key_was_set(self, tmp_path, text, overrides, want):
+        """A key left at its default is named by the file alone; a config
+        validated in code keeps the bare problems."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path, overrides=overrides)
+        assert str(info.value) == want.format(cfg=path)
+        values = {**dict(line.split("=") for line in text.split()), **overrides}
+        with pytest.raises(ConfigError) as info:
+            NetworkConfig(**{key: int(value) for key, value in values.items()}).validate()
+        assert str(info.value) == re.sub(r"(override|\{cfg\}(:\d+)?): ", "", want)
+
     def test_unparsable_mapping_value_names_key(self, tmp_path):
         path = tmp_path / "net.cfg"
         path.write_text("n_classes=2\nepsilon=tiny\n")

@@ -135,8 +135,8 @@ def test_t0_ablation_table(monkeypatch, capfd, roomy_config, tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (("--knob", "N_S", "--values", 1), "error: n_chunks must be >= 2, got 1"),
-    (("--knob", "t0", "--values", 1, 0), "error: t0 must be >= 1, got 0"),
+    (("--knob", "N_S", "--values", 1), "error: override: n_chunks must be >= 2, got 1"),
+    (("--knob", "t0", "--values", 1, 0), "error: override: t0 must be >= 1, got 0"),
     (("--knob", "t0", "--values", 1, 2, 1), "error: --values repeats 1;"),
     (("--knob", "t0", "--values", 1, "01"), "error: --values repeats 1 (as 01);"),
     (("--knob", "epsilon", "--values", 1), "argument --knob: invalid choice: 'epsilon'"),

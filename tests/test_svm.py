@@ -85,13 +85,24 @@ class TestSolver:
         assert svm_accuracy(model, x2, y2) >= 0.95
 
     def test_dual_objective_non_increasing(self, rng):
+        """Replayed with fresh generators, a run capped at p passes is the
+        first p passes of a longer one."""
         x, y = make_blobs(rng, n_per_class=10, n_classes=3, sep=2.0)
-        y_bins = np.where(y == np.arange(3)[:, None], 1.0, -1.0)
-        rngs = [np.random.default_rng(k) for k in range(3)]
-        _, _, objectives, passes = _dual_cd(x @ x.T, y_bins, 1.0, 1e-8, rngs, 50)
+        gram, y_bins = x @ x.T, np.where(y == np.arange(3)[:, None], 1.0, -1.0)
+        def solve(max_passes):
+            return _dual_cd(gram, y_bins, 1.0, 1e-8,
+                            [np.random.default_rng(k) for k in range(3)], max_passes)
+
+        full_alpha, _, _, passes = solve(50)
+        assert min(passes) > 1
+        objectives = []
+        for cap in range(1, max(passes) + 1):
+            alpha = solve(cap)[0]
+            objectives.append([dual_objective(gram, y_bins[k], 1.0, alpha[k])
+                               for k in range(3)])
+        assert np.array_equal(alpha, full_alpha)
         for k in range(3):
-            per_class = [o[k] for o in objectives[:passes[k]]]
-            assert len(per_class) > 1
+            per_class = [o[k] for o in objectives]
             assert all(b <= a + 1e-12 for a, b in zip(per_class, per_class[1:]))
 
     def test_deterministic(self, rng):
@@ -168,16 +179,16 @@ class TestSolver:
         capped = svm_train(x, y, c=1.0, tol=1e-3, seed=0, max_passes=1)
         assert capped.passes == (1, 1, 1)
         assert max(capped.violation) > 1e-3
-        # one objective row per lockstep pass, NaN once a class has stopped
-        _, worst, objectives, passes = _dual_cd(
+        # one violation row per lockstep pass, NaN once a class has stopped
+        _, worst, violations, passes = _dual_cd(
             x @ x.T, np.where(y == np.arange(3)[:, None], 1.0, -1.0), 1.0, 1e-3,
             [np.random.default_rng(k) for k in range(3)], 1000)
-        assert len(objectives) == max(passes)
+        assert len(violations) == max(passes)
         for k in range(3):
-            column = np.array([o[k] for o in objectives])
-            assert np.all(np.isfinite(column[:passes[k]]))
+            column = np.array([v[k] for v in violations])
+            assert np.all(column[:passes[k] - 1] > 1e-3)
+            assert column[passes[k] - 1] == worst[k] <= 1e-3
             assert np.all(np.isnan(column[passes[k]:]))
-            assert worst[k] <= 1e-3
 
 
 def row_update_dual_cd(x, y_bin, c, tol, rng, max_passes):
@@ -257,17 +268,24 @@ def test_gram_solver_matches_row_update_solver(name, c):
         np.unique(y)[np.argmax(probe @ weights.T, axis=1)])
 
 
+def dual_objective(gram, y_bin, c, alpha):
+    """A class's dual objective 0.5 ||w||^2 + (1/(4C)) sum alpha^2 - sum alpha."""
+    shift = 1.0 / (2.0 * c)
+    f = gram @ (alpha * y_bin)
+    return 0.5 * ((alpha * y_bin) @ f) + 0.5 * shift * (alpha @ alpha) - alpha.sum()
+
+
 def per_class_dual_cd(gram, y_bin, c, tol, rng, max_passes):
     """Reference: the solver as it was before the classes ran in lockstep,
     one Python coordinate loop per class. Returns (alpha, the last pass's
-    largest violation, per-pass dual objectives)."""
+    largest violation, each pass's largest violation)."""
     n = gram.shape[0]
     shift = 1.0 / (2.0 * c)
     q_diag = np.diag(gram) + shift
     alpha = np.zeros(n)
     f = np.zeros(n)
     worst = np.inf
-    objectives = []
+    violations = []
     for _ in range(max_passes):
         worst = 0.0
         for i in rng.permutation(n):
@@ -279,30 +297,30 @@ def per_class_dual_cd(gram, y_bin, c, tol, rng, max_passes):
                 if new_alpha != alpha[i]:
                     f += (new_alpha - alpha[i]) * y_bin[i] * gram[i]
                     alpha[i] = new_alpha
-        objectives.append(0.5 * ((alpha * y_bin) @ f) + 0.5 * shift * (alpha @ alpha)
-                          - alpha.sum())
+        violations.append(worst)
         if worst <= tol:
             break
-    return alpha, worst, objectives
+    return alpha, worst, violations
 
 
 def per_class_train(x, y, c, tol, seed, max_passes):
     """One-vs-rest training with the reference solver, seeded like svm_train.
-    Returns (weights, passes, violations, per-class objective lists)."""
+    Returns (weights, passes, violations, per-class lists of each pass's
+    largest violation)."""
     class_ids = np.unique(y)
     gram = x @ x.T
     seeds = np.random.SeedSequence(seed).generate_state(class_ids.shape[0])
     coef = np.zeros((class_ids.shape[0], x.shape[0]))
-    passes, violation, objectives = [], [], []
+    passes, violation, per_pass = [], [], []
     for k, cls in enumerate(class_ids):
         y_bin = np.where(y == cls, 1.0, -1.0)
-        alpha, worst, objs = per_class_dual_cd(
+        alpha, worst, violations = per_class_dual_cd(
             gram, y_bin, c, tol, np.random.default_rng(seeds[k]), max_passes)
         coef[k] = alpha * y_bin
-        passes.append(len(objs))
+        passes.append(len(violations))
         violation.append(float(worst))
-        objectives.append(objs)
-    return coef @ x, tuple(passes), tuple(violation), objectives
+        per_pass.append(violations)
+    return coef @ x, tuple(passes), tuple(violation), per_pass
 
 
 def _lockstep_case(name):
@@ -333,7 +351,7 @@ def _lockstep_case(name):
 def test_lockstep_solver_matches_per_class_solver(name, c, max_passes):
     x, y = _lockstep_case(name)
     tol, seed = 1e-2, 11
-    weights, passes, violation, objectives = per_class_train(x, y, c, tol, seed, max_passes)
+    weights, passes, violation, per_pass = per_class_train(x, y, c, tol, seed, max_passes)
     model = svm_train(x, y, c=c, tol=tol, seed=seed, max_passes=max_passes)
     assert np.array_equal(model.weights, weights)
     assert model.passes == passes
@@ -344,9 +362,9 @@ def test_lockstep_solver_matches_per_class_solver(name, c, max_passes):
             for s in np.random.SeedSequence(seed).generate_state(class_ids.shape[0])]
     _, _, lockstep, _ = _dual_cd(x @ x.T, y_bins, c, tol, rngs, max_passes)
     assert len(lockstep) == max(passes)
-    for k, objs in enumerate(objectives):
-        assert [o[k] for o in lockstep[:passes[k]]] == objs
-        assert all(np.isnan(o[k]) for o in lockstep[passes[k]:])
+    for k, violations in enumerate(per_pass):
+        assert [v[k] for v in lockstep[:passes[k]]] == violations
+        assert all(np.isnan(v[k]) for v in lockstep[passes[k]:])
     if name == "uneven" and max_passes > 1:
         assert len(set(passes)) > 1  # classes stop on different passes
     if max_passes > 1:

@@ -6,10 +6,11 @@ import pytest
 
 from spdhgr import training
 from spdhgr.errors import ConfigError, InvalidInput, NumericalFailure
-from spdhgr.network import PARAM_TENSORS, NetworkConfig, init_params
+from spdhgr.layers import cross_entropy
+from spdhgr.network import PARAM_TENSORS, NetworkConfig, forward, init_params
 from spdhgr.optim import stiefel_error
 from spdhgr.skeleton import SkeletonSequence, load_dhg, resample, write_synthetic_dataset
-from spdhgr.training import evaluate, train_network
+from spdhgr.training import train_network
 
 CONFIG = NetworkConfig(n_classes=2, d_out_c=2, d_out_s=24, n_frames=12, t0=1,
                        n_chunks=2)
@@ -161,19 +162,23 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
+    """`train_network`'s closing pass over the training set."""
+
     def test_matches_final_metrics(self, dataset):
         result = train_network(dataset, init_params(CONFIG, 0), CONFIG, epochs=2,
                                batch_size=30, lr=0.01, seed=0)
-        loss, acc = evaluate(dataset, result.params, CONFIG)
-        assert loss == pytest.approx(result.final_loss)
-        assert acc == pytest.approx(result.final_accuracy)
+        probs = [forward(seq, result.params, CONFIG)[0] for seq in dataset]
+        losses = [cross_entropy(p, seq.label) for p, seq in zip(probs, dataset)]
+        hits = sum(int(np.argmax(p)) == seq.label for p, seq in zip(probs, dataset))
+        assert result.final_loss == float(np.mean(losses))
+        assert result.final_accuracy == hits / len(dataset)
 
     def test_one_frame_sequence_named_once(self):
         """Checked before the passes, whose failures `errors.named` prefixes
-        with the file again."""
+        with the file again; with no epoch, the closing pass is the first."""
         one_frame = SkeletonSequence(frames=np.zeros((1, 20, 3)), label=0, source="seqs/a.txt")
         with pytest.raises(InvalidInput) as info:
-            evaluate([one_frame], init_params(CONFIG, 0), CONFIG)
+            train_network([one_frame], init_params(CONFIG, 0), CONFIG, epochs=0)
         assert str(info.value) == "seqs/a.txt: cannot resample a sequence with fewer than 2 frames"
 
 
