@@ -20,10 +20,10 @@ the paper network at the dataset's class count. With `--knob K --values
 V ...`, each value runs into OUT_DIR/K_V/ with FILE's config and K set
 to V; after the last value the script prints the accuracy table and one
 `ABLATE K=V acc=...` line per value, and writes OUT_DIR/ablation.json.
-Both split index files (DATA_ROOT/train.txt and test.txt), the knob,
-the values and every value's config are checked before anything is
-written; two values that load to the same network (`1` and `01`) are
-refused.
+`--epochs` (at least 1), `--seed` (at least 0), both split index files
+(DATA_ROOT/train.txt and test.txt), the knob, the values and every
+value's config are checked before anything is written; two values that
+load to the same network (`1` and `01`) are refused.
 
 Usage:
   python3 scripts/reproduce_benchmarks.py DATA_ROOT OUT_DIR
@@ -155,12 +155,15 @@ def report_ablation(out: Path, knob: str, values: list) -> None:
 
 def run(args) -> int:
     if args.epochs < 1:  # extraction reads the last epoch's checkpoint
-        print(f"--epochs must be >= 1, got {args.epochs}", file=sys.stderr)
+        print(f"error: --epochs must be >= 1, got {args.epochs}", file=sys.stderr)
+        return 2
+    if args.seed < 0:  # numpy's generators take no negative seed
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     data = Path(args.data_root)
     for index in ("train.txt", "test.txt"):  # both splits are read, the test one last
         if not (data / index).is_file():
-            print(f"no {index} under {data}; convert the dataset first "
+            print(f"error: no {index} under {data}; convert the dataset first "
                   "(layout: docs/formats.md)", file=sys.stderr)
             return 2
     try:

@@ -41,14 +41,21 @@ def _write_json(path, payload) -> None:
     write_atomic(path, lambda fh: fh.write(text))
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative ``--seed``, which numpy's generators do not take."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_train(args) -> int:
     from .network import init_params, load_config
     from .training import train_network
 
+    _check_seed(args.seed)
     config = load_config(args.config)
-    sequences = _load_dataset(args.data_root, args.dataset, args.split)
+    sequences = _load_dataset(args.data_root, args.dataset, "train")
     if not sequences:
-        raise ConfigError(f"split {args.split!r} of {args.data_root} is empty")
+        raise ConfigError(f"split 'train' of {args.data_root} is empty")
     out_dir = Path(args.out)
     params = init_params(config, args.seed)
     t_start = time.perf_counter()
@@ -57,7 +64,7 @@ def cmd_train(args) -> int:
         epochs=args.epochs, seed=args.seed, out_dir=out_dir, log=print,
     )
     manifest = result.manifest(
-        config=config, seed=args.seed, dataset_id=f"{args.dataset}:{args.split}",
+        config=config, seed=args.seed, dataset_id=f"{args.dataset}:train",
         n_sequences=len(sequences), total_wall_time_s=time.perf_counter() - t_start,
     )
     _write_json(out_dir / "manifest.json", manifest)
@@ -92,6 +99,7 @@ def cmd_extract(args) -> int:
 def cmd_classify(args) -> int:
     from . import blas
 
+    _check_seed(args.seed)
     train_labels, train_x = load_features(args.train_features)
     test_labels, test_x = load_features(args.test_features)
     if train_x.shape[1] != test_x.shape[1]:
@@ -130,8 +138,7 @@ def cmd_classify(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_all
 
-    results = run_all(seed=args.seed, trials=args.trials,
-                      include_end_to_end=args.end_to_end)
+    results = run_all(trials=args.trials, include_end_to_end=args.end_to_end)
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -152,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data-root", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--dataset", choices=DATASETS, default="dhg14")
@@ -175,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks for every layer")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--no-end-to-end", dest="end_to_end", action="store_false",
                    help="skip the (slow) whole-network finite-difference sweep")

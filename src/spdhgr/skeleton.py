@@ -9,9 +9,10 @@ values before them on each line (DHG's wrist and palm, FPHA's frame
 index and wrist) are parsed, checked and dropped.
 
 Dataset layout (see docs/formats.md for the exact grammar): a root
-directory with index files ``train.txt``/``test.txt`` where each line
-names a per-sequence skeleton file plus its labels, and plain-text
-skeleton files with one frame per line.
+directory with index files ``train.txt``/``test.txt``, one per split,
+where each line names a per-sequence skeleton file plus its labels and
+subject (parsed, checked and dropped), and plain-text skeleton files
+with one frame per line.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class SkeletonSequence:
 
     frames: np.ndarray  # (n_frames, 20, 3) float64: the lattice nodes 3..22 in order
     label: int
-    subject: int | None = None
     source: str | None = None
 
     @property
@@ -123,7 +123,6 @@ def resample(seq: SkeletonSequence, n_frames: int) -> SkeletonSequence:
     return SkeletonSequence(
         frames=out.reshape(n_frames, -1, 3),
         label=seq.label,
-        subject=seq.subject,
         source=seq.source,
     )
 
@@ -288,51 +287,32 @@ def _read_index(path: Path, n_fields: int) -> list[tuple[str, list[int]]]:
     return entries
 
 
-def _split_entries(root: Path, split: str, n_fields: int):
-    """Resolve a split name to index entries.
-
-    ``train``/``test`` read the matching index file; ``loso-train:K`` and
-    ``loso-test:K`` pool both files and partition by subject K.
-    """
-    if split in ("train", "test"):
-        return _read_index(root / f"{split}.txt", n_fields)
-    if split.startswith(("loso-train:", "loso-test:")):
-        kind, _, subj = split.partition(":")
-        try:
-            subject = int(subj)
-        except ValueError:
-            raise ConfigError(f"bad leave-one-subject-out split {split!r}") from None
-        pooled = _read_index(root / "train.txt", n_fields) + _read_index(root / "test.txt", n_fields)
-        pooled.sort(key=lambda e: e[0])
-        held_out = kind == "loso-test"
-        return [e for e in pooled if (e[1][-1] == subject) == held_out]
-    raise ConfigError(
-        f"unknown split {split!r}; expected train, test, loso-train:K or loso-test:K"
-    )
-
-
 def _load(root_path, split: str, n_fields: int, skip: int,
           label_field: int) -> list[SkeletonSequence]:
-    """The sequences of a split. Index lines have ``n_fields`` fields, the
-    label at ``label_field`` of the integers and the subject last; each
-    frame line has ``skip`` values, then the lattice's 60, which the
-    frames view in place. A file of fewer than 2 frames is an error
-    naming it."""
+    """The sequences of a split, ``train`` or ``test``, read from the
+    index file of that name. Index lines have ``n_fields`` fields, the
+    label at ``label_field`` of the integers and the subject last, which
+    is checked and dropped; each frame line has ``skip`` values, then the
+    lattice's 60, which the frames view in place. A file of fewer than 2
+    frames is an error naming it."""
     root = Path(root_path)
     if not root.is_dir():
         raise ConfigError(f"dataset root does not exist: {root}")
+    if split not in ("train", "test"):
+        raise ConfigError(f"unknown split {split!r}; expected train or test")
     sequences = []
-    for relpath, fields in _split_entries(root, split, n_fields):
+    for relpath, fields in _read_index(root / f"{split}.txt", n_fields):
         values = _read_skeleton_file(root / relpath, skip + 3 * N_GRID_NODES)
         seq = SkeletonSequence(frames=values[:, skip:].reshape(len(values), N_GRID_NODES, 3),
-                               label=fields[label_field], subject=fields[-1], source=relpath)
+                               label=fields[label_field], source=relpath)
         check_resamplable(seq)
         sequences.append(seq)
     return sequences
 
 
 def load_dhg(root_path, split: str, classes: int = 14) -> list[SkeletonSequence]:
-    """Load DHG-style sequences: 66 values per line, wrist and palm first.
+    """Load the ``train`` or ``test`` split of a DHG-style root: 66 values
+    per line, wrist and palm first.
 
     Index lines are ``relpath label14 label28 subject`` with 0-based
     labels; ``classes`` selects which label column applies.
@@ -343,8 +323,9 @@ def load_dhg(root_path, split: str, classes: int = 14) -> list[SkeletonSequence]
 
 
 def load_fpha(root_path, split: str) -> list[SkeletonSequence]:
-    """Load FPHA-style sequences: a frame index, then 21 joints (wrist
-    first) per line. Index lines are ``relpath label subject``."""
+    """Load the ``train`` or ``test`` split of an FPHA-style root: a frame
+    index, then 21 joints (wrist first) per line. Index lines are
+    ``relpath label subject``."""
     return _load(root_path, split, 3, 4, 0)
 
 

@@ -14,7 +14,7 @@ import spdhgr
 from spdhgr import cli, gradcheck, network, svm, training
 from spdhgr.cli import main
 from spdhgr.network import (PARAM_TENSORS, NetworkConfig, extract_features, init_params,
-                            save_config)
+                            save_config, save_params)
 from spdhgr.skeleton import SkeletonSequence, write_synthetic_dataset
 from spdhgr.optim import load_checkpoint, save_checkpoint
 from spdhgr.svm import load_features, save_features
@@ -619,13 +619,13 @@ class TestClassify:
 
 class TestGradcheck:
     def test_passes_quick(self, capsys):
-        assert run("gradcheck", "--seed", 1, "--trials", 2, "--no-end-to-end") == 0
+        assert run("gradcheck", "--trials", 2, "--no-end-to-end") == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 9
 
     def test_failing_layer_exits_1_and_is_named(self, capsys, monkeypatch):
         monkeypatch.setitem(gradcheck.LAYER_CHECKS, "gauss_agg", lambda rng: 1.0)
-        assert run("gradcheck", "--seed", 1, "--trials", 1, "--no-end-to-end") == 1
+        assert run("gradcheck", "--trials", 1, "--no-end-to-end") == 1
         out = capsys.readouterr().out
         assert any("gauss_agg" in line and "FAIL" in line
                    for line in out.splitlines())
@@ -634,17 +634,26 @@ class TestGradcheck:
 @pytest.mark.parametrize("command, flag, value, message", [
     ("train", "--epochs", "-2", "epochs must be >= 0, got -2"),
     ("gradcheck", "--trials", "0", "trials must be >= 1, got 0"),
+    ("train", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("classify", "--seed", "-1", "--seed must be >= 0, got -1"),
 ])
 def test_malformed_numeric_argument_exits_2(workspace, tmp_path, capsys,
                                             command, flag, value, message):
+    """The message is the whole of stderr: a bad ``--seed`` to classify is
+    not blamed on its (sound) feature files."""
     _, data, config = workspace
     if command == "train":
         argv = ["--config", config, "--data-root", data, "--out", tmp_path / "run"]
+    elif command == "classify":
+        features = tmp_path / "two.features"
+        save_features(features, [0, 1], np.eye(2))
+        argv = ["--train-features", features, "--test-features", features,
+                "--out", tmp_path / "run"]
     else:
         argv = ["--no-end-to-end"]
     assert run(command, *argv, flag, value) == 2
     captured = capsys.readouterr()
-    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.err == f"error: {message}\n"
     assert "PASS" not in captured.out
     assert not (tmp_path / "run").exists()
 
@@ -690,8 +699,11 @@ def _key_without_value(tmp_path):
     return ["train", "--config", cfg], f"{cfg}:2: expected key=value, got 'd_out_c'"
 
 
-def _bad_loso_split(tmp_path):
-    return ["train", "--split", "loso-train:x"], "bad leave-one-subject-out split 'loso-train:x'"
+def _leave_one_subject_out_split(tmp_path):
+    ckpt = tmp_path / "init.ckpt"
+    save_params(ckpt, init_params(TINY, 0))
+    return (["extract", "--checkpoint", ckpt, "--split", "loso-test:2"],
+            "unknown split 'loso-test:2'; expected train or test")
 
 
 def _index_names_a_directory(tmp_path):
@@ -712,7 +724,7 @@ def _checkpoint_without_fc_bias(tmp_path):
 
 @pytest.mark.parametrize("case", [_empty_train_split, _zero_widths, _zero_t0,
                                   _d_out_s_wider_than_the_aggregation, _key_without_value,
-                                  _bad_loso_split, _index_names_a_directory,
+                                  _leave_one_subject_out_split, _index_names_a_directory,
                                   _labels_beyond_the_config_classes,
                                   _checkpoint_without_fc_bias],
                          ids=lambda case: case.__name__.lstrip("_"))
@@ -812,6 +824,8 @@ class TestUsage:
         ("train", "--config", "c", "--data-root", "d", "--out", "o", "--lr", "0.01"),
         ("classify", "--train-features", "a", "--test-features", "b", "-C", "1"),
         ("classify", "--train-features", "a", "--test-features", "b", "--tol", "0.1"),
+        ("train", "--config", "c", "--data-root", "d", "--out", "o", "--split", "train"),
+        ("gradcheck", "--seed", "1"),
     ])
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

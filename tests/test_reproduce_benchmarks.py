@@ -96,8 +96,17 @@ def test_stops_at_the_first_failing_command(monkeypatch, capfd, tmp_path):
 def test_epochs_below_1_refused_before_anything_is_written(monkeypatch, capsys, data_root,
                                                            tmp_path, epochs):
     assert reproduce(monkeypatch, data_root, tmp_path / "out", "--epochs", epochs) == 2
-    assert capsys.readouterr().err == f"--epochs must be >= 1, got {epochs}\n"
+    assert capsys.readouterr().err == f"error: --epochs must be >= 1, got {epochs}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_refused_before_anything_is_written(monkeypatch, capsys, data_root,
+                                                          tmp_path):
+    spawned = []
+    monkeypatch.setattr(os, "posix_spawn", lambda *args: spawned.append(args))
+    assert reproduce(monkeypatch, data_root, tmp_path / "out", "--seed", -1) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists() and not spawned
 
 
 @pytest.mark.parametrize("index", ["train.txt", "test.txt"])
@@ -110,7 +119,7 @@ def test_missing_index_file_refused_before_anything_runs(monkeypatch, capsys, tm
     spawned = []
     monkeypatch.setattr(os, "posix_spawn", lambda *args: spawned.append(args))
     assert reproduce(monkeypatch, data, out, "--epochs", 1) == 2
-    assert capsys.readouterr().err == (f"no {index} under {data}; convert the dataset "
+    assert capsys.readouterr().err == (f"error: no {index} under {data}; convert the dataset "
                                        "first (layout: docs/formats.md)\n")
     assert not out.exists() and not spawned
 

@@ -152,9 +152,9 @@ class TestResample:
 
     def test_preserves_metadata(self, rng):
         seq = SkeletonSequence(frames=rng.standard_normal((4, 22, 3)), label=3,
-                               subject=7, source="x.txt")
+                               source="x.txt")
         out = resample(seq, 8)
-        assert (out.label, out.subject, out.source) == (3, 7, "x.txt")
+        assert (out.label, out.source) == (3, "x.txt")
 
 
 class TestBranchPlan:
@@ -263,7 +263,7 @@ class TestDhgLoader:
         (tmp_path / "sequences" / "a.txt").write_text((" ".join(["0.0"] * 66) + "\n") * 2)
         (tmp_path / "train.txt").write_text(f"sequences/a.txt {2**53} 0 {-(2**53)}\n")
         (seq,) = load_dhg(tmp_path, "train")
-        assert (seq.label, seq.subject) == (2**53, -(2**53))
+        assert seq.label == 2**53
 
     def test_missing_split_file(self, tmp_path):
         write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=1, n_frames=5)
@@ -308,21 +308,15 @@ class TestDhgLoader:
         assert [(s.source, s.label) for s in train] == [("sequences/a.txt", 0),
                                                         ("sequences/b.txt", 1)]
 
-    def test_loso_split(self, tmp_path):
-        write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=3,
-                                test_per_class=3, n_frames=5)
-        all_subjects = {s.subject for s in load_dhg(tmp_path, "train")}
-        assert all_subjects == {1, 2, 3}
-        held = load_dhg(tmp_path, "loso-test:2")
-        rest = load_dhg(tmp_path, "loso-train:2")
-        assert {s.subject for s in held} == {2}
-        assert 2 not in {s.subject for s in rest}
-        assert len(held) + len(rest) == 12
-
     def test_bad_split_name(self, tmp_path):
-        write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=1, n_frames=5)
-        with pytest.raises(ConfigError):
-            load_dhg(tmp_path, "validation")
+        """A split is one of the two index files; no other name selects
+        sequences, the old leave-one-subject-out names included."""
+        write_synthetic_dataset(tmp_path, n_classes=2, train_per_class=1,
+                                test_per_class=1, n_frames=5)
+        for split in ("validation", "loso-test:2", "loso-train:2"):
+            with pytest.raises(ConfigError,
+                               match=f"^unknown split '{split}'; expected train or test$"):
+                load_dhg(tmp_path, split)
 
 
 class TestFphaLoader:
