@@ -225,18 +225,19 @@ def _check_head(rng) -> float:
                   (y, fc_w, fc_b), layers.head_backward(ctx, label), symmetric=(0,))
 
 
+# each branch family's layer and its window size (t0 for st, n_chunks for ts)
+_BRANCH_LAYERS = {"st": (layers.st_branch_forward, 1), "ts": (layers.ts_branch_forward, 2)}
+
+
 def _branch_check(rng, kind: str) -> float:
     n_frames = int(rng.integers(7, 10))
     n_joints = 4
     d = int(rng.integers(2, 4))
     feats = rng.standard_normal((n_frames, n_joints, d))
-    m = tri_length(d + 1) + 1
+    m = layers.branch_output_dim(d)
     probe = symmetrize(rng.standard_normal((m, m)))
-    eps = 1e-4
-    if kind == "st":
-        fwd = lambda f: layers.st_branch_forward(f, 1, eps)
-    else:
-        fwd = lambda f: layers.ts_branch_forward(f, 2, eps)
+    layer, size = _BRANCH_LAYERS[kind]
+    fwd = lambda f: layer(f, size, 1e-4)
     _, ctx = fwd(feats)
     return _worst(lambda f: float(np.sum(fwd(f)[0] * probe)), (feats,),
                   (layers.branch_backward(ctx, probe),))

@@ -69,7 +69,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import InvalidInput
-from .skeleton import GRID_NODE_IDS, N_FILTERS, N_GRID_NODES, grid_neighbors, split_range
+from .skeleton import N_FILTERS, N_GRID_NODES, grid_neighbors, split_range
 from .symmat import (
     EigPair,
     _eigh_stack,
@@ -96,16 +96,6 @@ def _require(cond: bool, message: str) -> None:
 # grid convolution
 
 
-@lru_cache(maxsize=4)
-def _conv_triples(mode: str) -> np.ndarray:
-    """(triples, 3) read-only rows of (node index, neighbour index, filter
-    index), all 0-based; no (node, neighbour) pair repeats."""
-    triples = np.array([(node - 3, j - 3, label - 1) for node in GRID_NODE_IDS
-                        for j, label in grid_neighbors(mode, node)], dtype=np.intp)
-    triples.flags.writeable = False
-    return triples
-
-
 def _conv_kernel(weights: np.ndarray, triples: np.ndarray) -> np.ndarray:
     """The (20 * 3, 20 * d_out) matrix of the convolution on a flattened
     frame: its (neighbour j, node i) block is W_l^T for each triple (i, j, l)
@@ -120,7 +110,7 @@ def _conv_kernel(weights: np.ndarray, triples: np.ndarray) -> np.ndarray:
 class ConvContext:
     coords: np.ndarray  # (n_frames, 20, 3)
     weights: np.ndarray  # (9, d_out, 3)
-    triples: np.ndarray  # `_conv_triples` of the grid
+    triples: np.ndarray  # `grid_neighbors` of the grid mode
 
 
 def conv_forward(coords: np.ndarray, weights: np.ndarray, mode: str):
@@ -142,7 +132,7 @@ def conv_forward(coords: np.ndarray, weights: np.ndarray, mode: str):
         f"weights must be ({N_FILTERS}, d_out, 3), got {weights.shape}",
     )
     _require(bool(np.all(np.isfinite(coords))), "coords has non-finite entries")
-    triples = _conv_triples(mode)
+    triples = grid_neighbors(mode)
     kernel = _conv_kernel(weights, triples)
     with np.errstate(over="ignore", invalid="ignore"):  # finite coords can overflow
         out = (coords.reshape(coords.shape[0], -1) @ kernel).reshape(

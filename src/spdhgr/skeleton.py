@@ -1,12 +1,12 @@
 """Skeleton-sequence ingestion, the finger-joint lattice, and branch planning.
 
-Hand joints are numbered 1..22 the way the DHG recordings ship them:
-1 = wrist, 2 = palm, then four joints per finger from base to tip
-(thumb 3-6, index 7-10, middle 11-14, ring 15-18, pinky 19-22).
-Nodes 3..22 form a 5x4 lattice (finger x level) on which the grid
-convolution operates. A loaded sequence keeps only these 20 nodes: the
-values before them on each line (DHG's wrist and palm, FPHA's frame
-index and wrist) are parsed, checked and dropped.
+The DHG recordings ship 22 joints: wrist, palm, then four joints per
+finger from base to tip (thumb, index, middle, ring, pinky). The last
+20 form the 5x4 lattice (finger x level) on which the grid convolution
+operates, and a loaded sequence keeps only these: the values before
+them on each line (DHG's wrist and palm, FPHA's frame index and wrist)
+are parsed, checked and dropped. Lattice node p = 4 * finger + level,
+both 0-based, is DHG joint p + 3 (1-based).
 
 Dataset layout (see docs/formats.md for the exact grammar): a root
 directory with index files ``train.txt``/``test.txt``, one per split,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -28,53 +29,35 @@ from .errors import ConfigError, InvalidInput, ParseError
 N_FINGERS = 5
 N_LEVELS = 4
 N_GRID_NODES = N_FINGERS * N_LEVELS
-GRID_NODE_IDS = tuple(range(3, 3 + N_GRID_NODES))
 
-# Lattice offset (j - i) -> filter index, in canonical filter order.
-# An offset o decomposes as o = 4*df + dl with df, dl in {-1, 0, 1}:
-# df steps to the neighbouring finger, dl along the same finger.
-OFFSET_LABELS = ((0, 1), (4, 2), (5, 3), (1, 4), (-3, 5), (-4, 6), (-5, 7), (-1, 8), (3, 9))
-_OFFSET_STEPS = {4 * df + dl: (df, dl) for df in (-1, 0, 1) for dl in (-1, 0, 1)}
-N_FILTERS = len(OFFSET_LABELS)
+# The (finger step, level step) each filter carries, in `conv_weights` order.
+FILTER_STEPS = ((0, 0), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+N_FILTERS = len(FILTER_STEPS)
 GRID_MODES = ("full", "physical")
 
 
-def node_finger_level(node_id: int) -> tuple[int, int]:
-    """Map a grid node id to (finger 1..5, level 1..4)."""
-    if node_id not in GRID_NODE_IDS:
-        raise InvalidInput(f"node {node_id} is not a grid node (expected 3..22)")
-    k = node_id - 3
-    return k // N_LEVELS + 1, k % N_LEVELS + 1
+@cache
+def grid_neighbors(mode: str) -> np.ndarray:
+    """The lattice's (node, neighbour, filter) rows for a grid mode, read-only.
 
-
-def finger_joints(finger: int) -> tuple[int, int, int, int]:
-    """The four node ids of a finger, base to tip."""
-    if not 1 <= finger <= N_FINGERS:
-        raise InvalidInput(f"finger must be 1..{N_FINGERS}, got {finger}")
-    base = 3 + N_LEVELS * (finger - 1)
-    return tuple(range(base, base + N_LEVELS))
-
-
-def grid_neighbors(mode: str, node_id: int) -> list[tuple[int, int]]:
-    """Valid (neighbour node id, filter index) pairs for a node of the 5x4
-    finger-joint lattice.
-
-    ``full`` mode connects each node to its up-to-9 lattice neighbours;
-    ``physical`` keeps only same-finger neighbours {i-1, i, i+1}. Offsets
-    whose finger or level step leaves the lattice are excluded; the node
-    itself is always present with filter index 1.
+    Node by node, then in filter order (the order `conv_backward` sums
+    the filter gradients in): each node's neighbour one `FILTER_STEPS`
+    step away, where that step stays on the lattice.
+    ``full`` mode keeps every step, so a node has up to 9 neighbours;
+    ``physical`` keeps the same-finger steps, neighbours p-1, p, p+1. A
+    node is always its own neighbour through filter 0, and no
+    (node, neighbour) pair repeats.
     """
     if mode not in GRID_MODES:
         raise InvalidInput(f"grid mode must be one of {GRID_MODES}, got {mode!r}")
-    finger, level = node_finger_level(node_id)
-    pairs = []
-    for offset, label in OFFSET_LABELS:
-        df, dl = _OFFSET_STEPS[offset]
-        if mode == "physical" and df != 0:
-            continue
-        if 1 <= finger + df <= N_FINGERS and 1 <= level + dl <= N_LEVELS:
-            pairs.append((node_id + offset, label))
-    return pairs
+    rows = np.array([(N_LEVELS * finger + level, N_LEVELS * (finger + df) + level + dl, k)
+                     for finger in range(N_FINGERS) for level in range(N_LEVELS)
+                     for k, (df, dl) in enumerate(FILTER_STEPS)
+                     if (mode == "full" or df == 0)
+                     and 0 <= finger + df < N_FINGERS and 0 <= level + dl < N_LEVELS],
+                    dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +68,7 @@ def grid_neighbors(mode: str, node_id: int) -> list[tuple[int, int]]:
 class SkeletonSequence:
     """Time-ordered 3-d joint coordinates for one gesture sample."""
 
-    frames: np.ndarray  # (n_frames, 20, 3) float64: the lattice nodes 3..22 in order
+    frames: np.ndarray  # (n_frames, 20, 3) float64: the lattice nodes in order
     label: int
     source: str | None = None
 
@@ -183,8 +166,7 @@ def build_branch_plan(n_frames: int) -> tuple[tuple[int, int, tuple[int, ...]], 
     if n_frames < 6:
         raise InvalidInput(f"need at least 6 frames for the branch plan, got {n_frames}")
     ranges = [piece for parts in SUB_SEQUENCE_SPLITS for piece in split_range(n_frames, parts)]
-    fingers = [tuple(j - GRID_NODE_IDS[0] for j in finger_joints(f))
-               for f in range(1, N_FINGERS + 1)]
+    fingers = [tuple(range(N_LEVELS * f, N_LEVELS * (f + 1))) for f in range(N_FINGERS)]
     return tuple((start, stop, joints) for start, stop in ranges for joints in fingers)
 
 
@@ -342,21 +324,18 @@ def _synthetic_frames(cls: int, n_frames: int, rng) -> np.ndarray:
     """
     frames = np.zeros((n_frames, 22, 3))
     frames[:, 1, 2] = 0.4  # palm above wrist
-    for f in range(1, N_FINGERS + 1):
-        for node in finger_joints(f):
-            _, level = node_finger_level(node)
-            frames[:, node - 1, 0] = 0.3 * (f - 3)
-            frames[:, node - 1, 2] = 0.4 + 0.25 * level
-    moving = cls % N_FINGERS + 1
+    lattice = frames[:, 2:].reshape(n_frames, N_FINGERS, N_LEVELS, 3)
+    level = np.arange(1, N_LEVELS + 1)  # 1 at the base
+    lattice[..., 0] = 0.3 * (np.arange(N_FINGERS) - 2)[:, None]
+    lattice[..., 2] = 0.4 + 0.25 * level
     freq = 1.0 + 0.8 * (cls // N_FINGERS) + 0.35 * cls
     scale = 0.4 * 4.0 ** (cls % 3)
-    t = np.linspace(0.0, 2.0 * np.pi * freq, n_frames)
+    t = np.linspace(0.0, 2.0 * np.pi * freq, n_frames)[:, None]
     direction = 1.0 if cls % 2 == 0 else -1.0
-    for node in finger_joints(moving):
-        _, level = node_finger_level(node)
-        sway = scale * level / N_LEVELS
-        frames[:, node - 1, 0] += sway * np.sin(t + 0.4 * level)
-        frames[:, node - 1, 1] += direction * sway * np.cos(t)
+    sway = scale * level / N_LEVELS
+    moving = lattice[:, cls % N_FINGERS]
+    moving[..., 0] += sway * np.sin(t + 0.4 * level)
+    moving[..., 1] += direction * sway * np.cos(t)
     frames += rng.normal(scale=0.02 * scale, size=frames.shape)
     return frames
 

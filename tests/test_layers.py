@@ -23,7 +23,7 @@ from spdhgr.layers import (
     spd_agg_forward,
 )
 from spdhgr.optim import stiefel_init
-from spdhgr.skeleton import GRID_NODE_IDS, grid_neighbors
+from spdhgr.skeleton import grid_neighbors
 from spdhgr.symmat import (
     assert_spd,
     eigh,
@@ -241,11 +241,9 @@ def conv_loop_reference(coords, weights, grid_mode, grad_out):
     per (node, neighbour, filter) triple, the form before the lattice kernel."""
     out = np.zeros(coords.shape[:2] + (weights.shape[1],))
     grad_weights = np.zeros_like(weights)
-    for node in GRID_NODE_IDS:
-        for j, label in grid_neighbors(grid_mode, node):
-            i, j, l = node - 3, j - 3, label - 1
-            out[:, i] += coords[:, j] @ weights[l].T
-            grad_weights[l] += grad_out[:, i].T @ coords[:, j]
+    for i, j, l in grid_neighbors(grid_mode):
+        out[:, i] += coords[:, j] @ weights[l].T
+        grad_weights[l] += grad_out[:, i].T @ coords[:, j]
     return out, grad_weights
 
 
@@ -273,7 +271,7 @@ class TestConv:
     def test_identity_filter_passes_own_coords(self, rng):
         coords = rng.standard_normal((2, 20, 3))
         weights = np.zeros((9, 5, 3))
-        weights[0, :3, :] = np.eye(3)  # filter 1 is the self filter
+        weights[0, :3, :] = np.eye(3)  # filter 0 is the self filter
         out, _ = conv_forward(coords, weights, "full")
         np.testing.assert_allclose(out[:, :, :3], coords, atol=1e-14)
         np.testing.assert_array_equal(out[:, :, 3:], 0.0)
@@ -282,7 +280,7 @@ class TestConv:
         coords = rng.standard_normal((1, 20, 3))
         weights = rng.standard_normal((9, 4, 3))
         out, _ = conv_forward(coords, weights, "full")
-        # node 3 neighbours: (3,1), (4,4), (7,2), (8,3); array indices are id-3
+        # node 0 neighbours (neighbour, filter): (0,0), (1,3), (4,1), (5,2)
         expected = (
             weights[0] @ coords[0, 0]
             + weights[3] @ coords[0, 1]
@@ -291,13 +289,33 @@ class TestConv:
         )
         np.testing.assert_allclose(out[0, 0], expected, atol=1e-12)
 
+    def test_hand_expanded_interior_node(self, rng):
+        coords = rng.standard_normal((1, 20, 3))
+        weights = rng.standard_normal((9, 4, 3))
+        out, _ = conv_forward(coords, weights, "full")
+        # node 9 is finger 2, level 1; filter k steps (finger, level) by
+        # 0: (0,0), 1: (1,0), 2: (1,1), 3: (0,1), 4: (-1,1), 5: (-1,0),
+        # 6: (-1,-1), 7: (0,-1), 8: (1,-1), where node = 4 * finger + level
+        expected = (
+            weights[0] @ coords[0, 9]
+            + weights[1] @ coords[0, 13]
+            + weights[2] @ coords[0, 14]
+            + weights[3] @ coords[0, 10]
+            + weights[4] @ coords[0, 6]
+            + weights[5] @ coords[0, 5]
+            + weights[6] @ coords[0, 4]
+            + weights[7] @ coords[0, 8]
+            + weights[8] @ coords[0, 12]
+        )
+        np.testing.assert_allclose(out[0, 9], expected, atol=1e-12)
+
     def test_physical_mode_fewer_terms(self, rng):
         coords = rng.standard_normal((2, 20, 3))
         weights = rng.standard_normal((9, 4, 3))
         full, _ = conv_forward(coords, weights, "full")
         phys, _ = conv_forward(coords, weights, "physical")
         assert not np.allclose(full, phys)
-        # physical node 3: self + level-up neighbour only
+        # physical node 0: self + level-up neighbour only
         expected = weights[0] @ coords[1, 0] + weights[3] @ coords[1, 1]
         np.testing.assert_allclose(phys[1, 0], expected, atol=1e-12)
 
@@ -332,9 +350,8 @@ class TestConv:
             conv_backward(ctx, np.zeros((2, 20, 5)))
 
     def test_grid_neighbors_drive_filters(self):
-        # every (node, filter) pair used by the forward comes from the grid
-        pairs = {(i, l) for i in GRID_NODE_IDS for _, l in grid_neighbors("full", i)}
-        assert {l for _, l in pairs} == set(range(1, 10))
+        # the forward's filters come from the grid's rows, and full mode uses all nine
+        assert set(grid_neighbors("full")[:, 2]) == set(range(9))
 
 
 class TestSpdAgg:

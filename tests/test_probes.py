@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from spdhgr.network import FAMILIES, VARIANTS, NetworkConfig, extract_features, forward, init_params
-from spdhgr.skeleton import N_BRANCHES, N_FINGERS, N_LEVELS, finger_joints
+from spdhgr.skeleton import N_BRANCHES, N_FINGERS, N_LEVELS
 from spdhgr.svm import svm_accuracy, svm_train
 
 # sub-sequence s of a reversed sequence covers the frames of sub-sequence
@@ -75,7 +75,7 @@ PROBE_FRAMES = 60
 PER_CLASS = 20  # train and test sequences per class
 # each lattice node at (finger, level) in the x-y plane
 TEMPLATE = np.array([[f, level, 0.0] for f in range(N_FINGERS) for level in range(N_LEVELS)])
-FINGER_2, FINGER_3 = (np.array(finger_joints(f)) - finger_joints(1)[0] for f in (2, 3))
+FINGER_2, FINGER_3 = (np.arange(N_LEVELS * f, N_LEVELS * (f + 1)) for f in (1, 2))
 
 
 def _still_hand(rng):

@@ -3,76 +3,84 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spdhgr import skeleton
 from spdhgr.errors import ConfigError, InvalidInput, ParseError
 from spdhgr.network import NetworkConfig, forward, init_params
 from spdhgr.skeleton import (
-    GRID_NODE_IDS,
     N_BRANCHES,
-    OFFSET_LABELS,
     SkeletonSequence,
     build_branch_plan,
-    finger_joints,
     grid_neighbors,
     load_dhg,
     load_fpha,
-    node_finger_level,
     resample,
     split_range,
     write_synthetic_dataset,
 )
 
-OFFSET_TO_LABEL = dict(OFFSET_LABELS)
+# Each filter's (finger step, level step), written out by hand in
+# conv_weights order, so that the tests do not read the table under test.
+STEPS = {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1), 4: (-1, 1),
+         5: (-1, 0), 6: (-1, -1), 7: (0, -1), 8: (1, -1)}
+
+
+def neighbours_of(mode, node):
+    """The (neighbour, filter) pairs of one lattice position."""
+    return {(int(j), int(k)) for i, j, k in grid_neighbors(mode) if i == node}
 
 
 class TestGrid:
-    def test_node12_full_neighbours(self):
-        pairs = grid_neighbors("full", 12)
-        assert {j for j, _ in pairs} == {7, 8, 9, 11, 12, 13, 15, 16, 17}
-        for j, label in pairs:
-            assert label == OFFSET_TO_LABEL[j - 12]
+    def test_node9_full_neighbours(self):
+        # node 9 is finger 2, level 1 (DHG joint 12): all nine steps stay on the lattice
+        assert neighbours_of("full", 9) == {(9, 0), (13, 1), (14, 2), (10, 3), (6, 4),
+                                            (5, 5), (4, 6), (8, 7), (12, 8)}
 
-    def test_corner_node3(self):
-        assert set(grid_neighbors("full", 3)) == {(3, 1), (4, 4), (7, 2), (8, 3)}
+    def test_corner_node0(self):
+        assert neighbours_of("full", 0) == {(0, 0), (1, 3), (4, 1), (5, 2)}
 
-    def test_node12_physical(self):
-        assert set(grid_neighbors("physical", 12)) == {(11, 8), (12, 1), (13, 4)}
+    def test_node9_physical(self):
+        assert neighbours_of("physical", 9) == {(8, 7), (9, 0), (10, 3)}
 
     def test_self_always_included(self):
         for mode in ("full", "physical"):
-            for node in GRID_NODE_IDS:
-                assert (node, 1) in grid_neighbors(mode, node)
+            for node in range(20):
+                assert (node, 0) in neighbours_of(mode, node)
 
     def test_all_nodes_valid_labels_and_offsets(self):
-        for node in GRID_NODE_IDS:
-            for j, label in grid_neighbors("full", node):
-                assert j in GRID_NODE_IDS
-                assert 1 <= label <= 9
-                assert OFFSET_TO_LABEL[j - node] == label
-                # neighbours stay within one finger and one level step
-                fi, li = node_finger_level(node)
-                fj, lj = node_finger_level(j)
-                assert abs(fi - fj) <= 1 and abs(li - lj) <= 1
+        rows = grid_neighbors("full")
+        assert {int(i) for i in rows[:, 0]} == set(range(20))
+        for node, j, k in rows:
+            assert 0 <= j < 20
+            assert 0 <= k < 9
+            # neighbours stay within one finger and one level step: the filter's
+            fi, li = divmod(node, 4)
+            fj, lj = divmod(j, 4)
+            assert (fj - fi, lj - li) == STEPS[k]
+        # every step that stays on the lattice is an edge
+        assert len(rows) == sum(0 <= f + df < 5 and 0 <= level + dl < 4
+                                for f in range(5) for level in range(4)
+                                for df, dl in STEPS.values())
 
     def test_physical_same_finger(self):
-        for node in GRID_NODE_IDS:
-            fi, _ = node_finger_level(node)
-            for j, _ in grid_neighbors("physical", node):
-                assert node_finger_level(j)[0] == fi
-                assert j in (node - 1, node, node + 1)
-
-    def test_unknown_node(self):
-        with pytest.raises(InvalidInput):
-            grid_neighbors("full", 2)
+        for node, j, _ in grid_neighbors("physical"):
+            assert j // 4 == node // 4
+            assert j in (node - 1, node, node + 1)
 
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
-            grid_neighbors("diagonal", 12)
+            grid_neighbors("diagonal")
 
     def test_finger_joints(self):
-        assert finger_joints(1) == (3, 4, 5, 6)
-        assert finger_joints(5) == (19, 20, 21, 22)
-        with pytest.raises(InvalidInput):
-            finger_joints(6)
+        fingers = [joints for _, _, joints in build_branch_plan(6)[:5]]
+        assert fingers[0] == (0, 1, 2, 3)
+        assert fingers[4] == (16, 17, 18, 19)
+        assert {joints for _, _, joints in build_branch_plan(6)} == set(fingers)
+
+    def test_table_is_cached_and_read_only(self):
+        rows = grid_neighbors("full")
+        assert grid_neighbors("full") is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
 
 
 class TestResample:
@@ -175,7 +183,7 @@ class TestBranchPlan:
         for k, (start, stop, joints) in enumerate(plan):
             sub_seq, finger = divmod(k, 5)
             assert (start, stop) == plan[5 * sub_seq][:2]
-            assert joints == tuple(GRID_NODE_IDS.index(j) for j in finger_joints(finger + 1))
+            assert joints == tuple(range(4 * finger, 4 * finger + 4))
 
     @given(st.integers(min_value=6, max_value=2000))
     def test_partition_property(self, n):
@@ -401,3 +409,46 @@ def test_one_frame_file_is_refused_naming_it(tmp_path, load, n_values):
     with pytest.raises(InvalidInput, match=r"^sequences/b\.txt: cannot resample a sequence "
                                            r"with fewer than 2 frames$"):
         load(tmp_path, "train")
+
+
+def synthetic_frames_per_node(cls, n_frames, rng):
+    """The synthetic fixture's sequence written joint by joint in DHG ids
+    (joint j at index j - 1), the form before the lattice view, as an oracle."""
+    frames = np.zeros((n_frames, 22, 3))
+    frames[:, 1, 2] = 0.4
+    for f in range(1, 6):
+        for level in range(1, 5):
+            node = 3 + 4 * (f - 1) + level - 1
+            frames[:, node - 1, 0] = 0.3 * (f - 3)
+            frames[:, node - 1, 2] = 0.4 + 0.25 * level
+    moving = cls % 5 + 1
+    freq = 1.0 + 0.8 * (cls // 5) + 0.35 * cls
+    scale = 0.4 * 4.0 ** (cls % 3)
+    t = np.linspace(0.0, 2.0 * np.pi * freq, n_frames)
+    direction = 1.0 if cls % 2 == 0 else -1.0
+    for level in range(1, 5):
+        node = 3 + 4 * (moving - 1) + level - 1
+        sway = scale * level / 4
+        frames[:, node - 1, 0] += sway * np.sin(t + 0.4 * level)
+        frames[:, node - 1, 1] += direction * sway * np.cos(t)
+    frames += rng.normal(scale=0.02 * scale, size=frames.shape)
+    return frames
+
+
+def test_synthetic_dataset_matches_per_node_loop(tmp_path, monkeypatch):
+    """The overfit oracle, the probes and the tree comparison read this
+    fixture: every class's frames keep their bits, and its files their bytes."""
+    for cls in range(14):
+        np.testing.assert_array_equal(
+            skeleton._synthetic_frames(cls, 23, np.random.default_rng(cls)),
+            synthetic_frames_per_node(cls, 23, np.random.default_rng(cls)), strict=True)
+    sizes = dict(n_classes=14, train_per_class=2, test_per_class=1, n_frames=23, seed=7)
+    write_synthetic_dataset(tmp_path / "lattice", **sizes)
+    monkeypatch.setattr(skeleton, "_synthetic_frames", synthetic_frames_per_node)
+    write_synthetic_dataset(tmp_path / "per_node", **sizes)
+    files = sorted(path.relative_to(tmp_path / "per_node")
+                   for path in (tmp_path / "per_node").rglob("*.txt"))
+    assert len(files) == 14 * 3 + 2
+    for rel in files:
+        assert ((tmp_path / "lattice" / rel).read_bytes()
+                == (tmp_path / "per_node" / rel).read_bytes())
